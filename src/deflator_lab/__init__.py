@@ -18,12 +18,26 @@ from .filtered_space import (AdaptedProcess, EventTree, ProbMeasure,
 from .kunita_yoeurp import (DominatingMeasure, EnlargedSpace,
                             build_dominating_measure, check_stopped_price,
                             verify_ky, yoeurp_expectation)
-from .montecarlo import (DiffusionScenario, InsiderDriftScenario, LevyScenario,
-                         MartingaleTest, PathBatch, information_drift_deflator,
-                         simulate_deflated_wealth, simulate_levy_counterexample,
-                         simulate_survival_measure)
 
 __version__ = "0.1.0"
+
+# The Monte Carlo engine needs numpy; it loads on first use of one of these
+# names (PEP 562), so the exact tree-side API imports without it.
+_MONTECARLO = (
+    "DiffusionScenario", "InsiderDriftScenario", "LevyScenario",
+    "MartingaleTest", "PathBatch", "information_drift_deflator",
+    "simulate_deflated_wealth", "simulate_levy_counterexample",
+    "simulate_survival_measure",
+)
+
+
+def __getattr__(name: str):
+    if name in _MONTECARLO:
+        from . import montecarlo
+
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AdaptedProcess", "ArbitrageReport", "Deflator", "DiffusionScenario",

@@ -1,17 +1,19 @@
 """Exact arbitrage verdicts on event trees, and utility functions built from
 tail bounds.
 
-Both no-arbitrage notions reduce to linear programs over the strategy space.
-A wealth path 1 + (H.S) is affine in the holdings H, and 1-admissibility is
-one linear inequality per node, so on a finite tree:
+Both no-arbitrage notions are decided atom by atom.  A wealth path
+1 + (H.S) is affine in the holdings H, and 1-admissibility is one linear
+inequality per node, so on a finite tree with strictly positive P:
 
-* (NA) fails iff some H with gains >= 0 everywhere has a strictly positive
-  terminal gain somewhere.  Gains scale with H, so a sup-norm box |H| <= 1 is
-  imposed purely to keep the LP bounded; the verdict is unaffected.
-* (NA1), boundedness in probability of terminal wealths, collapses on a finite
-  space with strictly positive P to finiteness of sup E[terminal wealth] over
-  1-admissible strategies.  The LP is bounded iff no admissible ray grows the
-  expectation, and an unbounded ray is exactly an unbounded-profit witness.
+* (NA1), boundedness in probability of terminal wealths, collapses to
+  finiteness of sup E[terminal wealth] over 1-admissible strategies.  Wealth
+  scales with its level, so that supremum is the root value of a backward
+  pass of one-step programs, each weighted by the values of the atom's
+  children; an unbounded one-step program is an unbounded-profit ray.
+* (NA) fails iff some atom admits a one-step arbitrage (Dalang, Morton and
+  Willinger), which under strictly positive P is exactly an unbounded
+  one-step program, so the two verdicts coincide.  A sup-norm box |h| <= 1
+  keeps the failing atom's arbitrage program bounded.
 
 The utility builder turns a tail-probability envelope F into a concave,
 unbounded U = integral of a step function g with diverging sum(g_k) but
@@ -62,7 +64,7 @@ class ArbitrageReport:
     witness: Optional[Strategy] = None
     optimal_value: Optional[Fraction] = None   # sup E[terminal wealth]
     unbounded: bool = False                    # marks optimal_value = +infinity
-    na_optimum: Optional[Fraction] = None      # box-normalized NA gain optimum
+    na_optimum: Optional[Fraction] = None      # box one-step NA optimum, failing atom
 
 
 def _gain_rows(problem: WealthProblem) -> tuple[dict[int, dict[int, Fraction]], dict[tuple[int, int], int]]:
@@ -92,44 +94,105 @@ def _gain_rows(problem: WealthProblem) -> tuple[dict[int, dict[int, Fraction]], 
     return rows, var_index
 
 
-def _strategy_from(problem: WealthProblem, x: list[Fraction],
-                   var_index: dict[tuple[int, int], int]) -> Strategy:
-    d = problem.tree.asset_dim
-    steps = {
-        v.id: tuple(x[var_index[(v.id, i)]] for i in range(d))
-        for v in problem.tree.non_leaf_nodes()
-    }
-    return Strategy(steps, d)
+class Na1FailsOnAtom(ValueError):
+    """A one-step program is unbounded: the atom supports an arbitrage ray."""
+
+    def __init__(self, atom: int, ray: tuple[Fraction, ...]):
+        self.atom = atom
+        self.ray = ray
+        super().__init__(f"NA1 fails on atom {atom}: unbounded ray {ray}")
 
 
-def check_na(problem: WealthProblem) -> ArbitrageReport:
-    """Decide (NA): no admissible terminal wealth X >= 1 with P(X > 1) > 0.
+def one_step_program(tree: EventTree, P_masses: dict[int, Fraction],
+                     S: AdaptedProcess, node: int,
+                     weights: Optional[dict[int, Fraction]] = None
+                     ) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """sup over one-step admissible h of E[w * (1 + h.dS) | node].
 
-    Maximizes the plain sum of terminal gains subject to gains >= 0 at every
-    node and |H|_inf <= 1.  Zero optimum is exactly (NA); a positive optimum
-    yields a witness strategy whose wealth 1 + (H.S) lies in W1.
+    `weights` carries the later density values (default 1).  Returns the
+    optimum and a maximizing h; which vertex comes back when the maximizer is
+    not unique is an artifact of pivoting order and not part of the contract.
+    Raises Na1FailsOnAtom with the improving ray when unbounded.
+    """
+    d = S.dim
+    children = tree.children_of(node)
+    atom_mass = P_masses[node]
+    if atom_mass == 0:
+        raise ValueError(f"one-step program on null atom {node}")
+    lp = LinearProgram(d)
+    objective: dict[int, Fraction] = {}
+    const = ZERO
+    for c in children:
+        w = ONE if weights is None else weights[c]
+        pw = P_masses[c] / atom_mass * w
+        const += pw
+        ds = tuple(a - b for a, b in zip(S[c], S[node]))
+        for i in range(d):
+            if ds[i] != 0:
+                objective[i] = objective.get(i, ZERO) + pw * ds[i]
+        row = {i: -ds[i] for i in range(d) if ds[i] != 0}
+        if row:
+            lp.add_le(row, ONE)            # 1 + h.dS >= 0 on this child
+    lp.set_objective(objective)
+    res = lp.solve()
+    if res.status == UNBOUNDED:
+        raise Na1FailsOnAtom(node, tuple(res.ray))
+    assert res.status == OPTIMAL
+    return const + res.value, tuple(res.x)
+
+
+def backward_pass(problem: WealthProblem
+                  ) -> tuple[dict[int, Fraction], dict[int, tuple[Fraction, ...]]]:
+    """Optimal values and maximizers of every atom, bottom-up.
+
+    Node ids are breadth-first, so reversed id order visits every child
+    before its parent.  Each non-leaf atom solves the one-step program
+    weighted by its children's values, leaves are worth 1, and the first
+    unbounded atom raises Na1FailsOnAtom.  The root value is
+    sup E[1 + (H.S)_n] over 1-admissible H.
     """
     problem.require_positive()
-    rows, var_index = _gain_rows(problem)
-    lp = LinearProgram(len(var_index))
+    tree, S = problem.tree, problem.S
+    masses = problem.P.node_masses(tree)
+    z: dict[int, Fraction] = {}
+    maximizers: dict[int, tuple[Fraction, ...]] = {}
+    for v in reversed(tree.nodes):
+        if v.children:
+            z[v.id], maximizers[v.id] = one_step_program(tree, masses, S, v.id, z)
+        else:
+            z[v.id] = ONE
+    return z, maximizers
+
+
+def _box_program(tree: EventTree, S: AdaptedProcess, node: int
+                 ) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """max of sum over children of h.dS subject to h.dS >= 0 on every child
+    and |h|_inf <= 1: positive exactly when the atom admits a one-step
+    arbitrage, and then the maximizer is one."""
+    d = S.dim
+    lp = LinearProgram(d)
     objective: dict[int, Fraction] = {}
-    for leaf in problem.tree.leaves:
-        for j, coef in rows[leaf].items():
-            objective[j] = objective.get(j, ZERO) + coef
+    for c in tree.children_of(node):
+        ds = (a - b for a, b in zip(S[c], S[node]))
+        row = {i: x for i, x in enumerate(ds) if x != 0}
+        for i, x in row.items():
+            objective[i] = objective.get(i, ZERO) + x
+        if row:
+            lp.add_ge(row, ZERO)
+    for i in range(d):
+        lp.add_le({i: ONE}, ONE)
+        lp.add_ge({i: ONE}, -ONE)
     lp.set_objective(objective)
-    for v in problem.tree.nodes:
-        if v.parent is not None and rows[v.id]:
-            lp.add_ge(rows[v.id], ZERO)
-    for j in range(len(var_index)):
-        lp.add_le({j: ONE}, ONE)
-        lp.add_ge({j: ONE}, -ONE)
     res = lp.solve()
-    assert res.status == OPTIMAL, "the NA program is bounded by the box constraint"
-    report = ArbitrageReport(na_optimum=res.value)
-    report.na_holds = res.value == 0
-    if not report.na_holds:
-        report.witness = _strategy_from(problem, res.x, var_index)
-    return report
+    assert res.status == OPTIMAL, "the box program is bounded"
+    return res.value, tuple(res.x)
+
+
+def _lift(tree: EventTree, atom: int, h: tuple[Fraction, ...]) -> Strategy:
+    """The global strategy holding h on `atom` and nothing anywhere else."""
+    zero = (ZERO,) * tree.asset_dim
+    return Strategy({v.id: h if v.id == atom else zero
+                     for v in tree.non_leaf_nodes()}, tree.asset_dim)
 
 
 def check_na1(problem: WealthProblem) -> ArbitrageReport:
@@ -137,42 +200,49 @@ def check_na1(problem: WealthProblem) -> ArbitrageReport:
 
     On a finite tree with strictly positive P, boundedness in probability of
     K1, uniform boundedness, and finiteness of this supremum all coincide
-    (each leaf carries mass at least min P > 0), so the LP value decides the
-    verdict and doubles as the tightest wealth bound.  Unboundedness returns
-    the improving ray: a strategy direction along which expected wealth grows
+    (each leaf carries mass at least min P > 0).  The supremum is the root
+    value of the backward pass, so it is finite exactly when every one-step
+    program is bounded.  Otherwise the witness is the first unbounded atom's
+    improving ray, held on that atom only: expected wealth grows along it
     without ever breaching admissibility.
     """
-    problem.require_positive()
-    rows, var_index = _gain_rows(problem)
-    lp = LinearProgram(len(var_index))
-    objective: dict[int, Fraction] = {}
-    for leaf in problem.tree.leaves:
-        mass = problem.P.mass(leaf)
-        for j, coef in rows[leaf].items():
-            objective[j] = objective.get(j, ZERO) + mass * coef
-    lp.set_objective(objective)
-    for v in problem.tree.nodes:
-        if v.parent is not None and rows[v.id]:
-            lp.add_ge(rows[v.id], -ONE)
-    res = lp.solve()
-    if res.status == UNBOUNDED:
+    try:
+        z, _ = backward_pass(problem)
+    except Na1FailsOnAtom as exc:
         return ArbitrageReport(na1_holds=False, unbounded=True,
-                               witness=_strategy_from(problem, res.ray, var_index))
-    assert res.status == OPTIMAL
-    return ArbitrageReport(na1_holds=True, optimal_value=ONE + res.value)
+                               witness=_lift(problem.tree, exc.atom, exc.ray))
+    return ArbitrageReport(na1_holds=True, optimal_value=z[problem.tree.root])
 
 
 def check_both(problem: WealthProblem) -> ArbitrageReport:
-    na = check_na(problem)
-    na1 = check_na1(problem)
-    return ArbitrageReport(
-        na_holds=na.na_holds,
-        na1_holds=na1.na1_holds,
-        witness=na.witness if not na.na_holds else na1.witness,
-        optimal_value=na1.optimal_value,
-        unbounded=na1.unbounded,
-        na_optimum=na.na_optimum,
-    )
+    """Decide (NA) and (NA1) with one backward pass.
+
+    Under strictly positive P an atom's one-step program is unbounded exactly
+    when the atom admits a one-step arbitrage, and (NA) fails on a finite
+    tree exactly when some atom does, so the two verdicts coincide.  On
+    failure the box program at the first unbounded atom gives `na_optimum`
+    and the witness; when both hold `na_optimum` is 0.
+    """
+    try:
+        z, _ = backward_pass(problem)
+    except Na1FailsOnAtom as exc:
+        value, h = _box_program(problem.tree, problem.S, exc.atom)
+        return ArbitrageReport(na_holds=False, na1_holds=False, unbounded=True,
+                               witness=_lift(problem.tree, exc.atom, h),
+                               na_optimum=value)
+    return ArbitrageReport(na_holds=True, na1_holds=True,
+                           optimal_value=z[problem.tree.root], na_optimum=ZERO)
+
+
+def check_na(problem: WealthProblem) -> ArbitrageReport:
+    """Decide (NA): no admissible terminal wealth X >= 1 with P(X > 1) > 0.
+
+    The verdict, witness and `na_optimum` of `check_both`; a witness's wealth
+    1 + (H.S) lies in W1, never falls below 1 and exceeds 1 on some leaf.
+    """
+    both = check_both(problem)
+    return ArbitrageReport(na_holds=both.na_holds, witness=both.witness,
+                           na_optimum=both.na_optimum)
 
 
 # -- de la Vallee-Poussin style utility construction ----------------------------

@@ -16,7 +16,7 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import __version__, scenarios, treeio
 from .arbitrage import WealthProblem, check_both, check_na, check_na1
@@ -26,13 +26,9 @@ from .enlargement import (EnlargementSpec, IncompleteMarketError, insider_exampl
 from .filtered_space import AdaptedProcess, StoppingTime
 from .kunita_yoeurp import (KyError, build_dominating_measure,
                             check_stopped_price, verify_ky)
-from .montecarlo import (DiffusionScenario, InsiderDriftScenario, LevyScenario,
-                         MartingaleTest, analytic_frozen_mean,
-                         deflated_price_test, density_mean_test,
-                         information_drift_deflator, sample_diffusion_paths,
-                         sample_insider_paths, sample_levy_paths,
-                         simulate_deflated_wealth, simulate_levy_counterexample,
-                         simulate_survival_measure)
+
+if TYPE_CHECKING:
+    from .montecarlo import MartingaleTest
 
 SCHEMA_VERSION = "1"
 
@@ -238,7 +234,7 @@ def cmd_stopped_check(args) -> int:
     return 0 if result.is_martingale and result.deflation_ok else 1
 
 
-def load_labels(path: str, tf: treeio.TreeFile) -> dict[int, str]:
+def load_labels(path: str) -> dict[int, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -256,7 +252,7 @@ def cmd_enlarge(args) -> int:
     started = time.perf_counter()
     tf = load_tree(args.tree)
     spec = EnlargementSpec(tf.tree, need_measure(tf, args.tree),
-                           load_labels(args.label_map, args.tree))
+                           load_labels(args.label_map))
     if args.action == "jacod":
         result = jacod_check(spec)
         report = make_report(
@@ -324,6 +320,16 @@ def load_params(path: str) -> dict:
 
 
 def cmd_simulate(args) -> int:
+    # numpy loads here only, so the exact tree-side commands start without it
+    from .montecarlo import (DiffusionScenario, InsiderDriftScenario,
+                             LevyScenario, analytic_frozen_mean,
+                             deflated_price_test, density_mean_test,
+                             information_drift_deflator, sample_diffusion_paths,
+                             sample_insider_paths, sample_levy_paths,
+                             simulate_deflated_wealth,
+                             simulate_levy_counterexample,
+                             simulate_survival_measure)
+
     started = time.perf_counter()
     defaults = {"diffusion": {"mu": 0.2, "sigma": 1.0},
                 "levy": {"a": 2.0, "b": 1.0},
@@ -443,9 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact arbitrage and deflator laboratory on event trees, "
                     "with seeded Monte Carlo for the continuous-time examples.")
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("--pivot-rule", choices=["bland"], default="bland",
-                        help="simplex pivot selection (only the anti-cycling "
-                             "rule is implemented; echoed into reports)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, out_default=None):

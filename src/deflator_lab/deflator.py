@@ -22,22 +22,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .arbitrage import WealthProblem
+from .arbitrage import (Na1FailsOnAtom, WealthProblem, backward_pass,
+                        one_step_program)
 from .filtered_space import (AdaptedProcess, EventTree, ProbMeasure, Strategy,
                              doob_decomposition, dot, stochastic_integral)
-from .linprog import OPTIMAL, UNBOUNDED, LinearProgram
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-class Na1FailsOnAtom(ValueError):
-    """A one-step program is unbounded: the atom supports an arbitrage ray."""
-
-    def __init__(self, atom: int, ray: tuple[Fraction, ...]):
-        self.atom = atom
-        self.ray = ray
-        super().__init__(f"NA1 fails on atom {atom}: unbounded ray {ray}")
 
 
 @dataclass
@@ -66,44 +57,6 @@ class Deflator:
         return Deflator(Z, M, dA, self.maximizers)
 
 
-def one_step_program(tree: EventTree, P_masses: dict[int, Fraction],
-                     S: AdaptedProcess, node: int,
-                     weights: Optional[dict[int, Fraction]] = None
-                     ) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """sup over one-step admissible h of E[w * (1 + h.dS) | node].
-
-    `weights` carries the later density values (default 1).  Returns the
-    optimum and a maximizing h; which vertex comes back when the maximizer is
-    not unique is an artifact of pivoting order and not part of the contract.
-    Raises Na1FailsOnAtom with the improving ray when unbounded.
-    """
-    d = S.dim
-    children = tree.children_of(node)
-    atom_mass = P_masses[node]
-    if atom_mass == 0:
-        raise ValueError(f"one-step program on null atom {node}")
-    lp = LinearProgram(d)
-    objective: dict[int, Fraction] = {}
-    const = ZERO
-    for c in children:
-        w = ONE if weights is None else weights[c]
-        pw = P_masses[c] / atom_mass * w
-        const += pw
-        ds = tuple(a - b for a, b in zip(S[c], S[node]))
-        for i in range(d):
-            if ds[i] != 0:
-                objective[i] = objective.get(i, ZERO) + pw * ds[i]
-        row = {i: -ds[i] for i in range(d) if ds[i] != 0}
-        if row:
-            lp.add_le(row, ONE)            # 1 + h.dS >= 0 on this child
-    lp.set_objective(objective)
-    res = lp.solve()
-    if res.status == UNBOUNDED:
-        raise Na1FailsOnAtom(node, tuple(res.ray))
-    assert res.status == OPTIMAL
-    return const + res.value, tuple(res.x)
-
-
 def one_period_density(tree: EventTree, P: ProbMeasure, S: AdaptedProcess,
                        at_time: int = 0) -> AdaptedProcess:
     """The optimal-value density over one step, one value per time-`at_time`
@@ -130,18 +83,9 @@ def construct_deflator(problem: WealthProblem) -> Deflator:
     hence Z deflates every 1-admissible wealth process, and Z_k >= Z's own
     later conditional values (h = 0), so Z is itself a supermartingale.
     """
-    problem.require_positive()
-    tree, P, S = problem.tree, problem.P, problem.S
-    masses = P.node_masses(tree)
-    z: dict[int, Fraction] = {leaf: ONE for leaf in tree.leaves}
-    maximizers: dict[int, tuple[Fraction, ...]] = {}
-    for k in range(tree.horizon - 1, -1, -1):
-        for v in tree.nodes_at(k):
-            value, h = one_step_program(tree, masses, S, v, z)
-            z[v] = value
-            maximizers[v] = h
+    z, maximizers = backward_pass(problem)
     Z = AdaptedProcess.of_scalars(z)
-    M, dA = doob_decomposition(tree, P, Z)
+    M, dA = doob_decomposition(problem.tree, problem.P, Z)
     return Deflator(Z, M, dA, maximizers)
 
 

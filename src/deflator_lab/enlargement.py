@@ -65,7 +65,7 @@ class EnlargementSpec:
         if label in self._slices:
             return self._slices[label]
         out: dict[int, Fraction] = {}
-        for v in sorted(self.tree.nodes, key=lambda nd: -nd.time):
+        for v in reversed(self.tree.nodes):
             if not v.children:
                 out[v.id] = self.P.mass(v.id) if self.labels[v.id] == label else ZERO
             else:
@@ -233,7 +233,7 @@ def product_market(spec: EnlargementSpec, S: AdaptedProcess) -> ProductMarket:
 
 def na1_in_enlargement(spec: EnlargementSpec, S: AdaptedProcess
                        ) -> ArbitrageReport:
-    """(NA1) for the insider: the arbitrage program on the product market."""
+    """(NA1) for the insider: the backward pass on the product market."""
     return check_na1(product_market(spec, S).problem())
 
 
@@ -375,19 +375,16 @@ def complete_market_measure(tree: EventTree, S: AdaptedProcess) -> CompleteMarke
             raise IncompleteMarketError(
                 f"atom {v.id}: {c} children exceed the {d + 1} independent "
                 "payoffs one step can span")
-        rows = [[ONE] + [S[ch][i] - S[v.id][i] for i in range(d)]
-                for ch in children]
-        if _rank(rows) < c:
+        # sum_j q_j = 1 and sum_j q_j dS_i(j) = 0, one column per child (1, dS)
+        sys_rows = [[ONE] * c] + [[S[ch][i] - S[v.id][i] for ch in children]
+                                  for i in range(d)]
+        rank, q = _eliminate(sys_rows, [ONE] + [ZERO] * d)
+        if rank < c:
             raise IncompleteMarketError(
                 f"atom {v.id}: one-step payoffs are linearly dependent")
-        # transpose system: sum_j q_j = 1 and sum_j q_j dS_i(j) = 0
-        sys_rows = [[rows[j][i] for j in range(c)] for i in range(d + 1)]
-        rhs = [ONE] + [ZERO] * d
-        try:
-            q = _solve_exact(sys_rows, rhs)
-        except IncompleteMarketError as exc:
+        if q is None:
             raise IncompleteMarketError(
-                f"atom {v.id}: no one-step pricing weights exist") from exc
+                f"atom {v.id}: no one-step pricing weights exist")
         if any(x <= 0 for x in q):
             raise IncompleteMarketError(
                 f"atom {v.id}: pricing weights are not strictly positive")
@@ -410,38 +407,27 @@ def replicate(tree: EventTree, S: AdaptedProcess, market: CompleteMarket,
     d = tree.asset_dim
     value: dict[int, Fraction] = {leaf: payoff[leaf] for leaf in tree.leaves}
     hedge: dict[int, tuple[Fraction, ...]] = {}
-    for v in sorted(tree.non_leaf_nodes(), key=lambda nd: -nd.time):
+    for v in reversed(tree.nodes):
+        if not v.children:
+            continue
         children = v.children
         value[v.id] = sum((market.q_step[c] * value[c] for c in children), ZERO)
         rows = [[S[c][i] - S[v.id][i] for i in range(d)] for c in children]
         rhs = [value[c] - value[v.id] for c in children]
-        hedge[v.id] = tuple(_solve_exact(rows, rhs))
+        _, h = _eliminate(rows, rhs)
+        if h is None:
+            raise IncompleteMarketError("replication system is inconsistent")
+        hedge[v.id] = tuple(h)
     return AdaptedProcess.of_scalars(value), Strategy(hedge, d)
 
 
-def _rank(rows: list[list[Fraction]]) -> int:
-    mat = [list(r) for r in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for col in range(cols):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = ONE / mat[rank][col]
-        mat[rank] = [a * inv for a in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
+def _eliminate(rows: list[list[Fraction]], rhs: list[Fraction]
+               ) -> tuple[int, Optional[list[Fraction]]]:
+    """Exact Gauss-Jordan elimination of rows . x = rhs.
 
-
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]
-                 ) -> list[Fraction]:
-    """Least-structured exact solve of a consistent system (unique under the
-    completeness rank condition)."""
+    Returns the rank of `rows` and a solution with every free variable zero
+    (unique under the completeness rank condition), or None in its place when
+    the system is inconsistent."""
     m = len(rows)
     cols = len(rows[0]) if rows else 0
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
@@ -460,13 +446,12 @@ def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]
                 aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
         pivots.append((r, col))
         r += 1
-    for i in range(r, m):
-        if aug[i][-1] != 0:
-            raise IncompleteMarketError("replication system is inconsistent")
+    if any(aug[i][-1] != 0 for i in range(r, m)):
+        return r, None
     x = [ZERO] * cols
     for row, col in pivots:
         x[col] = aug[row][-1]
-    return x
+    return r, x
 
 
 @dataclass

@@ -80,11 +80,12 @@ class EventTree:
             Node(i, times[i], parents[i], tuple(children[i])) for i in range(n_nodes)
         )
         self._validate()
-        self._levels: tuple[tuple[int, ...], ...] = tuple(
-            tuple(v.id for v in self.nodes if v.time == k) for k in range(horizon + 1)
-        )
+        levels: list[list[int]] = [[] for _ in range(horizon + 1)]
+        for v in self.nodes:
+            levels[v.time].append(v.id)
+        self._levels: tuple[tuple[int, ...], ...] = tuple(map(tuple, levels))
         self._leaves_below: list[tuple[int, ...]] = [() for _ in range(n_nodes)]
-        for v in sorted(self.nodes, key=lambda nd: -nd.time):
+        for v in reversed(self.nodes):
             if not v.children:
                 self._leaves_below[v.id] = (v.id,)
             else:
@@ -218,7 +219,7 @@ class ProbMeasure:
     def node_masses(self, tree: EventTree) -> dict[int, Fraction]:
         """Mass of every atom: sum of the leaf masses below each node."""
         out: dict[int, Fraction] = {}
-        for v in sorted(tree.nodes, key=lambda nd: -nd.time):
+        for v in reversed(tree.nodes):
             if not v.children:
                 out[v.id] = self.leaf_mass[v.id]
             else:
@@ -407,7 +408,7 @@ def martingale_closure(tree: EventTree, P: ProbMeasure,
     masses = P.node_masses(tree)
     out: dict[int, Vector] = {leaf: terminal[leaf] for leaf in tree.leaves}
     zero = tuple(Fraction(0) for _ in range(terminal.dim))
-    for v in sorted(tree.nodes, key=lambda nd: -nd.time):
+    for v in reversed(tree.nodes):
         if not v.children:
             continue
         if masses[v.id] == 0:

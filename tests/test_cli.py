@@ -1,9 +1,13 @@
 """Command-line surface: exit codes, reports, fixtures, environment seed."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import deflator_lab
 from deflator_lab import treeio
 from deflator_lab.cli import run
 from deflator_lab.scenarios import available, write_scenario
@@ -214,3 +218,14 @@ def test_scenario_files_parse_back(fixtures):
         # canonical round trip: serialize(parse(file)) is byte identical
         text = (fixtures[name] / "tree.json").read_text()
         assert treeio.dumps(tf) == text
+
+
+def test_tree_side_imports_skip_numpy():
+    src = os.path.dirname(os.path.dirname(deflator_lab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, deflator_lab, deflator_lab.cli; "
+             "print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

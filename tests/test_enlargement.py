@@ -236,6 +236,18 @@ def test_incomplete_market_is_refused():
         complete_market_measure(tree, S)
 
 
+@pytest.mark.parametrize("children, message", [
+    ([F(2), F(2)], "linearly dependent"),
+    ([F(2)], "no one-step pricing weights"),
+    ([F(2), F(3)], "not strictly positive"),
+])
+def test_complete_market_measure_names_the_failure(children, message):
+    tree = EventTree.uniform(1, len(children))
+    S = AdaptedProcess.of_scalars({0: F(1), **dict(enumerate(children, 1))})
+    with pytest.raises(IncompleteMarketError, match=message):
+        complete_market_measure(tree, S)
+
+
 def test_replication_of_terminal_event():
     problem = binomial_problem(steps=2)
     market = complete_market_measure(problem.tree, problem.S)
