@@ -151,6 +151,16 @@ class EventTree:
             v = self.nodes[v.parent]
         return v.id
 
+    def path(self, node: int) -> list[int]:
+        """Node ids from the root down to `node`, in one parent walk: entry k
+        is the time-k ancestor, the last entry `node` itself."""
+        v = self.nodes[node]
+        out = [self.root] * (v.time + 1)
+        while v.parent is not None:
+            out[v.time] = v.id
+            v = self.nodes[v.parent]
+        return out
+
     def is_ancestor(self, anc: int, node: int) -> bool:
         a, v = self.nodes[anc], self.nodes[node]
         return a.time <= v.time and self.ancestor_at(node, a.time) == anc
@@ -317,19 +327,18 @@ class StoppingTime:
     def __init__(self, tree: EventTree, stop_at: Iterable[int]):
         self.tree = tree
         self.stop_at = frozenset(int(v) for v in stop_at)
-        for v in self.stop_at:
-            for w in self.stop_at:
-                if v != w and tree.is_ancestor(v, w):
+        # one pass in id order (parents first) carries each path's stop down
+        # to its leaf; a path that meets the stop set twice is no antichain
+        stopped: list[Optional[int]] = [None] * len(tree.nodes)
+        for v in tree.nodes:
+            above = None if v.parent is None else stopped[v.parent]
+            if v.id in self.stop_at:
+                if above is not None:
                     raise ValueError("stop set must be an antichain")
-        self._stopped_node: dict[int, Optional[int]] = {}
-        for leaf in tree.leaves:
-            hit = None
-            for k in range(tree.horizon + 1):
-                anc = tree.ancestor_at(leaf, k)
-                if anc in self.stop_at:
-                    hit = anc
-                    break
-            self._stopped_node[leaf] = hit
+                above = v.id
+            stopped[v.id] = above
+        self._stopped_node: dict[int, Optional[int]] = {
+            leaf: stopped[leaf] for leaf in tree.leaves}
 
     def stopped_node(self, leaf: int) -> Optional[int]:
         """The node where the path through `leaf` stops, or None for infinity."""
@@ -345,15 +354,15 @@ class StoppingTime:
                      component: int = 0) -> "StoppingTime":
         """First time the given component of X is >= level."""
         stop: list[int] = []
-
-        def walk(node: int) -> None:
-            if X[node][component] >= level:
-                stop.append(node)
-                return
-            for c in tree.children_of(node):
-                walk(c)
-
-        walk(tree.root)
+        # in id order every parent comes first, so a node is skipped exactly
+        # when it is a stop or lies below one
+        done = [False] * len(tree.nodes)
+        for v in tree.nodes:
+            if v.parent is not None and done[v.parent]:
+                done[v.id] = True
+            elif X[v.id][component] >= level:
+                stop.append(v.id)
+                done[v.id] = True
         return cls(tree, stop)
 
 
@@ -373,32 +382,30 @@ def conditional_expectation(tree: EventTree, P: ProbMeasure, X: AdaptedProcess,
         raise ValueError(f"need 0 <= j < k <= horizon, got j={j}, k={k}")
     masses = P.node_masses(tree)
     zero = tuple(Fraction(0) for _ in range(X.dim))
-
-    def layer_sum(node: int) -> Vector:
-        if tree.time_of(node) == k:
-            m = masses[node]
-            return tuple(m * x for x in X[node])
-        acc = zero
-        for c in tree.children_of(node):
-            acc = tuple(a + b for a, b in zip(acc, layer_sum(c)))
-        return acc
-
-    def layer_nodes(node: int) -> list[int]:
-        if tree.time_of(node) == k:
-            return [node]
-        out: list[int] = []
-        for c in tree.children_of(node):
-            out.extend(layer_nodes(c))
-        return out
+    # one backward sum from layer k up to layer j: the mass-weighted sum of
+    # X_k below each node, and whether X_k is nonzero anywhere below it
+    acc: dict[int, Vector] = {}
+    nonzero: dict[int, bool] = {}
+    for v in tree.nodes_at(k):
+        m = masses[v]
+        acc[v] = tuple(m * x for x in X[v])
+        nonzero[v] = any(x != 0 for x in X[v])
+    for t in range(k - 1, j - 1, -1):
+        for v in tree.nodes_at(t):
+            s = zero
+            for c in tree.children_of(v):
+                s = tuple(a + b for a, b in zip(s, acc[c]))
+            acc[v] = s
+            nonzero[v] = any(nonzero[c] for c in tree.children_of(v))
 
     out: dict[int, Vector] = {}
     for v in tree.nodes_at(j):
         if masses[v] == 0:
-            if any(any(x != 0 for x in X[w]) for w in layer_nodes(v)):
+            if nonzero[v]:
                 raise NullAtomError(f"conditioning on null atom {v}")
             out[v] = zero
         else:
-            out[v] = tuple(x / masses[v] for x in layer_sum(v))
+            out[v] = tuple(x / masses[v] for x in acc[v])
     return AdaptedProcess(out, X.dim)
 
 

@@ -34,7 +34,6 @@ from .filtered_space import (AdaptedProcess, EventTree, ProbMeasure,
                              StoppingTime, Strategy, doob_decomposition)
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 # A death index is 1..n, or None for "never dies" (the embedded original world).
 Death = Optional[int]
@@ -53,6 +52,13 @@ class EnlargedSpace:
             for zeta in range(1, self.tree.horizon + 1):
                 yield (leaf, zeta)
             yield (leaf, None)
+
+    def is_point(self, leaf: int, zeta: Death) -> bool:
+        """Whether (leaf, zeta) is one of `points()`; Q mass on any other key
+        lies outside the space and enters none of its atoms."""
+        tree = self.tree
+        return (0 <= leaf < len(tree.nodes) and tree.time_of(leaf) == tree.horizon
+                and (zeta is None or 1 <= zeta <= tree.horizon))
 
     def p_bar(self, leaf: int, zeta: Death) -> Fraction:
         return self.P.mass(leaf) if zeta is None else ZERO
@@ -92,28 +98,68 @@ class DominatingMeasure:
         mass ever moves to a finite death slice)."""
         return all(x == 0 for vec in self.dA.steps.values() for x in vec)
 
+    def alive_masses(self) -> list[Fraction]:
+        """Q(atom(v) x {zeta > time(v)}) for every node v, by id, from the
+        current Q: each point's mass lands on the leaf (zeta None) or on the
+        node where it dies, and alive(v) sums alive + dying over v's
+        children in one backward pass."""
+        tree = self.tree
+        alive = [ZERO] * len(tree.nodes)
+        dying = [ZERO] * len(tree.nodes)
+        paths: dict[int, list[int]] = {}
+        for (leaf, zeta), mass in self.Q.items():
+            if not self.space.is_point(leaf, zeta):
+                continue
+            if zeta is None:
+                alive[leaf] += mass
+            else:
+                if leaf not in paths:
+                    paths[leaf] = tree.path(leaf)
+                dying[paths[leaf][zeta]] += mass
+        for v in reversed(tree.nodes):
+            if v.children:
+                alive[v.id] = sum((alive[c] + dying[c] for c in v.children), ZERO)
+        return alive
+
+    def dead_masses(self) -> list[dict[int, Fraction]]:
+        """{j: Q(atom(v) x {j})} for every node v and 1 <= j <= time(v), by
+        id, from the current Q: the leaves' death slices, merged upward over
+        the children in one backward pass.  Slices without mass are absent.
+        Its size is the number of dead atoms, so only `gamma` builds it."""
+        tree = self.tree
+        dead: list[dict[int, Fraction]] = [{} for _ in tree.nodes]
+        for (leaf, zeta), mass in self.Q.items():
+            if zeta is not None and self.space.is_point(leaf, zeta):
+                dead[leaf][zeta] = mass
+        for v in reversed(tree.nodes):
+            if v.children:
+                merged: dict[int, Fraction] = {}
+                for c in v.children:
+                    for j, mass in dead[c].items():
+                        if j <= v.time:
+                            merged[j] = merged.get(j, ZERO) + mass
+                dead[v.id] = merged
+        return dead
+
     def alive_mass(self, node: int) -> Fraction:
         """Q(atom(node) x {zeta > time(node)})."""
-        t = self.tree.time_of(node)
-        out = ZERO
-        for leaf in self.tree.leaves_below(node):
-            out += self.Q.get((leaf, None), ZERO)
-            for j in range(t + 1, self.tree.horizon + 1):
-                out += self.Q.get((leaf, j), ZERO)
-        return out
+        return self.alive_masses()[node]
 
     def dead_mass(self, node: int, j: int) -> Fraction:
-        return sum((self.Q.get((leaf, j), ZERO)
-                    for leaf in self.tree.leaves_below(node)), ZERO)
+        """Q(atom(node) x {j}), on the dead atoms 1 <= j <= time(node)."""
+        if not 1 <= j <= self.tree.time_of(node):
+            raise ValueError(f"({node}, {j}) is not a dead atom")
+        return self.dead_masses()[node].get(j, ZERO)
 
     def gamma(self) -> dict[tuple[int, Death], Fraction]:
         """Density dP_bar/dQ on the F_bar_k atoms of positive Q mass; atoms Q
         does not charge are omitted (0/0 stays undefined, not 0)."""
         out: dict[tuple[int, Death], Fraction] = {}
         masses = self.space.P.node_masses(self.tree)
+        alive, dead = self.alive_masses(), self.dead_masses()
         for k in range(self.tree.horizon + 1):
             for v, j in self.space.atoms_at(k):
-                q = self.alive_mass(v) if j is None else self.dead_mass(v, j)
+                q = alive[v] if j is None else dead[v].get(j, ZERO)
                 if q > 0:
                     p = masses[v] if j is None else ZERO
                     out[(v, j)] = p / q
@@ -145,9 +191,9 @@ def build_dominating_measure(tree: EventTree, P: ProbMeasure,
     Q: dict[tuple[int, Death], Fraction] = {}
     for leaf in tree.leaves:
         p = P.mass(leaf)
+        path = tree.path(leaf)
         for j in range(1, tree.horizon + 1):
-            anc = tree.ancestor_at(leaf, j - 1)
-            mass = p * dA.at(anc)
+            mass = p * dA.at(path[j - 1])
             if mass != 0:
                 Q[(leaf, j)] = mass
         mass = p * Zp.at(leaf)
@@ -169,6 +215,7 @@ def verify_ky(dm: DominatingMeasure,
     each supplied stopping time."""
     tree, P = dm.tree, dm.space.P
     masses = P.node_masses(tree)
+    alive = dm.alive_masses()
     failures: list[str] = []
 
     # (1) the embedded measure never dies
@@ -176,24 +223,29 @@ def verify_ky(dm: DominatingMeasure,
     if p_at_infinity != 1:
         failures.append(f"property 1: P_bar(T = infinity) = {p_at_infinity}")
 
-    # (2) mutual singularity on each layer: every dead atom is P_bar-null, and
-    # the dead mass of Q all sits on those atoms (structurally true; checked
-    # by accounting for Q's total layer mass).
+    # (2) mutual singularity on each layer: every dead atom is P_bar-null (by
+    # construction of the embedding), and the dead mass of Q all sits on
+    # those atoms.  Every leaf lies below exactly one time-t atom, so the dead
+    # mass of layer t is Q's total minus that layer's alive masses; it must
+    # equal the running total of the death slices 1..t summed point by point.
+    slices = [ZERO] * (tree.horizon + 1)
+    total = ZERO
+    for (leaf, zeta), mass in dm.Q.items():
+        if dm.space.is_point(leaf, zeta):
+            total += mass
+            if zeta is not None:
+                slices[zeta] += mass
+    direct = ZERO
     for t in range(tree.horizon + 1):
-        dead_q = ZERO
-        for v, j in dm.space.atoms_at(t):
-            if j is not None:
-                dead_q += dm.dead_mass(v, j)
-                # P_bar of a dead atom is zero by construction of the embedding
-        direct = sum((dm.Q.get((leaf, j), ZERO) for leaf in tree.leaves
-                      for j in range(1, t + 1)), ZERO)
+        direct += slices[t]
+        dead_q = total - sum((alive[v] for v in tree.nodes_at(t)), ZERO)
         if dead_q != direct:
             failures.append(f"property 2: dead mass mismatch at t = {t}")
 
     # (3) the density relation on every atom and layer
     for t in range(tree.horizon + 1):
         for v in tree.nodes_at(t):
-            lhs = dm.alive_mass(v)
+            lhs = alive[v]
             rhs = masses[v] * dm.Z.at(v)
             if lhs != rhs:
                 failures.append(
@@ -202,7 +254,7 @@ def verify_ky(dm: DominatingMeasure,
 
     for idx, tau in enumerate(stopping_times):
         for u in tau.stop_at:
-            lhs = dm.alive_mass(u)
+            lhs = alive[u]
             rhs = masses[u] * dm.Z.at(u)
             if lhs != rhs:
                 failures.append(
@@ -225,15 +277,22 @@ def yoeurp_expectation(dm: DominatingMeasure, Y: "Strategy | AdaptedProcess"
     P = dm.space.P
     n = tree.horizon
 
+    paths: dict[int, list[int]] = {}
+
+    def path(leaf: int) -> list[int]:
+        if leaf not in paths:
+            paths[leaf] = tree.path(leaf)
+        return paths[leaf]
+
     # In both forms the value carried into the death slice j, and the P-side
     # integrand against dA_k, sit on the time-(j-1) ancestor: the step decided
     # there for a predictable Y, the left limit there for an adapted Y.
     def before(leaf: int, j: int) -> Fraction:
-        return Y.at(tree.ancestor_at(leaf, j - 1))
+        return Y.at(path(leaf)[j - 1])
 
     def terminal(leaf: int) -> Fraction:
         if isinstance(Y, Strategy):
-            return Y.at(tree.ancestor_at(leaf, n - 1))
+            return Y.at(path(leaf)[n - 1])
         return Y.at(leaf)
 
     q_side = ZERO
@@ -243,7 +302,7 @@ def yoeurp_expectation(dm: DominatingMeasure, Y: "Strategy | AdaptedProcess"
     for leaf in tree.leaves:
         inner = terminal(leaf) * dm.Z.at(leaf)
         for k in range(1, n + 1):
-            inner += before(leaf, k) * dm.dA.at(tree.ancestor_at(leaf, k - 1))
+            inner += before(leaf, k) * dm.dA.at(path(leaf)[k - 1])
         p_side += P.mass(leaf) * inner
     if q_side != p_side:
         raise AssertionError(
@@ -274,27 +333,30 @@ def check_stopped_price(dm: DominatingMeasure, S: AdaptedProcess
     every 1-admissible wealth, certified per atom.
     """
     tree = dm.tree
+    alive = dm.alive_masses()
     violations: list[tuple[int, tuple[Fraction, ...]]] = []
     for v in tree.non_leaf_nodes():
-        q_here = dm.alive_mass(v.id)
+        q_here = alive[v.id]
         if q_here == 0:
             continue
         drift = tuple(ZERO for _ in range(S.dim))
         for c in v.children:
-            q_c = dm.alive_mass(c)
+            q_c = alive[c]
             if q_c != 0:
                 ds = tuple(a - b for a, b in zip(S[c], S[v.id]))
                 drift = tuple(a + q_c * x for a, x in zip(drift, ds))
         if any(x != 0 for x in drift):
             violations.append((v.id, tuple(x / q_here for x in drift)))
 
-    # gamma on alive atoms inverts back to Z; feed it through the exact
-    # deflation certificate as the converse-direction check
-    gamma = dm.gamma()
+    # gamma = masses / alive on the alive atoms of positive mass inverts back
+    # to alive / masses = Z; feed it through the exact deflation certificate
+    # as the converse-direction check.  Only alive atoms enter, so the dead
+    # table is never built here.
+    masses = dm.space.P.node_masses(tree)
     z_from_gamma = {}
     for v in tree.nodes:
-        g = gamma.get((v.id, None))
-        z_from_gamma[v.id] = ONE / g if g not in (None, ZERO) else dm.Z.at(v.id)
+        q, p = alive[v.id], masses[v.id]
+        z_from_gamma[v.id] = q / p if q > 0 and p != 0 else dm.Z.at(v.id)
     problem = WealthProblem(tree, dm.space.P, S)
     deflation = verify_deflation(problem, AdaptedProcess.of_scalars(z_from_gamma))
     return StoppedPriceReport(

@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import deflator_lab
 from deflator_lab import treeio
 from deflator_lab.cli import run
+from deflator_lab.filtered_space import AdaptedProcess, EventTree, ProbMeasure
 from deflator_lab.scenarios import available, write_scenario
 
 
@@ -220,12 +222,43 @@ def test_scenario_files_parse_back(fixtures):
         assert treeio.dumps(tf) == text
 
 
-def test_tree_side_imports_skip_numpy():
+def subprocess_env():
+    """The environment for a child interpreter that imports this checkout."""
     src = os.path.dirname(os.path.dirname(deflator_lab.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_tree_side_imports_skip_numpy():
+    env = subprocess_env()
     probe = ("import sys, deflator_lab, deflator_lab.cli; "
              "print('numpy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_ky_verify_on_a_long_path(tmp_path):
+    """1500 levels: deeper than the default recursion limit of 1000.  The
+    hitting levels lie in [-4, 4], and the price reaches 4 only at the leaf,
+    so every stopping time stops within the last eight levels."""
+    horizon = 1500
+    tree = EventTree.singleton_path(horizon)
+    tf = treeio.TreeFile(
+        tree, ProbMeasure({horizon: Fraction(1)}),
+        {"Z": AdaptedProcess.of_scalars(
+            {t: Fraction(1, t + 1) for t in range(horizon + 1)}),
+         "S": AdaptedProcess.of_scalars(
+             {t: t - (horizon - 4) for t in range(horizon + 1)})})
+    path = str(tmp_path / "long.json")
+    treeio.save(tf, path)
+    out = tmp_path / "ky.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "deflator_lab.cli", "ky-verify", "--tree", path,
+         "--deflator", "Z", "--price", "S", "--hitting", "3", "--out", str(out)],
+        env=subprocess_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    report = read(out)
+    assert report["verdicts"]["kunita_yoeurp"] is True
+    assert report["values"]["stopping_times"] == 3

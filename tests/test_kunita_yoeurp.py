@@ -9,7 +9,7 @@ import pytest
 from deflator_lab.deflator import construct_deflator
 from deflator_lab.filtered_space import (
     AdaptedProcess, EventTree, ProbMeasure, StoppingTime, Strategy,
-    martingale_closure,
+    conditional_expectation, martingale_closure,
 )
 from deflator_lab.kunita_yoeurp import (
     KyError, build_dominating_measure, check_stopped_price, verify_ky,
@@ -39,6 +39,16 @@ def survival_fixture():
     P = ProbMeasure({2: F(1)})
     S = AdaptedProcess.of_scalars({0: F(1), 1: F(2), 2: F(4)})
     Z = AdaptedProcess.of_scalars({0: F(1), 1: F(1, 2), 2: F(1, 4)})
+    return tree, P, S, Z
+
+
+def long_path(horizon):
+    """One path of the given length: density 1/(t+1), so every step moves
+    1/((t+1)(t+2)) into a death slice, and price t, which grows riskless."""
+    tree = EventTree.singleton_path(horizon)
+    P = ProbMeasure({horizon: F(1)})
+    Z = AdaptedProcess.of_scalars({t: F(1, t + 1) for t in range(horizon + 1)})
+    S = AdaptedProcess.of_scalars({t: F(t) for t in range(horizon + 1)})
     return tree, P, S, Z
 
 
@@ -247,3 +257,57 @@ def test_girsanov_consistency_for_martingale_densities():
         assert verdict == brute
         agree += 1
     assert agree == 25
+
+
+def test_long_path_needs_no_recursion():
+    # 1500 levels is past the default recursion limit of 1000
+    horizon = 1500
+    tree, P, S, Z = long_path(horizon)
+    tau = StoppingTime.hitting_time(tree, S, F(1200))
+    assert tau.stop_at == {1200} and tau.value(horizon) == 1200
+    never = StoppingTime.hitting_time(tree, S, F(horizon + 1))
+    assert never.stop_at == frozenset() and never.value(horizon) is None
+    assert conditional_expectation(tree, P, S, 0).at(0) == horizon
+    assert conditional_expectation(tree, P, S, 3, at_time=7).at(3) == 7
+    dm = build_dominating_measure(tree, P, Z)
+    assert dm.Q[(horizon, 1)] == F(1, 2) and dm.Q[(horizon, None)] == Z.at(horizon)
+    assert verify_ky(dm, [tau, never]).passed
+    report = check_stopped_price(dm, S)
+    # the alive mass shrinks from 1/(t+1) to 1/(t+2) while the price gains 1
+    assert report.violations[0] == (0, (F(1, 2),))
+    assert len(report.violations) == horizon
+    assert not report.deflation_ok          # a riskless gain is an arbitrage
+
+
+def test_tree_side_ky_pipeline_makes_no_per_atom_tree_walks(monkeypatch):
+    """The mass tables, the stopping times and the transfer formula each walk
+    a leaf's path at most once.  A call to one of these per-node queries
+    inside a loop over slices is what made them quadratic on long paths; a
+    count of calls, not a clock, keeps them out."""
+    tree, P, S, Z = long_path(400)
+    calls = {}
+    for name in ("ancestor_at", "is_ancestor", "leaves_below"):
+        original = getattr(EventTree, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(EventTree, name, counted)
+    tau = StoppingTime.hitting_time(tree, S, F(300))
+    dm = build_dominating_measure(tree, P, Z)
+    assert verify_ky(dm, [tau]).passed
+    check_stopped_price(dm, S)
+    yoeurp_expectation(dm, Strategy.constant(tree, F(2), dim=1))
+    yoeurp_expectation(dm, S)
+    assert calls == {}
+
+
+def test_mass_lookups_are_defined_on_atoms():
+    tree, P, S, Z = survival_fixture()
+    dm = build_dominating_measure(tree, P, Z)
+    assert [dm.alive_mass(v) for v in range(3)] == [F(1), F(1, 2), F(1, 4)]
+    assert dm.dead_mass(1, 1) == dm.dead_mass(2, 1) == F(1, 2)
+    assert dm.dead_mass(2, 2) == F(1, 4)
+    with pytest.raises(ValueError, match="not a dead atom"):
+        dm.dead_mass(1, 2)        # time-1 atoms have died at most at 1
