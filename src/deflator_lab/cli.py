@@ -18,15 +18,11 @@ import time
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
-from . import __version__, scenarios, treeio
-from .arbitrage import WealthProblem, check_both, check_na, check_na1
-from .deflator import Na1FailsOnAtom, construct_deflator, verify_deflation
-from .enlargement import (EnlargementSpec, IncompleteMarketError, insider_example,
-                          jacod_check, log_utility_identity, universal_density)
+from . import __version__, treeio
 from .filtered_space import AdaptedProcess, StoppingTime
-from .kunita_yoeurp import (KyError, build_dominating_measure,
-                            check_stopped_price, verify_ky)
 
+# Each subcommand imports the analysis modules it runs, so a command compiles
+# and loads only those.
 if TYPE_CHECKING:
     from .montecarlo import MartingaleTest
 
@@ -111,6 +107,8 @@ def make_report(args, operation: str, started: float, verdicts: dict,
 
 
 def cmd_check(args) -> int:
+    from .arbitrage import WealthProblem, check_both, check_na, check_na1
+
     started = time.perf_counter()
     tf = load_tree(args.tree)
     problem = WealthProblem(tf.tree, need_measure(tf, args.tree),
@@ -139,6 +137,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_deflate(args) -> int:
+    from .arbitrage import WealthProblem
+    from .deflator import Na1FailsOnAtom, construct_deflator, verify_deflation
+
     started = time.perf_counter()
     tf = load_tree(args.tree)
     problem = WealthProblem(tf.tree, need_measure(tf, args.tree),
@@ -166,6 +167,8 @@ def cmd_deflate(args) -> int:
 
 
 def _dominating_measure(args, tf):
+    from .kunita_yoeurp import KyError, build_dominating_measure
+
     P = need_measure(tf, args.tree)
     Z = need_process(tf, args.deflator, args.tree)
     if args.normalize:
@@ -196,6 +199,8 @@ def cmd_foellmer(args) -> int:
 
 
 def cmd_ky_verify(args) -> int:
+    from .kunita_yoeurp import verify_ky
+
     started = time.perf_counter()
     tf = load_tree(args.tree)
     dm = _dominating_measure(args, tf)
@@ -219,6 +224,8 @@ def cmd_ky_verify(args) -> int:
 
 
 def cmd_stopped_check(args) -> int:
+    from .kunita_yoeurp import check_stopped_price
+
     started = time.perf_counter()
     tf = load_tree(args.tree)
     dm = _dominating_measure(args, tf)
@@ -249,6 +256,10 @@ def load_labels(path: str) -> dict[int, str]:
 
 
 def cmd_enlarge(args) -> int:
+    from .enlargement import (EnlargementSpec, IncompleteMarketError,
+                              insider_example, jacod_check,
+                              log_utility_identity, universal_density)
+
     started = time.perf_counter()
     tf = load_tree(args.tree)
     spec = EnlargementSpec(tf.tree, need_measure(tf, args.tree),
@@ -321,16 +332,17 @@ def load_params(path: str) -> dict:
 
 def cmd_simulate(args) -> int:
     # numpy loads here only, so the exact tree-side commands start without it
-    from .montecarlo import (DiffusionScenario, InsiderDriftScenario,
-                             LevyScenario, analytic_frozen_mean,
-                             deflated_price_test, density_mean_test,
+    from .montecarlo import (MIN_PATHS_FOR_VERDICT, DiffusionScenario,
+                             InsiderDriftScenario, LevyScenario,
+                             analytic_frozen_mean, diffusion_report,
                              information_drift_deflator, sample_diffusion_paths,
                              sample_insider_paths, sample_levy_paths,
-                             simulate_deflated_wealth,
                              simulate_levy_counterexample,
                              simulate_survival_measure)
 
     started = time.perf_counter()
+    if args.threads < 1:
+        raise CliError(f"--threads must be at least 1 (got {args.threads})")
     defaults = {"diffusion": {"mu": 0.2, "sigma": 1.0},
                 "levy": {"a": 2.0, "b": 1.0},
                 "insider": {}}
@@ -341,6 +353,10 @@ def cmd_simulate(args) -> int:
         if value is not None:
             params[key] = value
     params.setdefault("seed", 0)
+    paths = params.get("paths")
+    if isinstance(paths, int) and paths < MIN_PATHS_FOR_VERDICT:
+        raise CliError(f"--paths must be at least {MIN_PATHS_FOR_VERDICT}, "
+                       f"the fewest that give a verdict (got {paths})")
     tests: dict[str, MartingaleTest] = {}
     expectations: dict[str, bool] = {}
     values: dict = {}
@@ -355,10 +371,10 @@ def cmd_simulate(args) -> int:
             pi = params.pop("pi", 1.0)
             sc = DiffusionScenario(**params)
             sampler = lambda n: sample_diffusion_paths(sc, n)
-            tests["density_mean"] = adjust(density_mean_test(sc, threads))
-            tests["deflated_price"] = adjust(deflated_price_test(sc, threads))
-            tests["deflated_wealth"] = adjust(
-                simulate_deflated_wealth(sc, pi, threads))
+            result = diffusion_report(sc, pi, threads)
+            tests = {"density_mean": adjust(result.density_mean),
+                     "deflated_price": adjust(result.deflated_price),
+                     "deflated_wealth": adjust(result.deflated_wealth)}
             allowance = 2.0 / sc.steps
             expectations = {
                 "density_mean": tests["density_mean"].consistent,
@@ -428,6 +444,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_scenario(args) -> int:
+    from . import scenarios
+
     started = time.perf_counter()
     try:
         written = scenarios.write_scenario(args.name, args.dir)

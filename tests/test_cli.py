@@ -238,6 +238,93 @@ def test_tree_side_imports_skip_numpy():
     assert out.strip() == "False"
 
 
+def loaded_modules(probe):
+    """Short names of the deflator_lab modules a child interpreter has
+    loaded after running probe."""
+    probe += ("\nimport json, sys\nprint(json.dumps(sorted(m.split('.')[1] "
+              "for m in sys.modules if m.startswith('deflator_lab.'))))")
+    out = subprocess.run([sys.executable, "-c", probe], env=subprocess_env(),
+                         check=True, capture_output=True, text=True).stdout
+    return set(json.loads(out.splitlines()[-1]))
+
+
+def run_probe(*argv):
+    return f"from deflator_lab.cli import run\nrun({list(argv)!r})"
+
+
+ANALYSIS = {"arbitrage", "linprog", "deflator", "enlargement",
+            "kunita_yoeurp", "montecarlo"}
+
+
+def test_each_command_imports_only_what_it_runs(tmp_path, fixtures):
+    out = str(tmp_path / "r.json")
+    simulate = loaded_modules(run_probe("simulate", "--scenario", "levy",
+                                        "--paths", "200", "--steps", "4",
+                                        "--out", out))
+    assert "montecarlo" in simulate
+    assert not simulate & {"arbitrage", "linprog", "deflator", "enlargement",
+                           "kunita_yoeurp"}, simulate
+    check = loaded_modules(run_probe(
+        "check", "--tree", str(fixtures["insider-binomial"] / "tree.json"),
+        "--out", out))
+    assert "arbitrage" in check
+    assert not check & {"kunita_yoeurp", "enlargement", "montecarlo"}, check
+    version = loaded_modules(run_probe("--version"))
+    assert not version & ANALYSIS, version
+
+
+def test_every_exported_name_resolves():
+    probe = ("import deflator_lab\n"
+             "names = {n: getattr(deflator_lab, n) for n in deflator_lab.__all__}\n"
+             "ns = {}\n"
+             "exec('from deflator_lab import *', ns)\n"
+             "assert all(ns[n] is v for n, v in names.items())\n"
+             "assert set(deflator_lab.__all__) <= set(dir(deflator_lab))\n"
+             "print(len(names))")
+    out = subprocess.run([sys.executable, "-c", probe], env=subprocess_env(),
+                         check=True, capture_output=True, text=True).stdout
+    assert int(out) == len(set(deflator_lab.__all__)) > 0
+    with pytest.raises(AttributeError):
+        deflator_lab.no_such_name
+
+
+@pytest.mark.parametrize("paths", ["0", "50", "99"])
+def test_simulate_rejects_too_few_paths(tmp_path, capsys, paths):
+    code = run(["simulate", "--scenario", "diffusion", "--paths", paths,
+                "--steps", "8", "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--paths" in err and "100" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_simulate_rejects_bad_thread_counts(tmp_path, capsys, threads):
+    code = run(["simulate", "--scenario", "levy", "--paths", "200",
+                "--threads", threads, "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_simulate_rejects_negative_seeds(tmp_path, capsys, monkeypatch):
+    argv = ["simulate", "--scenario", "levy", "--paths", "200", "--steps", "4",
+            "--out", str(tmp_path / "r.json")]
+    assert run(argv + ["--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+    monkeypatch.setenv("DEFLATOR_LAB_SEED", "-4")
+    assert run(argv + ["--seed", "3"]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_simulate_zero_paths_exits_2_without_traceback(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "deflator_lab.cli", "simulate", "--scenario",
+         "insider", "--paths", "0", "--out", str(tmp_path / "r.json")],
+        env=subprocess_env(), capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "--paths" in proc.stderr
+
+
 def test_ky_verify_on_a_long_path(tmp_path):
     """1500 levels: deeper than the default recursion limit of 1000.  The
     hitting levels lie in [-4, 4], and the price reaches 4 only at the leaf,

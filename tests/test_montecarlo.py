@@ -136,6 +136,16 @@ def test_insider_scenario_guards_the_singularity():
         InsiderDriftScenario(horizon=0.999, steps=64)
 
 
+def test_scenarios_need_at_least_one_path():
+    for make in (lambda n: DiffusionScenario(mu=0.1, sigma=1.0, paths=n),
+                 lambda n: LevyScenario(a=2.0, b=1.0, paths=n),
+                 lambda n: InsiderDriftScenario(paths=n)):
+        for paths in (0, -3):
+            with pytest.raises(ValueError, match="paths"):
+                make(paths)
+        assert make(1).paths == 1
+
+
 def test_sampled_paths_are_deterministic_and_consistent():
     from deflator_lab.montecarlo import (sample_diffusion_paths,
                                          sample_insider_paths,
