@@ -141,9 +141,8 @@ def one_step_program(tree: EventTree, P_masses: dict[int, Fraction],
     return const + res.value, tuple(res.x)
 
 
-def backward_pass(problem: WealthProblem
-                  ) -> tuple[dict[int, Fraction], dict[int, tuple[Fraction, ...]]]:
-    """Optimal values and maximizers of every atom, bottom-up.
+def backward_pass(problem: WealthProblem) -> dict[int, Fraction]:
+    """Optimal value of every atom, bottom-up.
 
     Node ids are breadth-first, so reversed id order visits every child
     before its parent.  Each non-leaf atom solves the one-step program
@@ -155,13 +154,12 @@ def backward_pass(problem: WealthProblem
     tree, S = problem.tree, problem.S
     masses = problem.P.node_masses(tree)
     z: dict[int, Fraction] = {}
-    maximizers: dict[int, tuple[Fraction, ...]] = {}
     for v in reversed(tree.nodes):
         if v.children:
-            z[v.id], maximizers[v.id] = one_step_program(tree, masses, S, v.id, z)
+            z[v.id], _ = one_step_program(tree, masses, S, v.id, z)
         else:
             z[v.id] = ONE
-    return z, maximizers
+    return z
 
 
 def _box_program(tree: EventTree, S: AdaptedProcess, node: int
@@ -207,7 +205,7 @@ def check_na1(problem: WealthProblem) -> ArbitrageReport:
     without ever breaching admissibility.
     """
     try:
-        z, _ = backward_pass(problem)
+        z = backward_pass(problem)
     except Na1FailsOnAtom as exc:
         return ArbitrageReport(na1_holds=False, unbounded=True,
                                witness=_lift(problem.tree, exc.atom, exc.ray))
@@ -224,7 +222,7 @@ def check_both(problem: WealthProblem) -> ArbitrageReport:
     and the witness; when both hold `na_optimum` is 0.
     """
     try:
-        z, _ = backward_pass(problem)
+        z = backward_pass(problem)
     except Na1FailsOnAtom as exc:
         value, h = _box_program(problem.tree, problem.S, exc.atom)
         return ArbitrageReport(na_holds=False, na1_holds=False, unbounded=True,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -61,14 +62,33 @@ def need_process(tf: treeio.TreeFile, name: str, path: str) -> AdaptedProcess:
         raise CliError(f"{path}: no process named {name!r} "
                        f"(available: {sorted(tf.processes)})")
     proc = tf.processes[name]
-    proc.validate_for(tf.tree)
+    try:
+        proc.validate_for(tf.tree)
+    except ValueError as exc:
+        raise CliError(f"{path}: process {name!r}: {exc}") from exc
     return proc
 
 
 def need_measure(tf: treeio.TreeFile, path: str):
+    """The file's measure P; every analysis needs it to charge every leaf."""
     if tf.P is None:
         raise CliError(f"{path}: tree file carries no measure P")
+    null = [leaf for leaf in tf.tree.leaves if tf.P.mass(leaf) == 0]
+    if null:
+        raise CliError(f"{path}: P gives zero mass to leaves {null}; the "
+                       "analysis needs a strictly positive measure")
     return tf.P
+
+
+def wealth_problem(tf: treeio.TreeFile, args):
+    """The priced tree of `check` and `deflate`: P and the --price process."""
+    from .arbitrage import WealthProblem
+
+    P = need_measure(tf, args.tree)
+    try:
+        return WealthProblem(tf.tree, P, need_process(tf, args.price, args.tree))
+    except (CliError, ValueError) as exc:
+        raise CliError(f"--price: {exc}") from exc
 
 
 def _jsonable(value):
@@ -107,12 +127,10 @@ def make_report(args, operation: str, started: float, verdicts: dict,
 
 
 def cmd_check(args) -> int:
-    from .arbitrage import WealthProblem, check_both, check_na, check_na1
+    from .arbitrage import check_both, check_na, check_na1
 
     started = time.perf_counter()
-    tf = load_tree(args.tree)
-    problem = WealthProblem(tf.tree, need_measure(tf, args.tree),
-                            need_process(tf, args.price, args.tree))
+    problem = wealth_problem(load_tree(args.tree), args)
     if args.na and not args.na1 and not args.both:
         result = check_na(problem)
     elif args.na1 and not args.na and not args.both:
@@ -137,13 +155,11 @@ def cmd_check(args) -> int:
 
 
 def cmd_deflate(args) -> int:
-    from .arbitrage import WealthProblem
     from .deflator import Na1FailsOnAtom, construct_deflator, verify_deflation
 
     started = time.perf_counter()
     tf = load_tree(args.tree)
-    problem = WealthProblem(tf.tree, need_measure(tf, args.tree),
-                            need_process(tf, args.price, args.tree))
+    problem = wealth_problem(tf, args)
     try:
         deflator = construct_deflator(problem)
     except Na1FailsOnAtom as exc:
@@ -167,14 +183,13 @@ def cmd_deflate(args) -> int:
 
 
 def _dominating_measure(args, tf):
+    from .deflator import Deflator
     from .kunita_yoeurp import KyError, build_dominating_measure
 
     P = need_measure(tf, args.tree)
     Z = need_process(tf, args.deflator, args.tree)
     if args.normalize:
-        scale = Z.at(tf.tree.root)
-        Z = AdaptedProcess.of_scalars(
-            {v.id: Z.at(v.id) / scale for v in tf.tree.nodes})
+        Z = Deflator(Z).normalized(tf.tree, P).Z
     try:
         return build_dominating_measure(tf.tree, P, Z)
     except (KyError, ValueError) as exc:
@@ -209,8 +224,8 @@ def cmd_ky_verify(args) -> int:
         import random as _random
 
         rng = _random.Random(args.seed)
-        price = tf.processes.get(args.price) if args.price else None
-        source = price if price is not None else dm.Z
+        source = (need_process(tf, args.price, args.tree)
+                  if args.price in tf.processes else dm.Z)
         for _ in range(args.hitting):
             level = Fraction(rng.randint(-16, 16), 4)
             taus.append(StoppingTime.hitting_time(tf.tree, source, level))
@@ -249,6 +264,9 @@ def load_labels(path: str) -> dict[int, str]:
         raise CliError(f"label map not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed label map {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise CliError(f"--label-map {path}: expected a JSON object of leaf "
+                       f"id to label, got {type(raw).__name__}")
     try:
         return {int(k): str(v) for k, v in raw.items()}
     except (TypeError, ValueError) as exc:
@@ -262,8 +280,11 @@ def cmd_enlarge(args) -> int:
 
     started = time.perf_counter()
     tf = load_tree(args.tree)
-    spec = EnlargementSpec(tf.tree, need_measure(tf, args.tree),
-                           load_labels(args.label_map))
+    P = need_measure(tf, args.tree)
+    try:
+        spec = EnlargementSpec(tf.tree, P, load_labels(args.label_map))
+    except ValueError as exc:
+        raise CliError(f"--label-map {args.label_map}: {exc}") from exc
     if args.action == "jacod":
         result = jacod_check(spec)
         report = make_report(
@@ -343,6 +364,12 @@ def cmd_simulate(args) -> int:
     started = time.perf_counter()
     if args.threads < 1:
         raise CliError(f"--threads must be at least 1 (got {args.threads})")
+    if not (math.isfinite(args.confidence) and args.confidence > 0):
+        raise CliError(f"--confidence must be finite and positive "
+                       f"(got {args.confidence})")
+    if args.paths_csv and args.sample_paths < 1:
+        raise CliError(f"--sample-paths must be at least 1 with --paths-csv "
+                       f"(got {args.sample_paths})")
     defaults = {"diffusion": {"mu": 0.2, "sigma": 1.0},
                 "levy": {"a": 2.0, "b": 1.0},
                 "insider": {}}

@@ -25,7 +25,7 @@ from typing import Optional
 from .arbitrage import (Na1FailsOnAtom, WealthProblem, backward_pass,
                         one_step_program)
 from .filtered_space import (AdaptedProcess, EventTree, ProbMeasure, Strategy,
-                             doob_decomposition, dot, stochastic_integral)
+                             dot, stochastic_integral)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -33,28 +33,24 @@ ONE = Fraction(1)
 
 @dataclass
 class Deflator:
-    """A strictly positive density with its additive decomposition cached.
+    """A strictly positive supermartingale density.
 
     The construction normalizes the terminal value to 1; dominating-measure
     building instead wants E[Z_0] = 1, which `normalized()` arranges by a
     global rescale (the optimal one-step programs are positively homogeneous,
-    so deflation survives scaling).
+    so deflation survives scaling).  The compensator is not stored:
+    `build_dominating_measure` derives it from Z.
     """
 
     Z: AdaptedProcess
-    M: AdaptedProcess = field(repr=False)
-    dA: Strategy = field(repr=False)
-    maximizers: dict[int, tuple[Fraction, ...]] = field(default_factory=dict,
-                                                        repr=False)
 
     def normalized(self, tree: EventTree, P: ProbMeasure) -> "Deflator":
+        """Z / Z_0 on every node of `tree`; a rescale needs nothing of P."""
         scale = self.Z.at(tree.root)
         if scale == 1:
             return self
-        Z = AdaptedProcess.of_scalars(
-            {v.id: self.Z.at(v.id) / scale for v in tree.nodes})
-        M, dA = doob_decomposition(tree, P, Z)
-        return Deflator(Z, M, dA, self.maximizers)
+        return Deflator(AdaptedProcess.of_scalars(
+            {v.id: self.Z.at(v.id) / scale for v in tree.nodes}))
 
 
 def one_period_density(tree: EventTree, P: ProbMeasure, S: AdaptedProcess,
@@ -83,10 +79,7 @@ def construct_deflator(problem: WealthProblem) -> Deflator:
     hence Z deflates every 1-admissible wealth process, and Z_k >= Z's own
     later conditional values (h = 0), so Z is itself a supermartingale.
     """
-    z, maximizers = backward_pass(problem)
-    Z = AdaptedProcess.of_scalars(z)
-    M, dA = doob_decomposition(problem.tree, problem.P, Z)
-    return Deflator(Z, M, dA, maximizers)
+    return Deflator(AdaptedProcess.of_scalars(backward_pass(problem)))
 
 
 @dataclass

@@ -20,10 +20,10 @@ those constraints the insider could lever up unboundedly on a fully revealed
 branch and no enlargement statement would survive; with them, one-step
 admissibility agrees with the small market's, which is what makes the
 no-unbounded-profit property carry over to the insider and gives the
-log-utility identity its exact meaning.  The product market (label-indexed
-copies of the tree glued under a label-drawing root step, decoupling weights)
-realizes this as an ordinary event tree so the arbitrage programs apply
-verbatim.
+log-utility identity its exact meaning.  Under the decoupling weights
+P x P_L each label slice replays the base market's one-step programs, so the
+insider's (NA1) verdict and optimal value are the base market's, and the
+backward pass on the base tree decides them.
 """
 
 from __future__ import annotations
@@ -172,69 +172,21 @@ def g_supermartingale_check(spec: EnlargementSpec, Zg: GProcess,
     return violations
 
 
-# -- the enlarged market as an ordinary event tree ------------------------------
-
-
-@dataclass
-class ProductMarket:
-    """Label-indexed copies of the base tree glued under a label-drawing root.
-
-    Times shift by one: the root draws the label (prices frozen on that step),
-    and step k+1 of the product replays step k of the base.  The measure is
-    the decoupled one, P x P_L, which charges every slice; it has the same
-    one-step supports as the base market on every copy, so arbitrage verdicts
-    transfer copy by copy.
-    """
-
-    spec: EnlargementSpec
-    tree: EventTree
-    Q: ProbMeasure                          # decoupling measure, all slices
-    S: AdaptedProcess
-    node_of: dict[tuple[int, str], int]     # (base node, label) -> product node
-    base_of: dict[int, tuple[Optional[int], Optional[str]]]
-
-    def problem(self) -> WealthProblem:
-        return WealthProblem(self.tree, self.Q, self.S)
-
-
-def product_market(spec: EnlargementSpec, S: AdaptedProcess) -> ProductMarket:
-    tree = spec.tree
-    d = tree.asset_dim
-    parents: list[Optional[int]] = [None]
-    times: list[int] = [0]
-    node_of: dict[tuple[int, str], int] = {}
-    base_of: dict[int, tuple[Optional[int], Optional[str]]] = {0: (None, None)}
-    for k in range(tree.horizon + 1):
-        for lab in spec.label_set:
-            for v in tree.nodes_at(k):
-                idx = len(parents)
-                if k == 0:
-                    parents.append(0)
-                else:
-                    parents.append(node_of[(tree.parent_of(v), lab)])
-                times.append(k + 1)
-                node_of[(v, lab)] = idx
-                base_of[idx] = (v, lab)
-    product = EventTree(tree.horizon + 1, d, parents, times)
-
-    p_l = {lab: spec.slice_masses(lab)[tree.root] for lab in spec.label_set}
-    masses = {}
-    for leaf in tree.leaves:
-        for lab in spec.label_set:
-            masses[node_of[(leaf, lab)]] = spec.P.mass(leaf) * p_l[lab]
-    Q = ProbMeasure(masses)
-
-    values = {0: S[tree.root]}
-    for (v, lab), idx in node_of.items():
-        values[idx] = S[v]
-    S_bar = AdaptedProcess(values, d)
-    return ProductMarket(spec, product, Q, S_bar, node_of, base_of)
+# -- (NA1) and deflation for the insider ----------------------------------------
 
 
 def na1_in_enlargement(spec: EnlargementSpec, S: AdaptedProcess
                        ) -> ArbitrageReport:
-    """(NA1) for the insider: the backward pass on the product market."""
-    return check_na1(product_market(spec, S).problem())
+    """(NA1) for the insider, decided on the base market.
+
+    Under the decoupled measure P x P_L every label slice keeps the base
+    tree's one-step supports and conditional weights, and the label draw
+    moves no price, so the insider's optimal expected wealth is the base
+    root value and an unbounded atom of the base is one for every label.
+    The backward pass on the base market therefore decides the question; a
+    failing witness is a strategy on the base tree's nodes.
+    """
+    return check_na1(WealthProblem(spec.tree, spec.P, S))
 
 
 def g_deflation_certificate(spec: EnlargementSpec, S: AdaptedProcess,
@@ -456,6 +408,10 @@ def _eliminate(rows: list[list[Fraction]], rhs: list[Fraction]
 
 @dataclass
 class InsiderReport:
+    """The insider example's certificates.  `na1_product` is the enlarged
+    market's (NA1) report under P x P_L, read off the base market's backward
+    pass by `na1_in_enlargement`."""
+
     q_star: CompleteMarket
     hedge: Strategy                               # replicates the label event
     value_process: AdaptedProcess
@@ -484,9 +440,10 @@ def insider_example(spec: EnlargementSpec, S: AdaptedProcess,
     falls below q*(A) - 1: an arbitrage for the insider, so no equivalent
     martingale measure can survive the enlargement; the feasibility program
     over slice measures certifies that exactly.  Unbounded profit remains
-    impossible: the product market stays (NA1), witnessed both by its
-    arbitrage program and by the slice density (universal density times any
-    base deflator) passing the exact deflation certificate.
+    impossible: the enlarged market stays (NA1), witnessed both by the
+    backward pass of its one-step programs and by the slice density
+    (universal density times any base deflator) passing the exact deflation
+    certificate.
     """
     if not event_labels or not set(event_labels) <= set(spec.label_set):
         raise ValueError("event labels must be a nonempty subset of the labels")

@@ -169,15 +169,13 @@ class DominatingMeasure:
 def build_dominating_measure(tree: EventTree, P: ProbMeasure,
                              Z: "AdaptedProcess | Deflator") -> DominatingMeasure:
     """Solve the Kunita-Yoeurp problem for Z: place the compensator mass on
-    the death slices and the surviving density mass at infinity."""
-    if isinstance(Z, Deflator):
-        deflator = Z
-        Zp, dA = deflator.Z, deflator.dA
-    else:
-        Zp = Z
-        _, dA = doob_decomposition(tree, P, Z)
+    the death slices and the surviving density mass at infinity.  Z is a
+    process or a `Deflator`; either way the compensator steps dA come from
+    its Doob decomposition."""
+    Zp = Z.Z if isinstance(Z, Deflator) else Z
     if not P.strictly_positive:
         raise KyError("the base measure must be strictly positive")
+    _, dA = doob_decomposition(tree, P, Zp)
     if Zp.at(tree.root) != 1:
         raise KyError(
             f"normalization error: E[Z_0] = {Zp.at(tree.root)}, expected 1 "

@@ -349,3 +349,91 @@ def test_ky_verify_on_a_long_path(tmp_path):
     report = read(out)
     assert report["verdicts"]["kunita_yoeurp"] is True
     assert report["values"]["stopping_times"] == 3
+
+
+def insider_files(fixtures, tmp_path, P=None, S=None, labels=None):
+    """The insider-binomial fixture with its measure, price or label map
+    replaced by raw JSON values; returns the tree and label map paths."""
+    d = fixtures["insider-binomial"]
+    tree = read(d / "tree.json")
+    if P is not None:
+        tree["P"] = P
+    if S is not None:
+        tree["processes"]["S"] = S
+    tree_path = tmp_path / "edited-tree.json"
+    tree_path.write_text(json.dumps(tree))
+    label_path = d / "labels.json"
+    if labels is not None:
+        label_path = tmp_path / "edited-labels.json"
+        label_path.write_text(json.dumps(labels))
+    return str(tree_path), str(label_path)
+
+
+@pytest.mark.parametrize("labels", [{"1": "u"}, ["u", "d"]],
+                         ids=["misses-a-leaf", "json-list"])
+def test_enlarge_rejects_bad_label_maps(fixtures, tmp_path, capsys, labels):
+    tree, label_map = insider_files(fixtures, tmp_path, labels=labels)
+    out = tmp_path / "r.json"
+    assert run(["enlarge", "jacod", "--tree", tree, "--label-map", label_map,
+                "--out", str(out)]) == 2
+    assert "--label-map" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_enlarge_zero_mass_leaf_exits_2_without_traceback(fixtures, tmp_path):
+    tree, label_map = insider_files(fixtures, tmp_path, P={"1": "1", "2": "0"})
+    proc = subprocess.run(
+        [sys.executable, "-m", "deflator_lab.cli", "enlarge", "insider",
+         "--tree", tree, "--label-map", label_map, "--event", "u",
+         "--out", str(tmp_path / "r.json")],
+        env=subprocess_env(), capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "P gives zero mass to leaves [2]" in proc.stderr
+
+
+def priced_tree_argv(command, tree, tmp_path):
+    if command == "check":
+        return ["check", "--tree", tree, "--out", str(tmp_path / "r.json")]
+    return ["deflate", "--tree", tree, "--out", str(tmp_path / "t.json"),
+            "--report", str(tmp_path / "r.json")]
+
+
+@pytest.mark.parametrize("command", ["check", "deflate"])
+def test_priced_commands_reject_a_zero_mass_leaf(fixtures, tmp_path, capsys,
+                                                 command):
+    tree, _ = insider_files(fixtures, tmp_path, P={"1": "0", "2": "1"})
+    assert run(priced_tree_argv(command, tree, tmp_path)) == 2
+    assert "P gives zero mass to leaves [1]" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("command", ["check", "deflate"])
+def test_priced_commands_reject_a_partial_price(fixtures, tmp_path, capsys,
+                                                command):
+    tree, _ = insider_files(fixtures, tmp_path, S={"0": ["1"], "1": ["2"]})
+    assert run(priced_tree_argv(command, tree, tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "--price" in err and "every node" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("confidence", ["nan", "inf", "-1", "0"])
+def test_simulate_rejects_bad_confidence(tmp_path, capsys, confidence):
+    out = tmp_path / "r.json"
+    code = run(["simulate", "--scenario", "levy", "--paths", "200",
+                "--steps", "4", "--confidence", confidence, "--out", str(out)])
+    assert code == 2
+    assert "--confidence" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sample_paths", ["0", "-5"])
+def test_simulate_rejects_empty_path_samples(tmp_path, capsys, sample_paths):
+    out = tmp_path / "r.json"
+    code = run(["simulate", "--scenario", "levy", "--paths", "200",
+                "--steps", "4", "--paths-csv", str(tmp_path / "p.csv"),
+                "--sample-paths", sample_paths, "--out", str(out)])
+    assert code == 2
+    assert "--sample-paths" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "p.csv").exists()

@@ -13,10 +13,11 @@ from deflator_lab.enlargement import (
     EnlargementSpec, IncompleteMarketError, complete_market_measure,
     g_supermartingale_check, generalized_jacod_check, insider_example,
     jacod_check, kernel, log_utility_identity, na1_in_enlargement,
-    product_market, replicate, universal_density,
+    replicate, universal_density,
 )
 from deflator_lab.filtered_space import (AdaptedProcess, EventTree, ProbMeasure,
                                          martingale_closure)
+from product_oracle import product_market
 from treegen import (binomial_problem, random_measure, random_problem,
                      random_tree)
 
