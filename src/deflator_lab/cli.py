@@ -183,13 +183,17 @@ def cmd_deflate(args) -> int:
 
 
 def _dominating_measure(args, tf):
+    """The dominating measure of the --deflator process, rescaled by its root
+    value Z_0 so that E[Z_0] = 1; a deflator needs Z_0 > 0."""
     from .deflator import Deflator
     from .kunita_yoeurp import KyError, build_dominating_measure
 
     P = need_measure(tf, args.tree)
     Z = need_process(tf, args.deflator, args.tree)
-    if args.normalize:
-        Z = Deflator(Z).normalized(tf.tree, P).Z
+    if Z.dim != 1 or Z.at(tf.tree.root) <= 0:
+        raise CliError(f"--deflator {args.deflator!r}: need a scalar process "
+                       "with Z_0 > 0 at the root, since Z is rescaled by Z_0")
+    Z = Deflator(Z).normalized(tf.tree, P).Z
     try:
         return build_dominating_measure(tf.tree, P, Z)
     except (KyError, ValueError) as exc:
@@ -219,13 +223,17 @@ def cmd_ky_verify(args) -> int:
     started = time.perf_counter()
     tf = load_tree(args.tree)
     dm = _dominating_measure(args, tf)
+    source = dm.Z
+    if args.price is not None:
+        try:
+            source = need_process(tf, args.price, args.tree)
+        except CliError as exc:
+            raise CliError(f"--price: {exc}") from exc
     taus = []
     if args.hitting > 0:
         import random as _random
 
         rng = _random.Random(args.seed)
-        source = (need_process(tf, args.price, args.tree)
-                  if args.price in tf.processes else dm.Z)
         for _ in range(args.hitting):
             level = Fraction(rng.randint(-16, 16), 4)
             taus.append(StoppingTime.hitting_time(tf.tree, source, level))
@@ -249,11 +257,11 @@ def cmd_stopped_check(args) -> int:
     report = make_report(
         args, "kunita_yoeurp.stopped_price", started,
         {"martingale": result.is_martingale,
-         "deflation": result.deflation_ok},
+         "deflation": result.deflation.certified},
         {"violations": [{"atom": atom, "drift": [fr(x) for x in drift]}
                         for atom, drift in result.violations]})
     emit_report(report, args.out)
-    return 0 if result.is_martingale and result.deflation_ok else 1
+    return 0 if result.is_martingale and result.deflation.certified else 1
 
 
 def load_labels(path: str) -> dict[int, str]:
@@ -526,7 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "extension")
     p.add_argument("--tree", required=True)
     p.add_argument("--deflator", default="Z")
-    p.add_argument("--normalize", action="store_true")
     p.add_argument("--out", required=True, help="extension measure JSON")
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_foellmer)
@@ -534,7 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ky-verify", help="verify the decomposition properties")
     p.add_argument("--tree", required=True)
     p.add_argument("--deflator", default="Z")
-    p.add_argument("--normalize", action="store_true")
     p.add_argument("--price", default=None,
                    help="process whose hitting times drive the stopped checks")
     p.add_argument("--hitting", type=int, default=10)
@@ -546,7 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Q-martingale test of the pre-death price")
     p.add_argument("--tree", required=True)
     p.add_argument("--deflator", default="Z")
-    p.add_argument("--normalize", action="store_true")
     p.add_argument("--price", default="S")
     common(p)
     p.set_defaults(func=cmd_stopped_check)

@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .arbitrage import ArbitrageReport, WealthProblem, check_na1
-from .deflator import Deflator, construct_deflator, one_step_program
+from .deflator import construct_deflator, verify_deflation
 from .filtered_space import (AdaptedProcess, EventTree, ProbMeasure,
                              Strategy)
 from .linprog import INFEASIBLE, OPTIMAL, LinearProgram, LPResult
@@ -193,21 +193,23 @@ def g_deflation_certificate(spec: EnlargementSpec, S: AdaptedProcess,
                             Zg: GProcess) -> list[tuple[int, str, Fraction]]:
     """Exact insider-deflation certificate for a slice process Zg.
 
-    On each charged slice, the one-step optimal-value program runs with the
-    slice-conditional weights but keeps the admissibility constraints of every
-    structural child (dead slices still constrain the insider); the optimum
-    must not exceed Zg on the slice.
+    Each label is one `verify_deflation` call under the slice-conditional law
+    P( . | L = label), which vanishes off the slice, with that label's column
+    of Zg as the density.  Atoms the slice does not charge are skipped, while
+    every structural child keeps its admissibility constraint (dead slices
+    still constrain the insider); the optimum must not exceed Zg on the
+    slice.  Returns the violations (node, label, excess).
     """
+    tree = spec.tree
     violations = []
     for lab in spec.label_set:
         slices = spec.slice_masses(lab)
-        for v in spec.tree.non_leaf_nodes():
-            if slices[v.id] == 0:
-                continue
-            weights = {c: Zg.at(c, lab) for c in v.children}
-            value, _ = one_step_program(spec.tree, slices, S, v.id, weights)
-            if value > Zg.at(v.id, lab):
-                violations.append((v.id, lab, value - Zg.at(v.id, lab)))
+        law = ProbMeasure({leaf: slices[leaf] / slices[tree.root]
+                           for leaf in tree.leaves})
+        column = AdaptedProcess.of_scalars({v.id: Zg.at(v.id, lab)
+                                            for v in tree.nodes})
+        report = verify_deflation(WealthProblem(tree, law, S), column)
+        violations += [(v, lab, excess) for v, excess in report.violations]
     return violations
 
 
@@ -410,7 +412,7 @@ def _eliminate(rows: list[list[Fraction]], rhs: list[Fraction]
 class InsiderReport:
     """The insider example's certificates.  `na1_product` is the enlarged
     market's (NA1) report under P x P_L, read off the base market's backward
-    pass by `na1_in_enlargement`."""
+    pass (see `na1_in_enlargement`)."""
 
     q_star: CompleteMarket
     hedge: Strategy                               # replicates the label event
@@ -429,8 +431,7 @@ class InsiderReport:
 
 
 def insider_example(spec: EnlargementSpec, S: AdaptedProcess,
-                    event_labels: set[str],
-                    base_deflator: Optional[Deflator] = None) -> InsiderReport:
+                    event_labels: set[str]) -> InsiderReport:
     """Replicate the label event, exhibit the insider's arbitrage, and certify
     that no equivalent insider pricing measure exists while the insider still
     cannot make unbounded profits.
@@ -442,8 +443,8 @@ def insider_example(spec: EnlargementSpec, S: AdaptedProcess,
     over slice measures certifies that exactly.  Unbounded profit remains
     impossible: the enlarged market stays (NA1), witnessed both by the
     backward pass of its one-step programs and by the slice density
-    (universal density times any base deflator) passing the exact deflation
-    certificate.
+    (universal density times the base deflator that pass builds) passing the
+    exact deflation certificate.
     """
     if not event_labels or not set(event_labels) <= set(spec.label_set):
         raise ValueError("event labels must be a nonempty subset of the labels")
@@ -482,11 +483,12 @@ def insider_example(spec: EnlargementSpec, S: AdaptedProcess,
     emm_infeasible = emm.status == INFEASIBLE or (
         emm.status == OPTIMAL and emm.value <= 0)
 
-    na1 = na1_in_enlargement(spec, S)
-    z_univ = universal_density(spec)
-    if base_deflator is None:
-        base_deflator = construct_deflator(WealthProblem(tree, spec.P, S))
-    z_slice = multiply(spec, z_univ, base_deflator.Z)
+    # Strictly positive pricing weights leave no atom a one-step arbitrage,
+    # so the base pass succeeds: that is (NA1) for the insider, as in
+    # `na1_in_enlargement`, and Z_0 is the optimal value.
+    base = construct_deflator(WealthProblem(tree, spec.P, S))
+    na1 = ArbitrageReport(na1_holds=True, optimal_value=base.Z.at(tree.root))
+    z_slice = multiply(spec, universal_density(spec), base.Z)
     violations = g_deflation_certificate(spec, S, z_slice)
     return InsiderReport(
         q_star=market, hedge=hedge, value_process=value,

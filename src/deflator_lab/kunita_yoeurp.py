@@ -91,13 +91,6 @@ class DominatingMeasure:
     def tree(self) -> EventTree:
         return self.space.tree
 
-    @property
-    def density_is_martingale(self) -> bool:
-        """True when the compensator vanishes: in finite time this is the
-        whole content of the death time being announceable in advance (no
-        mass ever moves to a finite death slice)."""
-        return all(x == 0 for vec in self.dA.steps.values() for x in vec)
-
     def alive_masses(self) -> list[Fraction]:
         """Q(atom(v) x {zeta > time(v)}) for every node v, by id, from the
         current Q: each point's mass lands on the leaf (zeta None) or on the
@@ -313,7 +306,6 @@ class StoppedPriceReport:
     is_martingale: bool
     violations: list[tuple[int, tuple[Fraction, ...]]]   # (atom, drift vector)
     deflation: DeflationReport
-    deflation_ok: bool
 
 
 def check_stopped_price(dm: DominatingMeasure, S: AdaptedProcess
@@ -357,9 +349,5 @@ def check_stopped_price(dm: DominatingMeasure, S: AdaptedProcess
         z_from_gamma[v.id] = q / p if q > 0 and p != 0 else dm.Z.at(v.id)
     problem = WealthProblem(tree, dm.space.P, S)
     deflation = verify_deflation(problem, AdaptedProcess.of_scalars(z_from_gamma))
-    return StoppedPriceReport(
-        is_martingale=not violations,
-        violations=violations,
-        deflation=deflation,
-        deflation_ok=deflation.certified,
-    )
+    return StoppedPriceReport(is_martingale=not violations,
+                              violations=violations, deflation=deflation)

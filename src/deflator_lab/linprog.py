@@ -47,7 +47,6 @@ class LinearProgram:
     original variables."""
 
     n_vars: int
-    maximize: bool = True
     objective: dict[int, Fraction] = field(default_factory=dict)
     rows: list[tuple[dict[int, Fraction], str, Fraction]] = field(default_factory=list)
     nonneg: set[int] = field(default_factory=set)
@@ -142,7 +141,6 @@ class _Tableau:
 
 def _solve(lp: LinearProgram, want_duals: bool) -> LPResult:
     n = lp.n_vars
-    sign = 1 if lp.maximize else -1
 
     # Column layout: one column per nonnegative variable, a +/- pair per free
     # variable, then one slack per inequality row, then artificials.
@@ -218,9 +216,9 @@ def _solve(lp: LinearProgram, want_duals: bool) -> LPResult:
 
     cost2 = [ZERO] * total_cols
     for j, v in lp.objective.items():
-        cost2[plus_col[j]] += sign * v
+        cost2[plus_col[j]] += v
         if j in minus_col:
-            cost2[minus_col[j]] -= sign * v
+            cost2[minus_col[j]] -= v
     status, value, enter = tab.run(cost2, blocked=set(art_cols) if art_cols else None)
 
     if status == UNBOUNDED:
@@ -243,7 +241,7 @@ def _solve(lp: LinearProgram, want_duals: bool) -> LPResult:
     if want_duals:
         y = _multipliers(tab, cost2, init_col)
         duals = [-yi if f else yi for yi, f in zip(y, flipped)]
-    return LPResult(status=OPTIMAL, x=x, value=sign * value, duals=duals)
+    return LPResult(status=OPTIMAL, x=x, value=value, duals=duals)
 
 
 def _multipliers(tab: _Tableau, cost: list[Fraction], init_col: list[int]

@@ -135,9 +135,7 @@ def from_obj(obj: dict) -> TreeFile:
             dim = dims.pop()
             try:
                 if section == "processes":
-                    proc = AdaptedProcess(values, dim)
-                    proc.validate_for(tree, full=False)
-                    store[name] = proc
+                    store[name] = AdaptedProcess(values, dim)
                 else:
                     store[name] = Strategy(values, dim)
             except ValueError as exc:

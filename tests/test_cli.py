@@ -437,3 +437,61 @@ def test_simulate_rejects_empty_path_samples(tmp_path, capsys, sample_paths):
     assert code == 2
     assert "--sample-paths" in capsys.readouterr().err
     assert not out.exists() and not (tmp_path / "p.csv").exists()
+
+
+def deflator_argv(command, tree, tmp_path):
+    out = str(tmp_path / "r.json")
+    if command == "foellmer":
+        return ["foellmer", "--tree", tree, "--deflator", "Z",
+                "--out", str(tmp_path / "q.json"), "--report", out]
+    return [command, "--tree", tree, "--deflator", "Z", "--price", "S",
+            "--out", out]
+
+
+@pytest.mark.parametrize("command", ["foellmer", "ky-verify", "stopped-check"])
+def test_deflator_commands_reject_a_zero_root_value(fixtures, tmp_path,
+                                                    command):
+    tree = read(fixtures["insider-binomial"] / "tree.json")
+    tree["processes"]["Z"] = {"0": ["0"], "1": ["1"], "2": ["1"]}
+    path = tmp_path / "zero-root.json"
+    path.write_text(json.dumps(tree))
+    proc = subprocess.run(
+        [sys.executable, "-m", "deflator_lab.cli",
+         *deflator_argv(command, str(path), tmp_path)],
+        env=subprocess_env(), capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "--deflator" in proc.stderr and "Z_0 > 0" in proc.stderr
+    assert not (tmp_path / "r.json").exists()
+
+
+def plain_deflate(fixtures, tmp_path):
+    """The insider-binomial tree with its deflator, written without
+    --normalize, so Z_0 is the optimal value 3/2."""
+    deflated = str(tmp_path / "deflated.json")
+    assert run(["deflate", "--tree",
+                str(fixtures["insider-binomial"] / "tree.json"),
+                "--out", deflated, "--report", str(tmp_path / "d.json")]) == 0
+    return deflated
+
+
+def test_unnormalized_deflator_passes_ky_verify(fixtures, tmp_path):
+    deflated = plain_deflate(fixtures, tmp_path)
+    assert treeio.load(deflated).processes["Z"].at(0) == Fraction(3, 2)
+    out = tmp_path / "ky.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "deflator_lab.cli", "ky-verify", "--tree",
+         deflated, "--price", "S", "--hitting", "3", "--out", str(out)],
+        env=subprocess_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert read(out)["verdicts"] == {"kunita_yoeurp": True}
+
+
+def test_ky_verify_rejects_an_unknown_price(fixtures, tmp_path, capsys):
+    deflated = plain_deflate(fixtures, tmp_path)
+    out = tmp_path / "ky.json"
+    assert run(["ky-verify", "--tree", deflated, "--price", "NOPE",
+                "--hitting", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--price" in err and "NOPE" in err
+    assert not out.exists()

@@ -8,7 +8,6 @@ from fractions import Fraction as F
 import pytest
 
 from deflator_lab.arbitrage import check_na1
-from deflator_lab.deflator import construct_deflator
 from deflator_lab.enlargement import (
     EnlargementSpec, IncompleteMarketError, complete_market_measure,
     g_supermartingale_check, generalized_jacod_check, insider_example,
@@ -267,8 +266,7 @@ def test_replication_of_terminal_event():
 def test_insider_example_one_step():
     problem = binomial_problem(steps=1)
     spec = EnlargementSpec(problem.tree, problem.P, {1: "u", 2: "d"})
-    deflator = construct_deflator(problem)
-    report = insider_example(spec, problem.S, {"u"}, deflator)
+    report = insider_example(spec, problem.S, {"u"})
     assert report.emm_infeasible
     assert report.na1_product.na1_holds
     assert report.deflator_violations == []

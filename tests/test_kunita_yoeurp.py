@@ -201,7 +201,7 @@ def test_stopped_price_trivial_when_density_is_one():
     dm = build_dominating_measure(tree, P, AdaptedProcess.constant(tree, F(1)))
     report = check_stopped_price(dm, S)
     assert report.is_martingale
-    assert report.deflation_ok
+    assert report.deflation.certified
 
 
 def test_stopped_price_detects_survival_drift():
@@ -228,7 +228,7 @@ def test_strict_supermartingale_density_spoils_the_martingale_property():
     # the growth-optimal holding sits on the admissibility boundary, so the
     # first-order condition fails and the pre-death price keeps a drift
     assert not report.is_martingale
-    assert report.deflation_ok               # yet Z deflates: both can be true
+    assert report.deflation.certified  # yet Z deflates: both can be true
 
 
 def test_girsanov_consistency_for_martingale_densities():
@@ -276,7 +276,7 @@ def test_long_path_needs_no_recursion():
     # the alive mass shrinks from 1/(t+1) to 1/(t+2) while the price gains 1
     assert report.violations[0] == (0, (F(1, 2),))
     assert len(report.violations) == horizon
-    assert not report.deflation_ok          # a riskless gain is an arbitrage
+    assert not report.deflation.certified  # a riskless gain is an arbitrage
 
 
 def test_tree_side_ky_pipeline_makes_no_per_atom_tree_walks(monkeypatch):

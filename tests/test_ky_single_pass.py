@@ -90,7 +90,7 @@ def assert_matches_oracle(dm, S, taus):
     stopped = check_stopped_price(dm, S)
     violations, deflation_ok = ky_oracle.stopped_price(dm, S)
     assert stopped.violations == violations
-    assert stopped.deflation_ok == deflation_ok
+    assert stopped.deflation.certified == deflation_ok
     return report
 
 
