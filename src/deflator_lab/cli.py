@@ -325,10 +325,7 @@ def cmd_enlarge(args) -> int:
             {"emm_infeasible": result.emm_infeasible,
              "na1_enlarged": bool(result.na1_product.na1_holds),
              "certified": result.contradiction_certified},
-            {"replication_cost": fr(result.value_process.at(0)),
-             "emm_program_value": (fr(result.emm_result.value)
-                                   if result.emm_result.value is not None
-                                   else "infeasible")},
+            {"replication_cost": fr(result.value_process.at(0))},
             {"hedge": strategy_json(result.hedge)})
         emit_report(report, args.out)
         return 0 if result.contradiction_certified else 1
@@ -352,11 +349,15 @@ def cmd_enlarge(args) -> int:
 def load_params(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            params = json.load(fh)
     except FileNotFoundError as exc:
         raise CliError(f"params file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliError(f"malformed params file {path}: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise CliError(f"--params {path}: malformed params file: {exc}") from exc
+    if not isinstance(params, dict):
+        raise CliError(f"--params {path}: expected a JSON object of scenario "
+                       f"parameters, got {type(params).__name__}")
+    return params
 
 
 def cmd_simulate(args) -> int:

@@ -36,8 +36,7 @@ from typing import Iterable, Optional, Sequence
 from .arbitrage import ArbitrageReport, WealthProblem, check_na1
 from .deflator import construct_deflator, verify_deflation
 from .filtered_space import (AdaptedProcess, EventTree, ProbMeasure,
-                             Strategy)
-from .linprog import INFEASIBLE, OPTIMAL, LinearProgram, LPResult
+                             Strategy, stochastic_integral)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -419,7 +418,6 @@ class InsiderReport:
     value_process: AdaptedProcess
     insider_strategy: dict[tuple[int, str], tuple[Fraction, ...]]
     arbitrage_gain: dict[tuple[int, str], Fraction]   # terminal insider wealth
-    emm_result: LPResult
     emm_infeasible: bool
     na1_product: ArbitrageReport
     deflator_violations: list[tuple[int, str, Fraction]]
@@ -438,13 +436,15 @@ def insider_example(spec: EnlargementSpec, S: AdaptedProcess,
 
     The hedge H replicates 1_{L in A} at cost q*(A).  Holding -H on the
     complementary slices earns q*(A) there from zero initial wealth and never
-    falls below q*(A) - 1: an arbitrage for the insider, so no equivalent
-    martingale measure can survive the enlargement; the feasibility program
-    over slice measures certifies that exactly.  Unbounded profit remains
-    impossible: the enlarged market stays (NA1), witnessed both by the
-    backward pass of its one-step programs and by the slice density
-    (universal density times the base deflator that pass builds) passing the
-    exact deflation certificate.
+    falls below q*(A) - 1: an arbitrage for the insider.  Its terminal gains,
+    computed from the strategy itself, are nonnegative on every realized
+    slice and positive on one; under an equivalent insider martingale
+    measure they would have mean zero, so none exists (on a finite space the
+    arbitrage is the exact dual certificate, Dalang-Morton-Willinger).
+    Unbounded profit remains impossible: the enlarged market stays (NA1),
+    witnessed both by the backward pass of its one-step programs and by the
+    slice density (universal density times the base deflator that pass
+    builds) passing the exact deflation certificate.
     """
     if not event_labels or not set(event_labels) <= set(spec.label_set):
         raise ValueError("event labels must be a nonempty subset of the labels")
@@ -466,22 +466,15 @@ def insider_example(spec: EnlargementSpec, S: AdaptedProcess,
             insider_strategy[(v.id, lab)] = (
                 tuple(-x for x in h) if lab not in event_labels
                 else tuple(ZERO for _ in h))
+    hedge_gain = stochastic_integral(tree, S, hedge)
     gains: dict[tuple[int, str], Fraction] = {}
     for leaf in tree.leaves:
         for lab in spec.label_set:
-            if lab in event_labels:
-                gains[(leaf, lab)] = ZERO
-            else:
-                gains[(leaf, lab)] = value.at(tree.root) - value.at(leaf)
-    for (leaf, lab), g in gains.items():
-        if lab == spec.labels[leaf]:       # realized slices show the arbitrage
-            assert g >= 0
-            if lab not in event_labels:
-                assert g == value.at(tree.root) > 0
-
-    emm = _equivalent_slice_measure_program(spec, S)
-    emm_infeasible = emm.status == INFEASIBLE or (
-        emm.status == OPTIMAL and emm.value <= 0)
+            gains[(leaf, lab)] = (ZERO if lab in event_labels
+                                  else -hedge_gain.at(leaf))
+    realized = [gains[(leaf, spec.labels[leaf])] for leaf in tree.leaves]
+    emm_infeasible = (all(g >= 0 for g in realized)
+                      and any(g > 0 for g in realized))
 
     # Strictly positive pricing weights leave no atom a one-step arbitrage,
     # so the base pass succeeds: that is (NA1) for the insider, as in
@@ -493,46 +486,9 @@ def insider_example(spec: EnlargementSpec, S: AdaptedProcess,
     return InsiderReport(
         q_star=market, hedge=hedge, value_process=value,
         insider_strategy=insider_strategy, arbitrage_gain=gains,
-        emm_result=emm, emm_infeasible=emm_infeasible,
+        emm_infeasible=emm_infeasible,
         na1_product=na1, deflator_violations=violations,
     )
-
-
-def _equivalent_slice_measure_program(spec: EnlargementSpec, S: AdaptedProcess
-                                      ) -> LPResult:
-    """max epsilon over measures on realized slices, martingale on every
-    charged slice atom and bounded below by epsilon on every realized leaf;
-    a nonpositive optimum (or outright infeasibility) certifies that no
-    equivalent insider martingale measure exists."""
-    tree = spec.tree
-    d = tree.asset_dim
-    leaves = list(tree.leaves)
-    idx = {leaf: j for j, leaf in enumerate(leaves)}
-    eps = len(leaves)
-    lp = LinearProgram(len(leaves) + 1)
-    lp.set_nonneg(range(len(leaves)))
-    lp.set_objective({eps: ONE})
-    lp.add_eq({idx[leaf]: ONE for leaf in leaves}, ONE)
-    lp.add_le({eps: ONE}, ONE)
-    for leaf in leaves:
-        lp.add_ge({idx[leaf]: ONE, eps: -ONE}, ZERO)
-    for lab in spec.label_set:
-        slices = spec.slice_masses(lab)
-        for v in tree.non_leaf_nodes():
-            if slices[v.id] == 0:
-                continue
-            charged = [leaf for leaf in tree.leaves_below(v.id)
-                       if spec.labels[leaf] == lab]
-            for i in range(d):
-                row = {}
-                for leaf in charged:
-                    child = tree.ancestor_at(leaf, v.time + 1)
-                    ds = S[child][i] - S[v.id][i]
-                    if ds != 0:
-                        row[idx[leaf]] = row.get(idx[leaf], ZERO) + ds
-                if row:
-                    lp.add_eq(row, ZERO)
-    return lp.solve(want_duals=False)
 
 
 # -- log-utility identity --------------------------------------------------------
@@ -565,10 +521,9 @@ def log_utility_identity(spec: EnlargementSpec, S: AdaptedProcess
     rearrangement, asserted here to float rounding.
     """
     tree = spec.tree
+    # Strictly positive pricing weights leave no atom a one-step arbitrage,
+    # so once this returns the insider has the (NA1) that log utility needs.
     market = complete_market_measure(tree, S)
-    na1 = na1_in_enlargement(spec, S)
-    if not na1.na1_holds:
-        raise ValueError("insider log utility needs (NA1) in the enlargement")
 
     u_base = 0.0
     for leaf in tree.leaves:

@@ -76,33 +76,45 @@ def to_obj(tf: TreeFile) -> dict:
     return obj
 
 
+def _integer(value: object, field: str, node: Optional[int] = None) -> int:
+    """A JSON integer field, of the node record at position `node` if given:
+    bools and floats are rejected, never truncated."""
+    if type(value) is not int:
+        where = field if node is None else f"nodes[{node}].{field}"
+        raise TreeFileError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _table(value: object, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise TreeFileError(f"{where}: expected a JSON object, "
+                            f"got {type(value).__name__}")
+    return value
+
+
 def from_obj(obj: dict) -> TreeFile:
     for key in ("horizon", "asset_dim", "nodes"):
         if key not in obj:
             raise TreeFileError(f"missing field {key!r}")
-    try:
-        horizon = int(obj["horizon"])
-        asset_dim = int(obj["asset_dim"])
-    except (TypeError, ValueError) as exc:
-        raise TreeFileError(f"horizon/asset_dim: {exc}") from exc
+    horizon = _integer(obj["horizon"], "horizon")
+    asset_dim = _integer(obj["asset_dim"], "asset_dim")
     records = obj["nodes"]
     if not isinstance(records, list) or not records:
         raise TreeFileError("nodes: expected a non-empty list")
     parents: list[Optional[int]] = [None] * len(records)
     times = [0] * len(records)
     seen = set()
-    for rec in records:
-        try:
-            i = int(rec["id"])
-            times_i = int(rec["time"])
-            parent = rec.get("parent")
-        except (TypeError, KeyError, ValueError) as exc:
-            raise TreeFileError(f"nodes: bad record {rec!r}") from exc
+    for k, rec in enumerate(records):
+        if not isinstance(rec, dict) or "id" not in rec or "time" not in rec:
+            raise TreeFileError(f"nodes: bad record {rec!r}")
+        i = _integer(rec["id"], "id", k)
+        times_i = _integer(rec["time"], "time", k)
+        parent = rec.get("parent")
         if i in seen or not 0 <= i < len(records):
             raise TreeFileError(f"nodes: id {i} duplicated or out of range")
         seen.add(i)
         times[i] = times_i
-        parents[i] = None if parent is None else int(parent)
+        parents[i] = None if parent is None else _integer(parent, "parent", k)
     try:
         tree = EventTree(horizon, asset_dim, parents, times)
     except ValueError as exc:
@@ -111,7 +123,7 @@ def from_obj(obj: dict) -> TreeFile:
     tf = TreeFile(tree)
     if "P" in obj:
         masses = {}
-        for key, text in obj["P"].items():
+        for key, text in _table(obj["P"], "P").items():
             leaf = _node_key(key, "P")
             masses[leaf] = parse_rational(text, f"P[{key}]")
         try:
@@ -121,9 +133,9 @@ def from_obj(obj: dict) -> TreeFile:
             raise TreeFileError(f"P: {exc}") from exc
         tf.P = P
     for section, store in (("processes", tf.processes), ("strategies", tf.strategies)):
-        for name, table in obj.get(section, {}).items():
+        for name, table in _table(obj.get(section, {}), section).items():
             values = {}
-            for key, vec in table.items():
+            for key, vec in _table(table, f"{section}[{name}]").items():
                 node = _node_key(key, f"{section}[{name}]")
                 if not isinstance(vec, list):
                     raise TreeFileError(f"{section}[{name}][{key}]: expected a list")
@@ -169,7 +181,11 @@ def loads(text: str) -> TreeFile:
 
 def load(path: str) -> TreeFile:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise TreeFileError(f"not UTF-8 text: {exc}") from exc
+    return loads(text)
 
 
 def save(tf: TreeFile, path: str) -> None:

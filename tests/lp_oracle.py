@@ -1,8 +1,11 @@
-"""Whole-tree linear programs for (NA) and (NA1): a differential oracle.
+"""Whole-tree linear programs for (NA), (NA1) and the insider's missing
+equivalent martingale measure: a differential oracle.
 
-The library decides both notions with a backward pass of one-step programs.
-These programs decide them over the whole strategy space at once, one LP
-per question, sharing only the gain rows and the exact simplex with it.
+The library decides (NA) and (NA1) with a backward pass of one-step
+programs, and certifies the insider's missing martingale measure by the
+insider's explicit arbitrage.  These programs decide each question over the
+whole tree at once, one LP per question, sharing only the gain rows and the
+exact simplex with the library.
 """
 
 from __future__ import annotations
@@ -10,8 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from deflator_lab.arbitrage import ArbitrageReport, WealthProblem, _gain_rows
-from deflator_lab.filtered_space import Strategy
-from deflator_lab.linprog import OPTIMAL, UNBOUNDED, LinearProgram
+from deflator_lab.enlargement import EnlargementSpec
+from deflator_lab.filtered_space import AdaptedProcess, Strategy
+from deflator_lab.linprog import OPTIMAL, UNBOUNDED, LinearProgram, LPResult
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -85,3 +89,40 @@ def check_na1(problem: WealthProblem) -> ArbitrageReport:
                                witness=_strategy_from(problem, res.ray, var_index))
     assert res.status == OPTIMAL
     return ArbitrageReport(na1_holds=True, optimal_value=ONE + res.value)
+
+
+def _equivalent_slice_measure_program(spec: EnlargementSpec, S: AdaptedProcess
+                                      ) -> LPResult:
+    """max epsilon over measures on realized slices, martingale on every
+    charged slice atom and bounded below by epsilon on every realized leaf;
+    a nonpositive optimum (or outright infeasibility) certifies that no
+    equivalent insider martingale measure exists."""
+    tree = spec.tree
+    d = tree.asset_dim
+    leaves = list(tree.leaves)
+    idx = {leaf: j for j, leaf in enumerate(leaves)}
+    eps = len(leaves)
+    lp = LinearProgram(len(leaves) + 1)
+    lp.set_nonneg(range(len(leaves)))
+    lp.set_objective({eps: ONE})
+    lp.add_eq({idx[leaf]: ONE for leaf in leaves}, ONE)
+    lp.add_le({eps: ONE}, ONE)
+    for leaf in leaves:
+        lp.add_ge({idx[leaf]: ONE, eps: -ONE}, ZERO)
+    for lab in spec.label_set:
+        slices = spec.slice_masses(lab)
+        for v in tree.non_leaf_nodes():
+            if slices[v.id] == 0:
+                continue
+            charged = [leaf for leaf in tree.leaves_below(v.id)
+                       if spec.labels[leaf] == lab]
+            for i in range(d):
+                row = {}
+                for leaf in charged:
+                    child = tree.ancestor_at(leaf, v.time + 1)
+                    ds = S[child][i] - S[v.id][i]
+                    if ds != 0:
+                        row[idx[leaf]] = row.get(idx[leaf], ZERO) + ds
+                if row:
+                    lp.add_eq(row, ZERO)
+    return lp.solve(want_duals=False)

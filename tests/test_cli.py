@@ -58,6 +58,35 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def tree_bytes(horizon=1, node1=None, **sections) -> bytes:
+    """A priced one-step tree file, with fields replaced by raw JSON values."""
+    obj = {"horizon": horizon, "asset_dim": 1,
+           "nodes": [{"id": 0, "time": 0, "parent": None},
+                     {"id": 1, "time": 1, "parent": 0} | (node1 or {}),
+                     {"id": 2, "time": 1, "parent": 0}],
+           "P": {"1": "1/2", "2": "1/2"},
+           "processes": {"S": {"0": ["1"], "1": ["2"], "2": ["1/2"]}}}
+    return json.dumps(obj | sections).encode()
+
+
+# Wrong JSON types must not end in a traceback, and a fractional or boolean
+# integer must not be truncated into a tree that runs.
+MALFORMED_TREES = [
+    (tree_bytes(P=["1/2", "1/2"]), "P:"),
+    (tree_bytes(processes=["S"]), "processes:"),
+    (tree_bytes(processes={"S": [["1"], ["2"]]}), "processes[S]:"),
+    (tree_bytes(node1={"parent": "abc"}), "nodes[1].parent:"),
+    (tree_bytes(node1={"parent": [0]}), "nodes[1].parent:"),
+    (tree_bytes(node1={"parent": 0.2}), "nodes[1].parent:"),
+    (tree_bytes(horizon=1.7), "horizon:"),
+    (tree_bytes(horizon=True), "horizon:"),
+    (tree_bytes(asset_dim="1"), "asset_dim:"),
+    (tree_bytes(node1={"time": 1.9}), "nodes[1].time:"),
+    (tree_bytes(node1={"id": True}), "nodes[1].id:"),
+    (tree_bytes().replace(b'"S"', b'"\xe9"'), "not UTF-8"),
+]
+
+
 def test_malformed_tree_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"horizon": 1, "asset_dim": 1, "nodes": '
@@ -65,6 +94,10 @@ def test_malformed_tree_exits_2(tmp_path, capsys):
                    '{"id": 1, "time": 1, "parent": 0}], "P": {"1": "0.3"}}')
     assert run(["check", "--tree", str(bad)]) == 2
     assert "P[1]" in capsys.readouterr().err
+    for text, field in MALFORMED_TREES:
+        bad.write_bytes(text)
+        assert run(["check", "--tree", str(bad)]) == 2, field
+        assert field in capsys.readouterr().err, field
 
 
 def test_deflate_then_verify_and_stopped_check(fixtures, tmp_path):
@@ -179,6 +212,18 @@ def test_simulate_levy_with_params_and_csv(fixtures, tmp_path):
     path_lines = paths_csv.read_text().strip().splitlines()
     assert len(path_lines) == 8
     assert path_lines[0].startswith("path,seed,")
+
+
+@pytest.mark.parametrize("text", [b"[1, 2]", b'{"a": "\xe9"}'],
+                         ids=["json-array", "not-utf8"])
+def test_simulate_rejects_bad_params_files(tmp_path, capsys, text):
+    params = tmp_path / "params.json"
+    params.write_bytes(text)
+    out = tmp_path / "r.json"
+    assert run(["simulate", "--scenario", "levy", "--paths", "200",
+                "--steps", "4", "--params", str(params), "--out", str(out)]) == 2
+    assert "--params" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_diffusion_quick(tmp_path):
@@ -390,6 +435,17 @@ def test_enlarge_zero_mass_leaf_exits_2_without_traceback(fixtures, tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "P gives zero mass to leaves [2]" in proc.stderr
+
+
+def test_logutility_rejects_a_zero_pricing_weight(fixtures, tmp_path, capsys):
+    # the price does not move on leaf 1, so all pricing weight sits there
+    tree, label_map = insider_files(fixtures, tmp_path,
+                                    S={"0": ["1"], "1": ["1"], "2": ["2"]})
+    out = tmp_path / "r.json"
+    assert run(["enlarge", "logutility", "--tree", tree, "--label-map",
+                label_map, "--out", str(out)]) == 2
+    assert "not strictly positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def priced_tree_argv(command, tree, tmp_path):

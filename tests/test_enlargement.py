@@ -15,10 +15,10 @@ from deflator_lab.enlargement import (
     replicate, universal_density,
 )
 from deflator_lab.filtered_space import (AdaptedProcess, EventTree, ProbMeasure,
-                                         martingale_closure)
+                                         Strategy, martingale_closure)
 from product_oracle import product_market
 from treegen import (binomial_problem, random_measure, random_problem,
-                     random_tree)
+                     random_tree, straddling_prices)
 
 SEED = 424_241
 
@@ -293,7 +293,7 @@ def test_insider_example_two_step_threshold_event():
 
 
 def test_equivalent_slice_measure_program_both_verdicts():
-    from deflator_lab.enlargement import _equivalent_slice_measure_program
+    from lp_oracle import _equivalent_slice_measure_program
 
     # In a complete market every non-constant label is fatal: even a parity
     # label pins the last move once the first is seen, so the program is
@@ -314,6 +314,60 @@ def test_equivalent_slice_measure_program_both_verdicts():
     spec2 = EnlargementSpec(tree, P, {1: "move", 2: "flat", 3: "move"})
     res2 = _equivalent_slice_measure_program(spec2, S)
     assert res2.status == "optimal" and res2.value > 0
+
+
+def test_arbitrage_certificate_agrees_with_the_slice_measure_program():
+    """On complete binary markets with 2-3 labels and a random event, the
+    insider's arbitrage certifies the missing martingale measure exactly when
+    the whole-tree program over slice measures finds none."""
+    from lp_oracle import _equivalent_slice_measure_program
+
+    rng = random.Random(SEED)
+    for trial in range(120):
+        tree = EventTree.uniform(rng.randint(2, 3), 2)
+        P = random_measure(rng, tree)
+        S = straddling_prices(rng, tree)
+        names = [f"L{i}" for i in range(rng.randint(2, 3))]
+        leaves = list(tree.leaves)
+        rng.shuffle(leaves)
+        labels = {leaf: names[i] if i < len(names) else rng.choice(names)
+                  for i, leaf in enumerate(leaves)}
+        event = set(rng.sample(names, rng.randint(1, len(names) - 1)))
+        spec = EnlargementSpec(tree, P, labels)
+        res = _equivalent_slice_measure_program(spec, S)
+        no_emm = res.status == "infeasible" or (res.status == "optimal"
+                                                and res.value <= 0)
+        assert insider_example(spec, S, event).emm_infeasible == no_emm, trial
+
+
+def test_a_zero_hedge_certifies_nothing(monkeypatch, tmp_path, capsys):
+    """Without the hedge the insider's strategy gains nothing anywhere, so
+    nothing certifies the missing martingale measure, and the CLI reports a
+    failed verdict instead of crashing."""
+    import deflator_lab.enlargement as enlargement
+    from deflator_lab.cli import run
+    from deflator_lab.scenarios import write_scenario
+
+    real_replicate = enlargement.replicate
+
+    def zero_hedge(tree, S, market, payoff):
+        value, hedge = real_replicate(tree, S, market, payoff)
+        return value, Strategy.constant(tree, 0, hedge.dim)
+
+    monkeypatch.setattr(enlargement, "replicate", zero_hedge)
+    problem = binomial_problem(steps=2)
+    labels = {leaf: ("hi" if problem.S.at(leaf) >= 2 else "lo")
+              for leaf in problem.tree.leaves}
+    spec = EnlargementSpec(problem.tree, problem.P, labels)
+    report = insider_example(spec, problem.S, {"hi"})
+    assert report.emm_infeasible is False
+    assert report.contradiction_certified is False
+
+    write_scenario("insider-binomial", str(tmp_path))
+    assert run(["enlarge", "insider", "--tree", str(tmp_path / "tree.json"),
+                "--label-map", str(tmp_path / "labels.json"), "--event", "u",
+                "--out", str(tmp_path / "r.json")]) == 1
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_insider_example_rejects_constant_label():
