@@ -287,11 +287,6 @@ class UtilityCurve:
                    remainder_bound=ZERO, sum_g=sum(g, ZERO), sum_g_tail=ZERO,
                    harmonic_lower_bound=ZERO)
 
-    def slope(self, k: int) -> Fraction:
-        if not 1 <= k <= self.K:
-            raise ValueError(f"slope index {k} outside 1..{self.K}")
-        return self.g[k - 1]
-
     def value(self, x: Fraction) -> Fraction:
         """U(x) for 0 <= x <= K: integral of the step slopes."""
         x = as_fraction(x) if not isinstance(x, Fraction) else x

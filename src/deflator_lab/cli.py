@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -81,7 +80,8 @@ def need_measure(tf: treeio.TreeFile, path: str):
 
 
 def wealth_problem(tf: treeio.TreeFile, args):
-    """The priced tree of `check` and `deflate`: P and the --price process."""
+    """The priced tree: P and the --price process, whose dimension must be
+    the tree's asset_dim."""
     from .arbitrage import WealthProblem
 
     P = need_measure(tf, args.tree)
@@ -127,25 +127,16 @@ def make_report(args, operation: str, started: float, verdicts: dict,
 
 
 def cmd_check(args) -> int:
-    from .arbitrage import check_both, check_na, check_na1
+    """Both verdicts, always: need_measure makes P strictly positive, under
+    which (NA) and (NA1) coincide on a finite tree."""
+    from .arbitrage import check_both
 
     started = time.perf_counter()
-    problem = wealth_problem(load_tree(args.tree), args)
-    if args.na and not args.na1 and not args.both:
-        result = check_na(problem)
-    elif args.na1 and not args.na and not args.both:
-        result = check_na1(problem)
-    else:
-        result = check_both(problem)
-    verdicts = {}
-    values = {}
-    if result.na_holds is not None:
-        verdicts["na"] = result.na_holds
-        values["na_optimum"] = fr(result.na_optimum)
-    if result.na1_holds is not None:
-        verdicts["na1"] = result.na1_holds
-        values["optimal_value"] = ("inf" if result.unbounded
-                                   else fr(result.optimal_value))
+    result = check_both(wealth_problem(load_tree(args.tree), args))
+    verdicts = {"na": result.na_holds, "na1": result.na1_holds}
+    values = {"na_optimum": fr(result.na_optimum),
+              "optimal_value": ("inf" if result.unbounded
+                                else fr(result.optimal_value))}
     witnesses = {}
     if result.witness is not None:
         witnesses["strategy"] = strategy_json(result.witness)
@@ -217,6 +208,13 @@ def cmd_foellmer(args) -> int:
     return 0
 
 
+# The hitting levels of `ky-verify`.  The stopped identity at a stop node u is
+# the comparison alive[u] == P(u) Z(u) that property 3 already makes at every
+# node, so no choice of levels can change the verdict.
+HITTING_LEVELS = tuple(Fraction(x) for x in (
+    "2", "5/2", "-7/2", "0", "4", "15/4", "9/4", "3/4", "7/2", "3/2"))
+
+
 def cmd_ky_verify(args) -> int:
     from .kunita_yoeurp import verify_ky
 
@@ -229,14 +227,8 @@ def cmd_ky_verify(args) -> int:
             source = need_process(tf, args.price, args.tree)
         except CliError as exc:
             raise CliError(f"--price: {exc}") from exc
-    taus = []
-    if args.hitting > 0:
-        import random as _random
-
-        rng = _random.Random(args.seed)
-        for _ in range(args.hitting):
-            level = Fraction(rng.randint(-16, 16), 4)
-            taus.append(StoppingTime.hitting_time(tf.tree, source, level))
+    taus = [StoppingTime.hitting_time(tf.tree, source, level)
+            for level in HITTING_LEVELS]
     result = verify_ky(dm, taus)
     report = make_report(args, "kunita_yoeurp.verify", started,
                          {"kunita_yoeurp": result.passed},
@@ -252,8 +244,7 @@ def cmd_stopped_check(args) -> int:
     started = time.perf_counter()
     tf = load_tree(args.tree)
     dm = _dominating_measure(args, tf)
-    S = need_process(tf, args.price, args.tree)
-    result = check_stopped_price(dm, S)
+    result = check_stopped_price(dm, wealth_problem(tf, args).S)
     report = make_report(
         args, "kunita_yoeurp.stopped_price", started,
         {"martingale": result.is_martingale,
@@ -312,7 +303,7 @@ def cmd_enlarge(args) -> int:
                          for (v, lab), z in sorted(Z.values.items())}})
         emit_report(report, args.out)
         return 0
-    S = need_process(tf, args.price, args.tree)
+    S = wealth_problem(tf, args).S
     if args.action == "insider":
         if not args.event:
             raise CliError("insider analysis needs --event LABEL[,LABEL...]")
@@ -352,7 +343,7 @@ def load_params(path: str) -> dict:
             params = json.load(fh)
     except FileNotFoundError as exc:
         raise CliError(f"params file not found: {path}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:       # bad JSON, not UTF-8, or an overlong int
         raise CliError(f"--params {path}: malformed params file: {exc}") from exc
     if not isinstance(params, dict):
         raise CliError(f"--params {path}: expected a JSON object of scenario "
@@ -456,7 +447,7 @@ def cmd_simulate(args) -> int:
             values["discretization_allowance"] = allowance
         else:
             raise CliError(f"unknown scenario {args.scenario!r}")
-    except (TypeError, ValueError) as exc:
+    except (ArithmeticError, TypeError, ValueError) as exc:
         raise CliError(f"invalid simulation parameters: {exc}") from exc
 
     values["tests"] = {name: test_json(t) for name, t in tests.items()}
@@ -512,10 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="decide (NA) and (NA1) for a priced tree")
     p.add_argument("--tree", required=True)
     p.add_argument("--price", default="S")
-    p.add_argument("--na", action="store_true")
-    p.add_argument("--na1", action="store_true")
     p.add_argument("--both", action="store_true",
-                   help="check both notions (the default)")
+                   help="accepted and ignored: check always decides both")
     common(p)
     p.set_defaults(func=cmd_check)
 
@@ -543,9 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree", required=True)
     p.add_argument("--deflator", default="Z")
     p.add_argument("--price", default=None,
-                   help="process whose hitting times drive the stopped checks")
-    p.add_argument("--hitting", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+                   help="process whose hitting times drive the stopped checks "
+                        "(default: the deflator)")
     common(p)
     p.set_defaults(func=cmd_ky_verify)
 
@@ -601,14 +589,6 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(exc.code or 0)
-    env_seed = os.environ.get("DEFLATOR_LAB_SEED")
-    if env_seed is not None and hasattr(args, "seed"):
-        try:
-            args.seed = int(env_seed)
-        except ValueError:
-            sys.stderr.write(f"DEFLATOR_LAB_SEED must be an integer, got "
-                             f"{env_seed!r}\n")
-            return 2
     try:
         return args.func(args)
     except CliError as exc:

@@ -236,11 +236,6 @@ class ProbMeasure:
                 out[v.id] = sum((out[c] for c in v.children), Fraction(0))
         return out
 
-    @classmethod
-    def uniform(cls, tree: EventTree) -> "ProbMeasure":
-        n = len(tree.leaves)
-        return cls({leaf: Fraction(1, n) for leaf in tree.leaves})
-
     def validate_for(self, tree: EventTree) -> None:
         if set(self.leaf_mass) != set(tree.leaves):
             raise ValueError("measure must assign a mass to exactly the leaves")
@@ -263,9 +258,6 @@ class AdaptedProcess:
         if self.dim != 1:
             raise ValueError("scalar access on a vector-valued process")
         return self.values[node][0]
-
-    def __contains__(self, node: int) -> bool:
-        return node in self.values
 
     def validate_for(self, tree: EventTree) -> None:
         if set(self.values) != {v.id for v in tree.nodes}:

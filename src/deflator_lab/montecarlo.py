@@ -315,6 +315,8 @@ def diffusion_report(sc: DiffusionScenario,
                      threads: int = 1) -> DiffusionReport:
     """The three diffusion tests from one pass over the paths; each equals
     what its own estimator below reports."""
+    if pi is None:
+        raise ValueError("pi: the deflated-wealth test needs a holding")
     density, price, wealth = _diffusion_columns(sc, pi, threads)
     return DiffusionReport(density_mean=summarize(density),
                            deflated_price=summarize(price),

@@ -19,7 +19,7 @@ from typing import Optional
 
 from .filtered_space import AdaptedProcess, EventTree, ProbMeasure, Strategy
 
-_RATIONAL_RE = re.compile(r"-?\d+(/\d+)?\Z")
+_RATIONAL_RE = re.compile(r"-?\d+(/0*[1-9]\d*)?\Z")   # q > 0
 
 
 class TreeFileError(ValueError):
@@ -172,7 +172,7 @@ def dumps(tf: TreeFile) -> str:
 def loads(text: str) -> TreeFile:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:       # bad syntax, or an int too long to parse
         raise TreeFileError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise TreeFileError("top level must be a JSON object")

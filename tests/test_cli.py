@@ -1,7 +1,9 @@
-"""Command-line surface: exit codes, reports, fixtures, environment seed."""
+"""Command-line surface: exit codes, reports, fixtures, retired flags."""
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +12,7 @@ import pytest
 
 import deflator_lab
 from deflator_lab import treeio
-from deflator_lab.cli import run
+from deflator_lab.cli import build_parser, run
 from deflator_lab.filtered_space import AdaptedProcess, EventTree, ProbMeasure
 from deflator_lab.scenarios import available, write_scenario
 
@@ -45,7 +47,7 @@ def test_check_passes_on_binomial(fixtures, tmp_path):
 def test_check_fails_on_deterministic_drift(fixtures, tmp_path):
     out = tmp_path / "report.json"
     code = run(["check", "--tree", str(fixtures["exponential-death"] / "tree.json"),
-                "--na1", "--out", str(out)])
+                "--out", str(out)])
     assert code == 1
     report = read(out)
     assert report["verdicts"]["na1"] is False
@@ -84,6 +86,9 @@ MALFORMED_TREES = [
     (tree_bytes(node1={"time": 1.9}), "nodes[1].time:"),
     (tree_bytes(node1={"id": True}), "nodes[1].id:"),
     (tree_bytes().replace(b'"S"', b'"\xe9"'), "not UTF-8"),
+    (tree_bytes(P={"1": "1/0", "2": "1/2"}), "P[1]:"),
+    (tree_bytes().replace(b'"horizon": 1', b'"horizon": 1' + b"0" * 5000),
+     "not valid JSON"),
 ]
 
 
@@ -114,7 +119,7 @@ def test_deflate_then_verify_and_stopped_check(fixtures, tmp_path):
 
     ky = str(tmp_path / "ky.json")
     assert run(["ky-verify", "--tree", tree_out, "--deflator", "Z",
-                "--price", "S", "--hitting", "5", "--out", ky]) == 0
+                "--price", "S", "--out", ky]) == 0
     assert read(ky)["verdicts"]["kunita_yoeurp"] is True
 
     sc = str(tmp_path / "stopped.json")
@@ -214,8 +219,9 @@ def test_simulate_levy_with_params_and_csv(fixtures, tmp_path):
     assert path_lines[0].startswith("path,seed,")
 
 
-@pytest.mark.parametrize("text", [b"[1, 2]", b'{"a": "\xe9"}'],
-                         ids=["json-array", "not-utf8"])
+@pytest.mark.parametrize("text", [b"[1, 2]", b'{"a": "\xe9"}',
+                                  b'{"a": 1' + b"0" * 5000 + b"}"],
+                         ids=["json-array", "not-utf8", "5001-digit-int"])
 def test_simulate_rejects_bad_params_files(tmp_path, capsys, text):
     params = tmp_path / "params.json"
     params.write_bytes(text)
@@ -234,20 +240,6 @@ def test_simulate_diffusion_quick(tmp_path):
     report = read(out)
     assert set(report["verdicts"]) == {"density_mean", "deflated_price",
                                        "deflated_wealth"}
-
-
-def test_environment_seed_override(tmp_path, monkeypatch):
-    out1 = tmp_path / "a.json"
-    out2 = tmp_path / "b.json"
-    monkeypatch.setenv("DEFLATOR_LAB_SEED", "99")
-    run(["simulate", "--scenario", "levy", "--paths", "500", "--steps", "8",
-         "--seed", "1", "--out", str(out1)])
-    monkeypatch.delenv("DEFLATOR_LAB_SEED")
-    run(["simulate", "--scenario", "levy", "--paths", "500", "--steps", "8",
-         "--seed", "99", "--out", str(out2)])
-    a, b = read(out1), read(out2)
-    assert a["values"]["tests"] == b["values"]["tests"]
-    assert a["config"]["seed"] == 99
 
 
 def test_scenario_unknown_name_lists_available(tmp_path, capsys):
@@ -351,13 +343,10 @@ def test_simulate_rejects_bad_thread_counts(tmp_path, capsys, threads):
     assert "--threads" in capsys.readouterr().err
 
 
-def test_simulate_rejects_negative_seeds(tmp_path, capsys, monkeypatch):
+def test_simulate_rejects_negative_seeds(tmp_path, capsys):
     argv = ["simulate", "--scenario", "levy", "--paths", "200", "--steps", "4",
             "--out", str(tmp_path / "r.json")]
     assert run(argv + ["--seed", "-1"]) == 2
-    assert "seed" in capsys.readouterr().err
-    monkeypatch.setenv("DEFLATOR_LAB_SEED", "-4")
-    assert run(argv + ["--seed", "3"]) == 2
     assert "seed" in capsys.readouterr().err
 
 
@@ -387,13 +376,13 @@ def test_ky_verify_on_a_long_path(tmp_path):
     out = tmp_path / "ky.json"
     proc = subprocess.run(
         [sys.executable, "-m", "deflator_lab.cli", "ky-verify", "--tree", path,
-         "--deflator", "Z", "--price", "S", "--hitting", "3", "--out", str(out)],
+         "--deflator", "Z", "--price", "S", "--out", str(out)],
         env=subprocess_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     report = read(out)
     assert report["verdicts"]["kunita_yoeurp"] is True
-    assert report["values"]["stopping_times"] == 3
+    assert report["values"]["stopping_times"] == 10
 
 
 def insider_files(fixtures, tmp_path, P=None, S=None, labels=None):
@@ -537,7 +526,7 @@ def test_unnormalized_deflator_passes_ky_verify(fixtures, tmp_path):
     out = tmp_path / "ky.json"
     proc = subprocess.run(
         [sys.executable, "-m", "deflator_lab.cli", "ky-verify", "--tree",
-         deflated, "--price", "S", "--hitting", "3", "--out", str(out)],
+         deflated, "--price", "S", "--out", str(out)],
         env=subprocess_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert read(out)["verdicts"] == {"kunita_yoeurp": True}
@@ -547,7 +536,100 @@ def test_ky_verify_rejects_an_unknown_price(fixtures, tmp_path, capsys):
     deflated = plain_deflate(fixtures, tmp_path)
     out = tmp_path / "ky.json"
     assert run(["ky-verify", "--tree", deflated, "--price", "NOPE",
-                "--hitting", "3", "--out", str(out)]) == 2
+                "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "--price" in err and "NOPE" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["check", "--na"], ["check", "--na1"],
+                                  ["ky-verify", "--hitting", "3"],
+                                  ["ky-verify", "--seed", "1"]],
+                         ids=["na", "na1", "hitting", "seed"])
+def test_retired_flags_are_unrecognized(fixtures, tmp_path, capsys, argv):
+    out = tmp_path / "r.json"
+    tree = str(fixtures["exponential-death"] / "tree.json")
+    assert run([argv[0], "--tree", tree, *argv[1:], "--out", str(out)]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("asset_dim, S", [
+    (2, {"0": ["1"], "1": ["2"], "2": ["1/2"]}),
+    (1, {"0": ["1", "1"], "1": ["2", "1"], "2": ["1/2", "1"]})],
+    ids=["asset-dim-2", "price-dim-2"])
+@pytest.mark.parametrize("command", [["enlarge", "insider", "--event", "u"],
+                                     ["enlarge", "logutility"],
+                                     ["stopped-check"]],
+                         ids=["insider", "logutility", "stopped-check"])
+def test_price_of_the_wrong_dimension_exits_2(fixtures, tmp_path, capsys,
+                                              command, asset_dim, S):
+    tree, label_map = insider_files(fixtures, tmp_path, S=S)
+    doc = read(tree) | {"asset_dim": asset_dim}
+    doc["processes"]["Z"] = {"0": ["1"], "1": ["1"], "2": ["1"]}
+    with open(tree, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    out = tmp_path / "r.json"
+    argv = [*command, "--tree", tree, "--out", str(out)]
+    if command[0] == "enlarge":
+        argv += ["--label-map", label_map]
+    assert run(argv) == 2
+    assert "--price" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("params, named", [({"pi": None}, "pi"),
+                                           ({"mu": 1e308}, "parameters")],
+                         ids=["null-pi", "overflowing-mu"])
+def test_simulate_rejects_degenerate_diffusion_params(tmp_path, capsys, params,
+                                                      named):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(params))
+    out = tmp_path / "r.json"
+    assert run(["simulate", "--scenario", "diffusion", "--params", str(path),
+                "--paths", "100", "--steps", "4", "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tree_side_commands_on_a_horizon_5000_path(tmp_path):
+    """Five thousand levels, in process: nothing may recurse per level."""
+    horizon = 5000
+    tf = treeio.TreeFile(
+        EventTree.singleton_path(horizon),
+        ProbMeasure({horizon: Fraction(1)}),
+        {"S": AdaptedProcess.of_scalars({t: 1 for t in range(horizon + 1)}),
+         "Z": AdaptedProcess.of_scalars(
+             {t: Fraction(1, t + 1) for t in range(horizon + 1)})})
+    tree = str(tmp_path / "path.json")
+    treeio.save(tf, tree)
+    out = str(tmp_path / "r.json")
+    for argv in (["check", "--tree", tree, "--out", out],
+                 ["deflate", "--tree", tree, "--name", "D",
+                  "--out", str(tmp_path / "d.json"), "--report", out],
+                 ["foellmer", "--tree", tree, "--out", str(tmp_path / "q.json"),
+                  "--report", out],
+                 ["ky-verify", "--tree", tree, "--price", "S", "--out", out],
+                 ["stopped-check", "--tree", tree, "--out", out]):
+        assert run(argv) == 0, argv
+
+
+def readme_commands():
+    """Every `deflator-lab ...` command of the README's sh blocks, with its
+    backslash continuations joined."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["deflator-lab"]:
+                yield argv[1:]
+
+
+def test_readme_commands_parse():
+    commands = list(readme_commands())
+    assert len(commands) > 10
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

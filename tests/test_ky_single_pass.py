@@ -4,6 +4,7 @@ dominating measures.  Equality is exact: same gamma dicts, same failure
 lists in the same order, same stopped-price violations and verdicts."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -74,6 +75,11 @@ def check_antichain_test(rng, tree):
     return True
 
 
+def failing_atoms(report, kind):
+    return {int(m[1]) for f in report.failures
+            if (m := re.match(kind + r": atom (\d+)\b", f))}
+
+
 def assert_matches_oracle(dm, S, taus):
     tree = dm.tree
     alive = dm.alive_masses()
@@ -87,6 +93,10 @@ def assert_matches_oracle(dm, S, taus):
     assert dm.gamma() == ky_oracle.gamma(dm)
     report = verify_ky(dm, taus)
     assert report.failures == ky_oracle.verify_ky_failures(dm, taus)
+    # a stopped identity at u is property 3 at u, so no stopping time can
+    # name a failing atom that property 3 does not
+    assert failing_atoms(report, r"stopping time \d+") <= failing_atoms(
+        report, "property 3")
     stopped = check_stopped_price(dm, S)
     violations, deflation_ok = ky_oracle.stopped_price(dm, S)
     assert stopped.violations == violations

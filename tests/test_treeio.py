@@ -18,7 +18,8 @@ def test_parse_rational_accepts_canonical_forms():
 
 
 @pytest.mark.parametrize("bad", ["2/4", "1/1", "0.5", "1e-3", "+1", "1/-2",
-                                 " 1/2", "1/2 ", "1 / 2", "", "inf", None, 0.5, 2])
+                                 " 1/2", "1/2 ", "1 / 2", "", "inf", None, 0.5, 2,
+                                 "1/0"])
 def test_parse_rational_rejects_noncanonical_and_floats(bad):
     with pytest.raises(TreeFileError):
         parse_rational(bad)
