@@ -353,12 +353,14 @@ def load_params(path: str) -> dict:
 
 def cmd_simulate(args) -> int:
     # numpy loads here only, so the exact tree-side commands start without it
-    from .montecarlo import (MIN_PATHS_FOR_VERDICT, DiffusionScenario,
-                             InsiderDriftScenario, LevyScenario,
-                             analytic_frozen_mean, diffusion_report,
-                             information_drift_deflator, sample_diffusion_paths,
-                             sample_insider_paths, sample_levy_paths,
-                             simulate_levy_counterexample,
+    import numpy as np
+
+    from .montecarlo import (MIN_PATHS_FOR_VERDICT, STREAM_VERSION,
+                             DiffusionScenario, InsiderDriftScenario,
+                             LevyScenario, analytic_frozen_mean,
+                             diffusion_report, information_drift_deflator,
+                             sample_diffusion_paths, sample_insider_paths,
+                             sample_levy_paths, simulate_levy_counterexample,
                              simulate_survival_measure)
 
     started = time.perf_counter()
@@ -393,6 +395,10 @@ def cmd_simulate(args) -> int:
         return dataclasses.replace(t, crit=args.confidence)
 
     sampler = None
+    pi = None
+    # overflow and invalid operations raise FloatingPointError, an
+    # ArithmeticError, so no inf or nan reaches the report
+    saved = np.seterr(over="raise", invalid="raise", divide="raise")
     try:
         if args.scenario == "diffusion":
             pi = params.pop("pi", 1.0)
@@ -449,6 +455,12 @@ def cmd_simulate(args) -> int:
             raise CliError(f"unknown scenario {args.scenario!r}")
     except (ArithmeticError, TypeError, ValueError) as exc:
         raise CliError(f"invalid simulation parameters: {exc}") from exc
+    finally:
+        np.seterr(**saved)
+
+    values["scenario"] = dataclasses.asdict(sc) | (
+        {} if pi is None else {"pi": pi})
+    values["stream_version"] = STREAM_VERSION
 
     values["tests"] = {name: test_json(t) for name, t in tests.items()}
     report = make_report(args, f"montecarlo.{args.scenario}", started,

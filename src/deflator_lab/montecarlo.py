@@ -3,30 +3,36 @@ exponential deflators for drifted Brownian motion, the jump counterexample
 with its death-time repair, the survival-measure supermartingale gap, and the
 insider information-drift deflator.
 
-Reproducibility contract: path i draws from the counter-based Philox stream
-keyed by (seed, i), and all reductions over paths run in a fixed pairwise
-order, so results are bit-identical across runs and across worker counts.
+Stream version 2 (`STREAM_VERSION`): block b of `PATH_BLOCK` paths draws from
+one Philox generator keyed by `SeedSequence(entropy=seed, spawn_key=(b,))`,
+in chunks of at most max(1, CHUNK_FLOATS // width) consecutive paths, where
+width is the number of variates a path needs.  A chunk draws each kind of
+variate as one array in C order, path by path:
+
+- diffusion: per cell, one standard normal scaled to N(0, len * dt), where a
+  cell is a run of steps with constant holding; no holding, or a scalar one,
+  is one cell, and the sampler takes one cell per step;
+- survival: per cell, Poisson(len * dt) up and then down jump counts;
+- jump counterexample: exponential death times, then per cell the up and
+  down counts of its part before death (the estimators' one cell is
+  [0, horizon]; the sampler's are the grid cells, whose parts after death it
+  draws next);
+- insider: steps normals for the grid increments, then one for the endpoint.
+
+Only the counterexample draws more than one array per chunk, so only there is
+the chunk layout part of the stream.  Reductions over paths run in a fixed
+pairwise order, so results are bit-identical across runs and worker counts.
 The pinned generator is part of the scenario identity: a different
-counter-based generator reproduces the statistics, not the bits.
-
-Path keys: the key of path i is numpy's
-`SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(2, np.uint64)`,
-which is what `path_rng(seed, i)` seeds Philox with.  The estimators derive
-the keys of a whole block of `PATH_BLOCK` paths in one vectorized pass over
-uint32 words (`_path_keys`), give the block one generator and re-key it per
-path with counter zero and an empty buffer, so each path draws exactly the
-variates `path_rng(seed, i)` would, without building a seed sequence and a
-generator per path.
-
-Jumps are never thinned onto the grid: exponential clocks and Poisson counts
-are drawn exactly, so the laws of the jump processes are exact and only
-strategy integrals (piecewise-constant on the grid by definition) interact
-with the grid at all.
+counter-based generator reproduces the statistics, not the bits.  Death
+times and jump counts are exact draws, never thinned onto the grid, so only
+strategy integrals (piecewise constant on the grid) meet the grid at all.
 """
 
 from __future__ import annotations
 
-import operator
+import dataclasses
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -34,14 +40,9 @@ import numpy as np
 
 MIN_PATHS_FOR_VERDICT = 100
 DEFAULT_CONFIDENCE_SIGMAS = 3.0
+STREAM_VERSION = 2
 PATH_BLOCK = 4096
-
-
-def path_rng(seed: int, index: int) -> np.random.Generator:
-    """The sub-stream owned by one path: Philox keyed by (seed, path index)."""
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed,
-                                                spawn_key=(index,))))
+CHUNK_FLOATS = 2 ** 14
 
 
 def pairwise_sum(values: np.ndarray) -> float:
@@ -64,9 +65,10 @@ def pairwise_sum(values: np.ndarray) -> float:
 class PathBatch:
     """Sampled trajectories on the grid for inspection and plotting.
 
-    Every row reproduces deterministically from its stream id (seed, path
-    index); estimators never consume these arrays, they re-draw the same
-    streams, so sampling paths cannot perturb any reported statistic."""
+    Row r is path r of the stream (seed, path index), drawn by its law's
+    kernel with one cell per grid step: insider rows are the estimators'
+    paths, other rows share their law but not their variates.  Estimators
+    never consume these arrays, so sampling cannot perturb any statistic."""
 
     times: "np.ndarray"
     values: dict[str, "np.ndarray"]       # name -> paths x grid points
@@ -125,118 +127,81 @@ def summarize(per_path: np.ndarray, target: float = 0.0,
                           crit=crit, insufficient=n < MIN_PATHS_FOR_VERDICT)
 
 
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
+def _run_blocks(seed: int, n_paths: int, width: int, chunk, threads: int = 1
+                ) -> list[np.ndarray]:
+    """The arrays chunk(rng, rows) returns, one row per path, for paths
+    0..n_paths-1, each concatenated in path order.
 
+    Block b draws from Philox keyed by (seed, b), and chunk sees its paths in
+    consecutive runs of at most max(1, CHUNK_FLOATS // width) rows, under
+    the caller's floating-point error settings."""
+    rows = max(1, CHUNK_FLOATS // width)
+    errors = np.geterr()
 
-def _hashmix(value, const: int):
-    """SeedSequence's hashmix of a uint32 word (an int, or a uint32 array
-    whose products wrap mod 2**32), and the next hash constant."""
-    value = value ^ const
-    const = const * _MULT_A & _MASK32
-    value = value * const & _MASK32
-    return value ^ value >> 16, const
+    def run_block(block: int) -> list[tuple]:
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(entropy=seed, spawn_key=(block,))))
+        size = min(PATH_BLOCK, n_paths - block * PATH_BLOCK)
+        with np.errstate(**errors):
+            return [chunk(rng, min(rows, size - start))
+                    for start in range(0, size, rows)]
 
-
-def _mix(x, y):
-    r = ((_MIX_MULT_L * x & _MASK32) - _MIX_MULT_R * y) & _MASK32
-    return r ^ r >> 16
-
-
-def _path_keys(seed: int, start: int, stop: int) -> np.ndarray:
-    """Philox keys of paths start..stop-1 as a (stop - start) x 2 uint64
-    array: row i - start equals
-    SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(2, np.uint64).
-
-    This is SeedSequence's algorithm with the spawn key, the last entropy
-    word, held as an array of path indices: the words before it mix into the
-    pool as plain ints, the same for every path, and only the last word's
-    mixing and the output hash run on arrays."""
-    if not 0 <= start <= stop <= 2 ** 32:
-        raise ValueError(f"path indices must lie in [0, 2**32] "
-                         f"(got {start}..{stop})")
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer (got {seed})")
-    entropy = []
-    while True:
-        entropy.append(seed & _MASK32)
-        seed >>= 32
-        if not seed:
-            break
-    # numpy pads the run entropy to the pool size when a spawn key follows
-    entropy += [0] * (_POOL_SIZE - len(entropy))
-    entropy.append(np.arange(start, stop, dtype=np.uint32))
-    const = _INIT_A
-    pool = []
-    for word in entropy[:_POOL_SIZE]:
-        word, const = _hashmix(word, const)
-        pool.append(word)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                mixed, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], mixed)
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            mixed, const = _hashmix(word, const)
-            pool[dst] = _mix(pool[dst], mixed)
-    # generate_state(2, np.uint64): four output words, little-endian pairs
-    const = _INIT_B
-    out = []
-    for word in pool:
-        word = word ^ const
-        const = const * _MULT_B & _MASK32
-        word = word * const & _MASK32
-        out.append((word ^ word >> 16).astype(np.uint64))
-    keys = np.empty((stop - start, 2), dtype=np.uint64)
-    keys[:, 0] = out[0] | out[1] << np.uint64(32)
-    keys[:, 1] = out[2] | out[3] << np.uint64(32)
-    return keys
-
-
-def _run_paths(seed: int, n_paths: int, one_path, threads: int = 1
-               ) -> np.ndarray:
-    """Evaluate one_path(rng, i) for every path into a path-indexed array,
-    with rng positioned at the start of path i's stream."""
-    out = np.empty(n_paths, dtype=np.float64)
-
-    def run_block(start: int, stop: int) -> None:
-        keys = _path_keys(seed, start, stop)
-        rng = path_rng(seed, start)
-        bitgen = rng.bit_generator
-        # the state Philox(key) starts in: counter 0, buffer used up, no
-        # cached 32-bit half; only the key changes from path to path
-        state = {"bit_generator": "Philox",
-                 "state": {"counter": np.zeros(4, dtype=np.uint64),
-                           "key": keys[0]},
-                 "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-                 "has_uint32": 0, "uinteger": 0}
-        for i in range(start, stop):
-            state["state"]["key"] = keys[i - start]
-            bitgen.state = state
-            out[i] = one_path(rng, i)
-
-    blocks = [(s, min(s + PATH_BLOCK, n_paths))
-              for s in range(0, n_paths, PATH_BLOCK)]
+    blocks = range(-(-n_paths // PATH_BLOCK))
     if threads <= 1 or len(blocks) == 1:
-        for s, e in blocks:
-            run_block(s, e)
+        done = [run_block(b) for b in blocks]
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda se_: run_block(*se_), blocks))
+            done = list(pool.map(run_block, blocks))
+    parts = [part for block in done for part in block]
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+def _check_scenario(sc) -> None:
+    """Integers where a field is declared int and finite real numbers
+    elsewhere, booleans being neither; one path or more, a seed >= 0, one
+    step or more and a positive horizon."""
+    for field in dataclasses.fields(sc):
+        value = getattr(sc, field.name)
+        integral = field.type == "int"
+        if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral if integral else numbers.Real) \
+                or not abs(value) < math.inf:
+            kind = "an integer" if integral else "a finite real number"
+            raise ValueError(f"{field.name} must be {kind} (got {value!r})")
+    if sc.paths < 1:
+        raise ValueError(f"paths must be at least 1 (got {sc.paths})")
+    if sc.seed < 0:
+        raise ValueError(f"seed must be non-negative (got {sc.seed})")
+    if sc.steps < 1 or sc.horizon <= 0:
+        raise ValueError("need a positive horizon and at least one step")
+
+
+def _cells(pi, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The runs of constant holding in pi, a number or one per grid step:
+    their lengths in steps, and the holding on each."""
+    if any(isinstance(x, (bool, np.bool_))
+           for x in np.asarray(pi, dtype=object).flat):
+        raise ValueError("pi must hold numbers, not booleans")
+    pi_arr = np.broadcast_to(np.asarray(pi, dtype=np.float64), (steps,))
+    if not np.all(np.isfinite(pi_arr)):     # None reads as nan
+        raise ValueError("pi: strategy must be bounded")
+    starts = np.flatnonzero(np.r_[True, pi_arr[1:] != pi_arr[:-1]])
+    return np.diff(np.r_[starts, steps]), pi_arr[starts]
+
+
+def _from_zero(increments: np.ndarray) -> np.ndarray:
+    """Running sums of rows x steps increments on the grid: rows x steps+1."""
+    out = np.zeros((increments.shape[0], increments.shape[1] + 1))
+    np.cumsum(increments, axis=1, out=out[:, 1:])
     return out
 
 
-def _check_paths(paths: int) -> None:
-    if paths < 1:
-        raise ValueError(f"paths must be at least 1 (got {paths})")
+def _jump_counts(rng: np.random.Generator, spans: np.ndarray) -> np.ndarray:
+    """Unit-rate up and then down jump counts over each span, as an array of
+    shape spans.shape + (2,)."""
+    return rng.poisson(spans[..., None], spans.shape + (2,))
 
 
 # -- drifted Brownian motion ------------------------------------------------------
@@ -259,11 +224,9 @@ class DiffusionScenario:
     s0: float = 1.0
 
     def __post_init__(self) -> None:
+        _check_scenario(self)
         if self.sigma <= 0:
-            raise ValueError("volatility must be positive")
-        if self.steps < 1 or self.horizon <= 0:
-            raise ValueError("need a positive horizon and at least one step")
-        _check_paths(self.paths)
+            raise ValueError("sigma: volatility must be positive")
 
     @property
     def lam(self) -> float:
@@ -277,47 +240,43 @@ class DiffusionReport:
     deflated_wealth: MartingaleTest    # E[Z_T W_T] - 1 against 0
 
 
+def _motion(rng: np.random.Generator, rows: int, var: np.ndarray
+            ) -> np.ndarray:
+    """Independent Brownian increments, N(0, var[j]) in cell j: rows x cells."""
+    return rng.standard_normal((rows, var.size)) * np.sqrt(var)
+
+
 def _diffusion_columns(sc: DiffusionScenario,
-                       pi: Optional[Union[float, Sequence[float]]],
-                       threads: int
-                       ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Per-path Z_T - 1, Z_T S_T - S_0 and, when a holding pi is given,
-    Z_T W_T - 1 (else None), all from one draw of each path's increments."""
-    dt = sc.horizon / sc.steps
-    sqrt_dt = np.sqrt(dt)
+                       cells: Optional[tuple[np.ndarray, np.ndarray]],
+                       threads: int) -> list[np.ndarray]:
+    """Per-path Z_T - 1, Z_T S_T - S_0 and, when the cells of a holding are
+    given, Z_T W_T - 1, all from one draw of each path's cell increments."""
+    lengths, hold = cells or (np.array([sc.steps]), None)
+    var = lengths * (sc.horizon / sc.steps)
     lam = sc.lam
     half_qv = 0.5 * lam ** 2 * sc.sigma ** 2 * sc.horizon
-    price = np.empty(sc.paths, dtype=np.float64)
-    wealth = None
-    if pi is not None:
-        pi_arr = np.broadcast_to(np.asarray(pi, dtype=np.float64), (sc.steps,))
-        if not np.all(np.isfinite(pi_arr)):
-            raise ValueError("strategy must be bounded")
-        wealth = np.empty(sc.paths, dtype=np.float64)
 
-    def one_path(rng: np.random.Generator, i: int) -> float:
-        dw = rng.standard_normal(sc.steps) * sqrt_dt
-        w_t = float(dw.sum())
+    def chunk(rng: np.random.Generator, rows: int) -> tuple:
+        dw = _motion(rng, rows, var)
+        w_t = dw.sum(axis=1)
         z_t = np.exp(-lam * sc.sigma * w_t - half_qv)
-        s_t = sc.s0 + sc.mu * sc.horizon + sc.sigma * w_t
-        price[i] = z_t * s_t - sc.s0
-        if wealth is not None:
-            gains = float(np.dot(pi_arr, sc.mu * dt + sc.sigma * dw))
-            wealth[i] = z_t * (1.0 + gains) - 1.0
-        return float(z_t) - 1.0
+        price = z_t * (sc.s0 + sc.mu * sc.horizon + sc.sigma * w_t) - sc.s0
+        if hold is None:
+            return z_t - 1.0, price
+        gains = (hold * (sc.mu * var + sc.sigma * dw)).sum(axis=1)
+        return z_t - 1.0, price, z_t * (1.0 + gains) - 1.0
 
-    density = _run_paths(sc.seed, sc.paths, one_path, threads)
-    return density, price, wealth
+    return _run_blocks(sc.seed, sc.paths, lengths.size, chunk, threads)
 
 
 def diffusion_report(sc: DiffusionScenario,
                      pi: Union[float, Sequence[float]],
                      threads: int = 1) -> DiffusionReport:
-    """The three diffusion tests from one pass over the paths; each equals
-    what its own estimator below reports."""
-    if pi is None:
-        raise ValueError("pi: the deflated-wealth test needs a holding")
-    density, price, wealth = _diffusion_columns(sc, pi, threads)
+    """The three diffusion tests from one pass over the paths.  With a
+    constant holding each equals what its own estimator below reports; a
+    varying one splits the paths' draws into its cells."""
+    density, price, wealth = _diffusion_columns(
+        sc, _cells(pi, sc.steps), threads)
     return DiffusionReport(density_mean=summarize(density),
                            deflated_price=summarize(price),
                            deflated_wealth=summarize(wealth))
@@ -328,7 +287,7 @@ def simulate_deflated_wealth(sc: DiffusionScenario,
                              threads: int = 1) -> MartingaleTest:
     """Estimate E[Z_T W_T] - 1 for the wealth W of a piecewise-constant
     holding pi (in units of the asset), which vanishes when Z deflates."""
-    return summarize(_diffusion_columns(sc, pi, threads)[2])
+    return summarize(_diffusion_columns(sc, _cells(pi, sc.steps), threads)[2])
 
 
 def deflated_price_test(sc: DiffusionScenario, threads: int = 1
@@ -344,17 +303,18 @@ def density_mean_test(sc: DiffusionScenario, threads: int = 1) -> MartingaleTest
 
 def sample_diffusion_paths(sc: DiffusionScenario, n: int = 100) -> PathBatch:
     """Grid trajectories of the motion, the price and the density for the
-    first n paths (same streams, same draws as the estimators)."""
+    first n paths."""
     n = min(n, sc.paths)
-    dt = sc.horizon / sc.steps
-    lam = sc.lam
     times = np.linspace(0.0, sc.horizon, sc.steps + 1)
-    w = np.empty((n, sc.steps + 1))
-    for i in range(n):
-        dw = path_rng(sc.seed, i).standard_normal(sc.steps) * np.sqrt(dt)
-        w[i] = np.concatenate([[0.0], np.cumsum(dw)])
-    s = sc.s0 + sc.mu * times + sc.sigma * w
-    z = np.exp(-lam * sc.sigma * w - 0.5 * lam ** 2 * sc.sigma ** 2 * times)
+    var = np.full(sc.steps, sc.horizon / sc.steps)
+    theta = sc.lam * sc.sigma           # the market price of risk
+
+    def chunk(rng: np.random.Generator, rows: int) -> tuple:
+        w = _from_zero(_motion(rng, rows, var))
+        return (w, sc.s0 + sc.mu * times + sc.sigma * w,
+                np.exp(-theta * w - 0.5 * theta ** 2 * times))
+
+    w, s, z = _run_blocks(sc.seed, n, sc.steps + 1, chunk)
     return PathBatch(times, {"motion": w, "price": s, "density": z},
                      [(sc.seed, i) for i in range(n)])
 
@@ -377,16 +337,23 @@ class LevyScenario:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_scenario(self)
         if not self.a > abs(self.b):
             raise ValueError("need death intensity a > |b|")
-        if self.horizon <= 0 or self.steps < 1:
-            raise ValueError("need a positive horizon and at least one step")
-        _check_paths(self.paths)
 
 
 def analytic_frozen_mean(sc: LevyScenario) -> float:
     """E of the pre-death jump process at the horizon: b E[T and horizon]."""
     return float(sc.b * (1.0 - np.exp(-sc.a * sc.horizon)) / sc.a)
+
+
+def _killed_jumps(rng: np.random.Generator, rows: int, a: float,
+                  cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Death times tau ~ Exp(a), the part of each cell between consecutive
+    cuts that precedes death (rows x cells), and its jump counts."""
+    tau = rng.exponential(1.0 / a, rows)
+    alive = np.clip(np.minimum(cuts[1:], tau[:, None]) - cuts[:-1], 0.0, None)
+    return tau, alive, _jump_counts(rng, alive)
 
 
 def simulate_levy_counterexample(sc: LevyScenario, threads: int = 1
@@ -395,21 +362,18 @@ def simulate_levy_counterexample(sc: LevyScenario, threads: int = 1
     repaired process, which subtracts b/a at death, against 0 (a martingale).
 
     The path functional only needs the jump counts at T and horizon, drawn
-    exactly; no grid enters.  Both statistics come from the same stream, path
+    exactly; no grid enters.  Both statistics come from the same draws, path
     by path, so the repair is tested on exactly the paths that drift.
     """
-    corrections = np.empty(sc.paths, dtype=np.float64)
+    cuts = np.array([0.0, sc.horizon])
 
-    def raw_path(rng: np.random.Generator, i: int) -> float:
-        tau = rng.exponential(1.0 / sc.a)
-        t = min(tau, sc.horizon)
-        n_up = rng.poisson(t)
-        n_down = rng.poisson(t)
-        corrections[i] = (sc.b / sc.a) * (1.0 if tau <= sc.horizon else 0.0)
-        return n_up - n_down + sc.b * t
+    def chunk(rng: np.random.Generator, rows: int) -> tuple:
+        tau, alive, counts = _killed_jumps(rng, rows, sc.a, cuts)
+        frozen = counts[:, 0, 0] - counts[:, 0, 1] + sc.b * alive[:, 0]
+        return frozen, frozen - (sc.b / sc.a) * (tau <= sc.horizon)
 
-    raw_vals = _run_paths(sc.seed, sc.paths, raw_path, threads)
-    return summarize(raw_vals), summarize(raw_vals - corrections)
+    frozen, repaired = _run_blocks(sc.seed, sc.paths, 2, chunk, threads)
+    return summarize(frozen), summarize(repaired)
 
 
 def simulate_survival_measure(sc: LevyScenario,
@@ -421,35 +385,25 @@ def simulate_survival_measure(sc: LevyScenario,
 
     The wealth of the fraction-of-wealth strategy pi multiplies by
     (1 +- pi) at jumps and grows at rate pi b between events; admissibility is
-    exactly |pi| <= 1.  The gap is asserted nonpositive up to the stated
-    confidence: the deflated wealth drifts at rate (pi b - a) < 0.
+    exactly |pi| <= 1.  So on each cell of constant pi it gains
+    (1 + pi)^up (1 - pi)^down e^{b pi len dt}, exactly.  The gap is asserted
+    nonpositive up to the stated confidence: the deflated wealth drifts at
+    rate (pi b - a) < 0.
     """
-    pi_arr = np.broadcast_to(np.asarray(pi, dtype=np.float64), (sc.steps,))
-    if np.any(np.abs(pi_arr) > 1.0):
-        raise ValueError("admissibility requires |pi| <= 1")
-    # Python floats: the same IEEE arithmetic, without numpy-scalar indexing
-    pi_cells = pi_arr.tolist()
-    dt = sc.horizon / sc.steps
-    z_end = float(np.exp(-sc.a * sc.horizon))
+    lengths, hold = _cells(pi, sc.steps)
+    if not np.all(np.abs(hold) <= 1.0):
+        raise ValueError("pi: admissibility requires |pi| <= 1")
+    spans = lengths * (sc.horizon / sc.steps)
+    # the deflator e^{-a horizon} times the drift e^{b int pi}, path-free
+    scale = float(np.exp(sc.b * (hold * spans).sum() - sc.a * sc.horizon))
 
-    def one_path(rng: np.random.Generator, i: int) -> float:
-        n_up = rng.poisson(sc.horizon)
-        n_down = rng.poisson(sc.horizon)
-        ups = rng.uniform(0.0, sc.horizon, n_up).tolist()
-        downs = rng.uniform(0.0, sc.horizon, n_down).tolist()
-        events = [(t, +1) for t in ups] + [(t, -1) for t in downs]
-        events.sort()
-        w = 1.0
-        t_prev = 0.0
-        for t, jump in events:
-            w *= _drift_factor(pi_cells, sc.b, dt, t_prev, t)
-            cell = min(int(t / dt), sc.steps - 1)
-            w *= 1.0 + pi_cells[cell] * jump
-            t_prev = t
-        w *= _drift_factor(pi_cells, sc.b, dt, t_prev, sc.horizon)
-        return z_end * w - 1.0
+    def chunk(rng: np.random.Generator, rows: int) -> tuple:
+        counts = _jump_counts(rng, np.broadcast_to(spans, (rows, spans.size)))
+        jumps = (1.0 + hold) ** counts[..., 0] * (1.0 - hold) ** counts[..., 1]
+        return (scale * jumps.prod(axis=1) - 1.0,)
 
-    test = summarize(_run_paths(sc.seed, sc.paths, one_path, threads))
+    test = summarize(_run_blocks(sc.seed, sc.paths, 2 * spans.size, chunk,
+                                 threads)[0])
     if test.mean > test.crit * test.se:
         raise AssertionError(
             f"survival-measure gap {test.mean:.6f} exceeds 0 by more than "
@@ -457,54 +411,22 @@ def simulate_survival_measure(sc: LevyScenario,
     return test
 
 
-def _drift_factor(pi_cells: list[float], b: float, dt: float,
-                  t_from: float, t_to: float) -> float:
-    """exp(b * integral of pi) across grid cells between two event times; the
-    strategy is constant on each cell, so the integral is exact."""
-    if t_to <= t_from:
-        return 1.0
-    acc = 0.0
-    pos = t_from
-    for cell in range(int(t_from / dt), len(pi_cells)):
-        edge = (cell + 1) * dt
-        if edge >= t_to:            # the last cell: the integral ends at t_to
-            acc += pi_cells[cell] * (t_to - pos)
-            break
-        acc += pi_cells[cell] * (edge - pos)
-        pos = edge
-    return float(np.exp(b * acc))
-
-
 def sample_levy_paths(sc: LevyScenario, n: int = 100) -> PathBatch:
     """Grid trajectories of the jump process, its pre-death freeze and the
-    repaired process, for the first n paths.  The estimators need only the
-    counts at the death time, so the sampler spends its streams on the full
-    jump-time layout instead; the law is the same, the variates are not."""
+    repaired process, for the first n paths.  The counts after death, which
+    the estimators never need, are drawn after those before it."""
     n = min(n, sc.paths)
     times = np.linspace(0.0, sc.horizon, sc.steps + 1)
-    raw = np.empty((n, sc.steps + 1))
-    frozen = np.empty((n, sc.steps + 1))
-    repaired = np.empty((n, sc.steps + 1))
-    for i in range(n):
-        rng = path_rng(sc.seed, i)
-        tau = rng.exponential(1.0 / sc.a)
-        n_up = rng.poisson(sc.horizon)
-        n_down = rng.poisson(sc.horizon)
-        ups = np.sort(rng.uniform(0.0, sc.horizon, n_up))
-        downs = np.sort(rng.uniform(0.0, sc.horizon, n_down))
-        jumps = (np.searchsorted(ups, times, side="right")
-                 - np.searchsorted(downs, times, side="right"))
-        level = jumps + sc.b * times
-        raw[i] = level
-        if tau <= sc.horizon:
-            before = times < tau
-            freeze_jumps = (np.searchsorted(ups, tau) - np.searchsorted(downs, tau))
-            freeze = freeze_jumps + sc.b * tau
-            frozen[i] = np.where(before, level, freeze)
-            repaired[i] = frozen[i] - (sc.b / sc.a) * (~before)
-        else:
-            frozen[i] = level
-            repaired[i] = level
+
+    def chunk(rng: np.random.Generator, rows: int) -> tuple:
+        tau, alive, before = _killed_jumps(rng, rows, sc.a, times)
+        after = _jump_counts(rng, np.diff(times) - alive)
+        jumps = before[..., 0] - before[..., 1]
+        frozen = _from_zero(jumps) + sc.b * np.minimum(times, tau[:, None])
+        raw = _from_zero(jumps + after[..., 0] - after[..., 1]) + sc.b * times
+        return raw, frozen, frozen - (sc.b / sc.a) * (times >= tau[:, None])
+
+    raw, frozen, repaired = _run_blocks(sc.seed, n, 2 * (sc.steps + 1), chunk)
     return PathBatch(times, {"jump_process": raw, "frozen": frozen,
                              "repaired": repaired},
                      [(sc.seed, i) for i in range(n)])
@@ -525,13 +447,11 @@ class InsiderDriftScenario:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.steps < 1:
-            raise ValueError("need at least one step")
+        _check_scenario(self)
         if not 0 < self.horizon <= 1.0 - 1.0 / self.steps:
             raise ValueError(
                 f"horizon must lie in (0, 1 - 1/steps]: the drift blows up at "
                 f"the revealed endpoint (got {self.horizon})")
-        _check_paths(self.paths)
 
 
 @dataclass
@@ -540,54 +460,54 @@ class InsiderDriftReport:
     deflated_motion: MartingaleTest    # E[Z_t W_t] against 0
 
 
+def _insider_motion(rng: np.random.Generator, rows: int,
+                    sc: InsiderDriftScenario) -> tuple[np.ndarray, np.ndarray]:
+    """The motion on the grid (rows x steps + 1) and the log-density
+    increments -alpha dM - alpha^2 dt / 2 = alpha^2 dt / 2 - alpha dW of each
+    step (rows x steps), where alpha = (W_1 - W_s)/(1 - s) is the drift the
+    revealed endpoint adds and M = W - int alpha the enlarged-filtration
+    Brownian motion.  In place where it can be, to keep three arrays live."""
+    dt = sc.horizon / sc.steps
+    normals = rng.standard_normal((rows, sc.steps + 1))
+    dw = normals[:, :-1]
+    dw *= np.sqrt(dt)
+    w = _from_zero(dw)
+    alpha = w[:, -1:] + normals[:, -1:] * np.sqrt(1.0 - sc.horizon) - w[:, :-1]
+    alpha *= 1.0 / (1.0 - np.arange(sc.steps) * dt)
+    dw *= alpha
+    alpha *= alpha
+    alpha *= 0.5 * dt
+    alpha -= dw
+    return w, alpha
+
+
 def information_drift_deflator(sc: InsiderDriftScenario,
                                threads: int = 1) -> InsiderDriftReport:
     """Form the exponential of the negative information-drift integral on the
     grid and test that it deflates: unit mean, and zero mean against the
     enlarged-filtration Brownian motion."""
-    dt = sc.horizon / sc.steps
-    sqrt_dt = np.sqrt(dt)
-    sqrt_rest = np.sqrt(1.0 - sc.horizon)
-    time_left = 1.0 - np.arange(sc.steps) * dt
-    zw_vals = np.empty(sc.paths, dtype=np.float64)
 
-    def one_path(rng: np.random.Generator, i: int) -> float:
-        dw = rng.standard_normal(sc.steps) * sqrt_dt
-        w_t = float(dw.sum())
-        w_left = np.concatenate([[0.0], np.cumsum(dw[:-1])])
-        w_end = w_t + float(rng.standard_normal()) * sqrt_rest
-        alpha = (w_end - w_left) / time_left
-        d_mart = dw - alpha * dt
-        log_z = -float(np.dot(alpha, d_mart)) \
-            - 0.5 * float(np.dot(alpha, alpha)) * dt
-        z = float(np.exp(log_z))
-        zw_vals[i] = z * w_t
-        return z - 1.0
+    def chunk(rng: np.random.Generator, rows: int) -> tuple:
+        w, d_log_z = _insider_motion(rng, rows, sc)
+        z = np.exp(d_log_z.sum(axis=1))
+        return z - 1.0, z * w[:, -1]
 
-    z_vals = _run_paths(sc.seed, sc.paths, one_path, threads)
-    return InsiderDriftReport(
-        density_mean=summarize(z_vals),
-        deflated_motion=summarize(zw_vals),
-    )
+    z_vals, zw_vals = _run_blocks(sc.seed, sc.paths, sc.steps + 1, chunk,
+                                  threads)
+    return InsiderDriftReport(density_mean=summarize(z_vals),
+                              deflated_motion=summarize(zw_vals))
 
 
 def sample_insider_paths(sc: InsiderDriftScenario, n: int = 100) -> PathBatch:
-    """Grid trajectories of the motion, the revealed endpoint's drift
-    compensation and the resulting density, for the first n paths."""
+    """Grid trajectories of the motion and the density that compensates the
+    revealed endpoint's drift, for the first n paths."""
     n = min(n, sc.paths)
-    dt = sc.horizon / sc.steps
-    grid = np.linspace(0.0, sc.horizon, sc.steps + 1)
-    w = np.empty((n, sc.steps + 1))
-    z = np.empty((n, sc.steps + 1))
-    for i in range(n):
-        rng = path_rng(sc.seed, i)
-        dw = rng.standard_normal(sc.steps) * np.sqrt(dt)
-        w[i] = np.concatenate([[0.0], np.cumsum(dw)])
-        w_end = w[i, -1] + float(rng.standard_normal()) * np.sqrt(1.0 - sc.horizon)
-        alpha = (w_end - w[i, :-1]) / (1.0 - grid[:-1])
-        d_mart = dw - alpha * dt
-        log_z = np.concatenate(
-            [[0.0], np.cumsum(-alpha * d_mart - 0.5 * alpha * alpha * dt)])
-        z[i] = np.exp(log_z)
-    return PathBatch(grid, {"motion": w, "density": z},
+
+    def chunk(rng: np.random.Generator, rows: int) -> tuple:
+        w, d_log_z = _insider_motion(rng, rows, sc)
+        return w, np.exp(_from_zero(d_log_z))
+
+    w, z = _run_blocks(sc.seed, n, sc.steps + 1, chunk)
+    return PathBatch(np.linspace(0.0, sc.horizon, sc.steps + 1),
+                     {"motion": w, "density": z},
                      [(sc.seed, i) for i in range(n)])

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, reports, fixtures, retired flags."""
 
 import json
+import math
 import os
 import re
 import shlex
@@ -590,6 +591,41 @@ def test_simulate_rejects_degenerate_diffusion_params(tmp_path, capsys, params,
                 "--paths", "100", "--steps", "4", "--out", str(out)]) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario, params, named", [
+    ("diffusion", {"sigma": math.nan}, "sigma"),
+    ("diffusion", {"mu": math.inf}, "mu"),
+    ("levy", {"pi": math.nan}, "pi"),
+    ("diffusion", {"pi": [0.5, True, 0.5, 0.5]}, "pi"),
+    ("levy", {"seed": True}, "seed"),
+    ("levy", {"a": True, "b": False}, "a "),
+], ids=["nan-float", "inf-float", "nan-pi", "bool-in-pi", "bool-int",
+        "bool-float"])
+def test_simulate_rejects_non_finite_and_boolean_params(tmp_path, capsys,
+                                                        scenario, params,
+                                                        named):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(params))
+    out = tmp_path / "r.json"
+    assert run(["simulate", "--scenario", scenario, "--params", str(path),
+                "--paths", "100", "--steps", "4", "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_report_records_the_scenario_it_ran(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"seed": 5}))
+    out = tmp_path / "r.json"
+    assert run(["simulate", "--scenario", "levy", "--params", str(path),
+                "--paths", "200", "--steps", "4", "--out", str(out)]) in (0, 1)
+    report = read(out)
+    assert report["config"]["seed"] is None
+    assert report["values"]["stream_version"] == 2
+    assert report["values"]["scenario"] == {
+        "a": 2.0, "b": 1.0, "horizon": 1.0, "steps": 4, "paths": 200,
+        "seed": 5, "pi": 1.0}
 
 
 def test_tree_side_commands_on_a_horizon_5000_path(tmp_path):

@@ -6,6 +6,7 @@ import math
 import os
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -113,9 +114,16 @@ SCENARIO_PARAMS = st.sampled_from(sorted(PARAM_KEYS)).flatmap(
         st.sampled_from(PARAM_KEYS[scenario]), PARAM_JUNK, max_size=3)))
 
 
+def reject_constant(name):
+    raise ValueError(f"non-finite number {name} in a report")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @FUZZ
 @given(case=SCENARIO_PARAMS)
 def test_simulate_never_raises(case):
+    """No exception escapes, no numpy warning is raised, and every report
+    written is strict JSON: no NaN or Infinity."""
     scenario, params = case
     with tempfile.TemporaryDirectory() as d:
         path, out = os.path.join(d, "params.json"), os.path.join(d, "r.json")
@@ -123,3 +131,6 @@ def test_simulate_never_raises(case):
         argv = ["simulate", "--scenario", scenario, "--params", path,
                 "--paths", "100", "--steps", "4", "--out", out]
         assert run(argv) in (0, 1, 2), argv
+        if os.path.exists(out):
+            with open(out, encoding="utf-8") as fh:
+                json.load(fh, parse_constant=reject_constant)
