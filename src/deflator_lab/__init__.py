@@ -10,13 +10,12 @@ __version__ = "0.1.0"
 # the exact tree-side API never imports numpy.
 _EXPORTS = {
     "arbitrage": ("ArbitrageReport", "UtilityCurve", "WealthProblem",
-                  "build_utility", "check_both", "check_na", "check_na1",
-                  "finite_utility_check"),
+                  "build_utility", "check_na1", "finite_utility_check"),
     "deflator": ("Deflator", "Na1FailsOnAtom", "construct_deflator",
                  "one_period_density", "verify_deflation"),
     "enlargement": ("EnlargementSpec", "generalized_jacod_check",
                     "insider_example", "jacod_check", "log_utility_identity",
-                    "na1_in_enlargement", "universal_density"),
+                    "universal_density"),
     "filtered_space": ("AdaptedProcess", "EventTree", "ProbMeasure",
                        "StoppingTime", "Strategy", "conditional_expectation",
                        "doob_decomposition", "martingale_closure",

@@ -1,9 +1,9 @@
 """Exact arbitrage verdicts on event trees, and utility functions built from
 tail bounds.
 
-Both no-arbitrage notions are decided atom by atom.  A wealth path
-1 + (H.S) is affine in the holdings H, and 1-admissibility is one linear
-inequality per node, so on a finite tree with strictly positive P:
+Both no-arbitrage notions are decided atom by atom, by `check_na1`.  A
+wealth path 1 + (H.S) is affine in the holdings H, and 1-admissibility is
+one linear inequality per node, so on a finite tree with strictly positive P:
 
 * (NA1), boundedness in probability of terminal wealths, collapses to
   finiteness of sup E[terminal wealth] over 1-admissible strategies.  Wealth
@@ -194,32 +194,23 @@ def _lift(tree: EventTree, atom: int, h: tuple[Fraction, ...]) -> Strategy:
 
 
 def check_na1(problem: WealthProblem) -> ArbitrageReport:
-    """Decide (NA1): boundedness of sup E[1 + (H.S)_n] over 1-admissible H.
+    """Decide (NA1), and with it (NA), by one backward pass.
 
-    On a finite tree with strictly positive P, boundedness in probability of
-    K1, uniform boundedness, and finiteness of this supremum all coincide
-    (each leaf carries mass at least min P > 0).  The supremum is the root
-    value of the backward pass, so it is finite exactly when every one-step
-    program is bounded.  Otherwise the witness is the first unbounded atom's
-    improving ray, held on that atom only: expected wealth grows along it
-    without ever breaching admissibility.
-    """
-    try:
-        z = backward_pass(problem)
-    except Na1FailsOnAtom as exc:
-        return ArbitrageReport(na1_holds=False, unbounded=True,
-                               witness=_lift(problem.tree, exc.atom, exc.ray))
-    return ArbitrageReport(na1_holds=True, optimal_value=z[problem.tree.root])
+    (NA1) is boundedness in probability of the terminal wealths K1 of
+    1 + (H.S) over 1-admissible H.  On a finite tree with strictly positive P
+    that coincides with uniform boundedness and with finiteness of
+    sup E[1 + (H.S)_n] (each leaf carries mass at least min P > 0).  The
+    supremum is the root value of the backward pass, so it is finite exactly
+    when every one-step program is bounded.
 
-
-def check_both(problem: WealthProblem) -> ArbitrageReport:
-    """Decide (NA) and (NA1) with one backward pass.
-
-    Under strictly positive P an atom's one-step program is unbounded exactly
-    when the atom admits a one-step arbitrage, and (NA) fails on a finite
-    tree exactly when some atom does, so the two verdicts coincide.  On
-    failure the box program at the first unbounded atom gives `na_optimum`
-    and the witness; when both hold `na_optimum` is 0.
+    (NA), no admissible terminal wealth X >= 1 with P(X > 1) > 0, fails on a
+    finite tree exactly when some atom admits a one-step arbitrage
+    (Dalang-Morton-Willinger), and under strictly positive P an atom's
+    one-step program is unbounded exactly when the atom admits one.  So the
+    two verdicts coincide.  On failure the box program at the first
+    unbounded atom gives `na_optimum` and the witness, held on that atom
+    only: its wealth 1 + (H.S) lies in W1, never falls below 1 and exceeds 1
+    on some leaf.  When both hold `na_optimum` is 0.
     """
     try:
         z = backward_pass(problem)
@@ -230,17 +221,6 @@ def check_both(problem: WealthProblem) -> ArbitrageReport:
                                na_optimum=value)
     return ArbitrageReport(na_holds=True, na1_holds=True,
                            optimal_value=z[problem.tree.root], na_optimum=ZERO)
-
-
-def check_na(problem: WealthProblem) -> ArbitrageReport:
-    """Decide (NA): no admissible terminal wealth X >= 1 with P(X > 1) > 0.
-
-    The verdict, witness and `na_optimum` of `check_both`; a witness's wealth
-    1 + (H.S) lies in W1, never falls below 1 and exceeds 1 on some leaf.
-    """
-    both = check_both(problem)
-    return ArbitrageReport(na_holds=both.na_holds, witness=both.witness,
-                           na_optimum=both.na_optimum)
 
 
 # -- de la Vallee-Poussin style utility construction ----------------------------

@@ -129,10 +129,10 @@ def make_report(args, operation: str, started: float, verdicts: dict,
 def cmd_check(args) -> int:
     """Both verdicts, always: need_measure makes P strictly positive, under
     which (NA) and (NA1) coincide on a finite tree."""
-    from .arbitrage import check_both
+    from .arbitrage import check_na1
 
     started = time.perf_counter()
-    result = check_both(wealth_problem(load_tree(args.tree), args))
+    result = check_na1(wealth_problem(load_tree(args.tree), args))
     verdicts = {"na": result.na_holds, "na1": result.na1_holds}
     values = {"na_optimum": fr(result.na_optimum),
               "optimal_value": ("inf" if result.unbounded
@@ -161,7 +161,7 @@ def cmd_deflate(args) -> int:
         emit_report(report, args.report)
         return 1
     if args.normalize:
-        deflator = deflator.normalized(tf.tree, tf.P)
+        deflator = deflator.normalized(tf.tree)
     certificate = verify_deflation(problem, deflator)
     tf.processes[args.name] = deflator.Z
     treeio.save(tf, args.out)
@@ -184,7 +184,7 @@ def _dominating_measure(args, tf):
     if Z.dim != 1 or Z.at(tf.tree.root) <= 0:
         raise CliError(f"--deflator {args.deflator!r}: need a scalar process "
                        "with Z_0 > 0 at the root, since Z is rescaled by Z_0")
-    Z = Deflator(Z).normalized(tf.tree, P).Z
+    Z = Deflator(Z).normalized(tf.tree).Z
     try:
         return build_dominating_measure(tf.tree, P, Z)
     except (KyError, ValueError) as exc:
@@ -325,15 +325,15 @@ def cmd_enlarge(args) -> int:
             result = log_utility_identity(spec, S)
         except (IncompleteMarketError, ValueError) as exc:
             raise CliError(str(exc)) from exc
+        identity = abs(result.identity_gap) <= result.FLOAT_TOLERANCE
         report = make_report(
-            args, "enlargement.log_utility", started,
-            {"identity": abs(result.identity_gap) <= result.FLOAT_TOLERANCE},
+            args, "enlargement.log_utility", started, {"identity": identity},
             {"u_base": result.u_base, "u_insider": result.u_insider,
              "mutual_information": result.mutual_information,
              "gap": result.identity_gap,
              "float_tolerance": result.FLOAT_TOLERANCE})
         emit_report(report, args.out)
-        return 0
+        return 0 if identity else 1
     raise CliError(f"unknown enlarge action {args.action!r}")
 
 

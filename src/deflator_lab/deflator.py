@@ -37,8 +37,8 @@ class Deflator:
 
     Z: AdaptedProcess
 
-    def normalized(self, tree: EventTree, P: ProbMeasure) -> "Deflator":
-        """Z / Z_0 on every node of `tree`; a rescale needs nothing of P."""
+    def normalized(self, tree: EventTree) -> "Deflator":
+        """Z / Z_0 on every node of `tree`."""
         scale = self.Z.at(tree.root)
         if scale == 1:
             return self

@@ -22,8 +22,9 @@ admissibility agrees with the small market's, which is what makes the
 no-unbounded-profit property carry over to the insider and gives the
 log-utility identity its exact meaning.  Under the decoupling weights
 P x P_L each label slice replays the base market's one-step programs, so the
-insider's (NA1) verdict and optimal value are the base market's, and the
-backward pass on the base tree decides them.
+insider's (NA1) verdict and optimal value are the base market's:
+`check_na1(WealthProblem(spec.tree, spec.P, S))` decides them, and a failing
+witness is a strategy on the base tree's nodes.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .arbitrage import ArbitrageReport, WealthProblem, check_na1
+from .arbitrage import ArbitrageReport, WealthProblem
 from .deflator import construct_deflator, verify_deflation
 from .filtered_space import (AdaptedProcess, EventTree, ProbMeasure,
                              Strategy, stochastic_integral)
@@ -171,21 +172,7 @@ def g_supermartingale_check(spec: EnlargementSpec, Zg: GProcess,
     return violations
 
 
-# -- (NA1) and deflation for the insider ----------------------------------------
-
-
-def na1_in_enlargement(spec: EnlargementSpec, S: AdaptedProcess
-                       ) -> ArbitrageReport:
-    """(NA1) for the insider, decided on the base market.
-
-    Under the decoupled measure P x P_L every label slice keeps the base
-    tree's one-step supports and conditional weights, and the label draw
-    moves no price, so the insider's optimal expected wealth is the base
-    root value and an unbounded atom of the base is one for every label.
-    The backward pass on the base market therefore decides the question; a
-    failing witness is a strategy on the base tree's nodes.
-    """
-    return check_na1(WealthProblem(spec.tree, spec.P, S))
+# -- deflation for the insider --------------------------------------------------
 
 
 def g_deflation_certificate(spec: EnlargementSpec, S: AdaptedProcess,
@@ -411,12 +398,10 @@ def _eliminate(rows: list[list[Fraction]], rhs: list[Fraction]
 class InsiderReport:
     """The insider example's certificates.  `na1_product` is the enlarged
     market's (NA1) report under P x P_L, read off the base market's backward
-    pass (see `na1_in_enlargement`)."""
+    pass (see the module docstring)."""
 
-    q_star: CompleteMarket
     hedge: Strategy                               # replicates the label event
     value_process: AdaptedProcess
-    insider_strategy: dict[tuple[int, str], tuple[Fraction, ...]]
     arbitrage_gain: dict[tuple[int, str], Fraction]   # terminal insider wealth
     emm_infeasible: bool
     na1_product: ArbitrageReport
@@ -459,13 +444,6 @@ def insider_example(spec: EnlargementSpec, S: AdaptedProcess,
               for leaf in tree.leaves}
     value, hedge = replicate(tree, S, market, payoff)
 
-    insider_strategy: dict[tuple[int, str], tuple[Fraction, ...]] = {}
-    for v in tree.non_leaf_nodes():
-        for lab in spec.label_set:
-            h = hedge[v.id]
-            insider_strategy[(v.id, lab)] = (
-                tuple(-x for x in h) if lab not in event_labels
-                else tuple(ZERO for _ in h))
     hedge_gain = stochastic_integral(tree, S, hedge)
     gains: dict[tuple[int, str], Fraction] = {}
     for leaf in tree.leaves:
@@ -477,15 +455,14 @@ def insider_example(spec: EnlargementSpec, S: AdaptedProcess,
                       and any(g > 0 for g in realized))
 
     # Strictly positive pricing weights leave no atom a one-step arbitrage,
-    # so the base pass succeeds: that is (NA1) for the insider, as in
-    # `na1_in_enlargement`, and Z_0 is the optimal value.
+    # so the base pass succeeds: that is (NA1) for the insider, and Z_0 is
+    # the optimal value.
     base = construct_deflator(WealthProblem(tree, spec.P, S))
     na1 = ArbitrageReport(na1_holds=True, optimal_value=base.Z.at(tree.root))
     z_slice = multiply(spec, universal_density(spec), base.Z)
     violations = g_deflation_certificate(spec, S, z_slice)
     return InsiderReport(
-        q_star=market, hedge=hedge, value_process=value,
-        insider_strategy=insider_strategy, arbitrage_gain=gains,
+        hedge=hedge, value_process=value, arbitrage_gain=gains,
         emm_infeasible=emm_infeasible,
         na1_product=na1, deflator_violations=violations,
     )
@@ -518,7 +495,8 @@ def log_utility_identity(spec: EnlargementSpec, S: AdaptedProcess
     conditional law (the pricing rule does not move: death slices still
     constrain the insider, so the market structure is shared).  The identity
     u_insider = u_base + I(label; terminal information) is then an algebraic
-    rearrangement, asserted here to float rounding.
+    rearrangement; `identity_gap` is its float residual, which the caller
+    judges against FLOAT_TOLERANCE.
     """
     tree = spec.tree
     # Strictly positive pricing weights leave no atom a one-step arbitrage,
@@ -548,8 +526,6 @@ def log_utility_identity(spec: EnlargementSpec, S: AdaptedProcess
                     _log_fraction(cond) - _log_fraction(market.q_leaf[leaf]))
                 information += float(p) * (_log_fraction(cond) - _log_fraction(p))
     gap = u_insider - u_base - information
-    if abs(gap) > LogUtilityReport.FLOAT_TOLERANCE:
-        raise AssertionError(f"log-utility identity out of balance by {gap}")
     assert information >= -LogUtilityReport.FLOAT_TOLERANCE, \
         "mutual information must be nonnegative"
     return LogUtilityReport(u_base=u_base, u_insider=u_insider,

@@ -386,9 +386,9 @@ def simulate_survival_measure(sc: LevyScenario,
     The wealth of the fraction-of-wealth strategy pi multiplies by
     (1 +- pi) at jumps and grows at rate pi b between events; admissibility is
     exactly |pi| <= 1.  So on each cell of constant pi it gains
-    (1 + pi)^up (1 - pi)^down e^{b pi len dt}, exactly.  The gap is asserted
-    nonpositive up to the stated confidence: the deflated wealth drifts at
-    rate (pi b - a) < 0.
+    (1 + pi)^up (1 - pi)^down e^{b pi len dt}, exactly.  The gap should be
+    nonpositive, since the deflated wealth drifts at rate (pi b - a) < 0; the
+    caller judges it at its own confidence.
     """
     lengths, hold = _cells(pi, sc.steps)
     if not np.all(np.abs(hold) <= 1.0):
@@ -402,13 +402,8 @@ def simulate_survival_measure(sc: LevyScenario,
         jumps = (1.0 + hold) ** counts[..., 0] * (1.0 - hold) ** counts[..., 1]
         return (scale * jumps.prod(axis=1) - 1.0,)
 
-    test = summarize(_run_blocks(sc.seed, sc.paths, 2 * spans.size, chunk,
+    return summarize(_run_blocks(sc.seed, sc.paths, 2 * spans.size, chunk,
                                  threads)[0])
-    if test.mean > test.crit * test.se:
-        raise AssertionError(
-            f"survival-measure gap {test.mean:.6f} exceeds 0 by more than "
-            f"{test.crit} standard errors; the deflation property is broken")
-    return test
 
 
 def sample_levy_paths(sc: LevyScenario, n: int = 100) -> PathBatch:

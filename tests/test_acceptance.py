@@ -17,7 +17,7 @@ from deflator_lab.deflator import (Na1FailsOnAtom, construct_deflator,
                                    verify_deflation)
 from deflator_lab.enlargement import (
     EnlargementSpec, g_supermartingale_check, insider_example,
-    log_utility_identity, na1_in_enlargement, universal_density,
+    log_utility_identity, universal_density,
 )
 from deflator_lab.filtered_space import (AdaptedProcess, StoppingTime,
                                          Strategy, martingale_closure)
@@ -29,6 +29,7 @@ from deflator_lab.montecarlo import (DiffusionScenario, LevyScenario,
                                      density_mean_test,
                                      simulate_levy_counterexample)
 from deflator_lab.scenarios import exponential_death, insider_binomial
+from product_oracle import product_market
 from treegen import binomial_problem, random_problem
 
 CORPUS_SEED = 93_170_001
@@ -87,7 +88,7 @@ def test_criterion_02_kunita_yoeurp_properties(corpus):
     for problem, _, deflator in entries:
         if deflator is None:
             continue
-        normalized = deflator.normalized(problem.tree, problem.P)
+        normalized = deflator.normalized(problem.tree)
         dm = build_dominating_measure(problem.tree, problem.P, normalized)
         taus = []
         for _ in range(HITTING_TIMES):
@@ -107,11 +108,11 @@ def _fixture_measures():
                 build_dominating_measure(tf.tree, tf.P, tf.processes["Z"])))
     tf = insider_binomial()[0]
     problem = WealthProblem(tf.tree, tf.P, tf.processes["S"])
-    deflator = construct_deflator(problem).normalized(tf.tree, tf.P)
+    deflator = construct_deflator(problem).normalized(tf.tree)
     out.append(("insider-binomial",
                 build_dominating_measure(tf.tree, tf.P, deflator)))
     two_step = binomial_problem(steps=2)
-    deflator = construct_deflator(two_step).normalized(two_step.tree, two_step.P)
+    deflator = construct_deflator(two_step).normalized(two_step.tree)
     out.append(("two-step-binomial",
                 build_dominating_measure(two_step.tree, two_step.P, deflator)))
     return out
@@ -137,7 +138,7 @@ def test_criterion_04_domination(corpus):
     for problem, _, deflator in entries:
         if deflator is None:
             continue
-        normalized = deflator.normalized(problem.tree, problem.P)
+        normalized = deflator.normalized(problem.tree)
         assert all(normalized.Z.at(leaf) > 0 for leaf in problem.tree.leaves)
         dm = build_dominating_measure(problem.tree, problem.P, normalized)
         for point in dm.space.points():
@@ -227,7 +228,7 @@ def test_criterion_08_universal_density_and_na1_preservation():
             assert g_supermartingale_check(spec, Z, M) == []
         base = check_na1(problem)
         if base.na1_holds:
-            enlarged = na1_in_enlargement(spec, problem.S)
+            enlarged = check_na1(product_market(spec, problem.S).problem())
             assert enlarged.na1_holds, "label enlargement broke (NA1)"
             preserved += 1
     ok(8, f"universal density deflates the spanning set and 50 random "

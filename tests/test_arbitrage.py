@@ -6,8 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from deflator_lab.arbitrage import (
-    TailError, UtilityCurve, WealthProblem, build_utility, check_both,
-    check_na, check_na1, finite_utility_check,
+    TailError, UtilityCurve, WealthProblem, build_utility, check_na1,
+    finite_utility_check,
 )
 from deflator_lab.filtered_space import (AdaptedProcess, EventTree, ProbMeasure,
                                          stochastic_integral)
@@ -20,7 +20,7 @@ SEED = 20_240_817
 
 def test_na_fails_with_witness_on_one_signed_step():
     problem = two_leaf_problem(F(2), F(1))
-    report = check_na(problem)
+    report = check_na1(problem)
     assert report.na_holds is False
     assert report.na_optimum == 1           # sum of leaf gains at |H| <= 1
     wealth = stochastic_integral(problem.tree, problem.S, report.witness)
@@ -29,13 +29,13 @@ def test_na_fails_with_witness_on_one_signed_step():
 
 
 def test_na_holds_on_two_signed_step():
-    report = check_na(two_leaf_problem(F(2), F(1, 2)))
+    report = check_na1(two_leaf_problem(F(2), F(1, 2)))
     assert report.na_holds is True and report.na_optimum == 0
 
 
 def test_na_holds_on_constant_price():
     problem = two_leaf_problem(F(1), F(1))
-    report = check_na(problem)
+    report = check_na1(problem)
     assert report.na_holds is True and report.na_optimum == 0
 
 
@@ -77,7 +77,7 @@ def test_na_na1_random_verdicts_match_sign_oracle():
     for _ in range(N_RANDOM_TREES):
         problem = random_problem(rng)
         expected = one_step_arbitrage_free(problem.tree, problem.S)
-        report = check_both(problem)
+        report = check_na1(problem)
         assert report.na1_holds == expected
         assert report.na_holds == expected   # the two notions agree on finite trees
         seen_fail += not expected
@@ -94,8 +94,8 @@ def test_scale_invariance_of_verdicts():
             problem.tree, problem.P,
             AdaptedProcess.of_scalars(
                 {v.id: c * problem.S.at(v.id) for v in problem.tree.nodes}))
-        a = check_both(problem)
-        b = check_both(scaled)
+        a = check_na1(problem)
+        b = check_na1(scaled)
         assert (a.na_holds, a.na1_holds) == (b.na_holds, b.na1_holds)
         if a.na1_holds:
             assert a.optimal_value == b.optimal_value
@@ -224,12 +224,12 @@ def test_two_asset_market_verdicts():
     S = AdaptedProcess({0: (F(1), F(1)), 1: (F(2), F(1)),
                         2: (F(1, 2), F(2)), 3: (F(1), F(1, 4))}, dim=2)
     problem = WealthProblem(tree, P, S)
-    report = check_both(problem)
+    report = check_na1(problem)
     assert report.na_holds and report.na1_holds
     # rotate one column so both assets drift up on every branch: arbitrage
     S2 = AdaptedProcess({0: (F(1), F(1)), 1: (F(2), F(1)),
                          2: (F(3, 2), F(2)), 3: (F(1), F(5, 4))}, dim=2)
-    report2 = check_both(WealthProblem(tree, P, S2))
+    report2 = check_na1(WealthProblem(tree, P, S2))
     assert not report2.na_holds and not report2.na1_holds
 
 
@@ -268,4 +268,4 @@ def test_non_positive_measure_is_rejected():
     P = ProbMeasure({1: F(1), 2: F(0)})
     S = AdaptedProcess.of_scalars({0: F(1), 1: F(2), 2: F(1, 2)})
     with pytest.raises(ValueError, match="strictly positive"):
-        check_na(WealthProblem(tree, P, S))
+        check_na1(WealthProblem(tree, P, S))

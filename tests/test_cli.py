@@ -199,6 +199,46 @@ def test_enlarge_insider_and_logutility(fixtures, tmp_path):
     assert abs(report["values"]["mutual_information"] - 0.6931471805599453) < 1e-12
 
 
+def test_logutility_exits_1_when_the_identity_fails(fixtures, tmp_path,
+                                                   monkeypatch):
+    from deflator_lab import enlargement
+
+    exact = enlargement._log_fraction
+    calls = []
+
+    def off_once(x):
+        calls.append(x)
+        return exact(x) + (1e-6 if len(calls) == 1 else 0.0)
+
+    monkeypatch.setattr(enlargement, "_log_fraction", off_once)
+    out = tmp_path / "log.json"
+    assert run(["enlarge", "logutility",
+                "--tree", str(fixtures["insider-binomial"] / "tree.json"),
+                "--label-map", str(fixtures["insider-binomial"] / "labels.json"),
+                "--out", str(out)]) == 1
+    report = read(out)
+    assert report["verdicts"] == {"identity": False}
+    assert abs(report["values"]["gap"]) > report["values"]["float_tolerance"]
+
+
+def test_simulate_reports_a_positive_survival_gap_as_a_verdict(tmp_path,
+                                                               monkeypatch):
+    from deflator_lab import montecarlo
+
+    exact = montecarlo._jump_counts
+
+    def three_more_up_jumps(rng, spans):
+        counts = exact(rng, spans)
+        counts[..., 0] += 3
+        return counts
+
+    monkeypatch.setattr(montecarlo, "_jump_counts", three_more_up_jumps)
+    out = tmp_path / "levy.json"
+    assert run(["simulate", "--scenario", "levy", "--paths", "200",
+                "--steps", "4", "--out", str(out)]) == 1
+    assert read(out)["verdicts"]["survival_gap_nonpositive"] is False
+
+
 def test_simulate_levy_with_params_and_csv(fixtures, tmp_path):
     params = str(fixtures["levy-counterexample"] / "params.json")
     out = tmp_path / "levy.json"

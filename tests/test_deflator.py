@@ -168,7 +168,7 @@ def test_backward_induction_matches_endpoint_oracle():
 
 def test_normalized_deflator_has_unit_initial_value():
     problem = binomial_problem(steps=2)
-    deflator = construct_deflator(problem).normalized(problem.tree, problem.P)
+    deflator = construct_deflator(problem).normalized(problem.tree)
     assert deflator.Z.at(0) == 1
     assert expectation(problem.tree, problem.P, deflator.Z)[0] <= 1
     assert verify_deflation(problem, deflator).certified

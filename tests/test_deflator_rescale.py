@@ -23,7 +23,7 @@ def constructed_deflators(n):
             deflator = construct_deflator(problem)
         except Na1FailsOnAtom:
             continue
-        out.append((problem, deflator.normalized(problem.tree, problem.P)))
+        out.append((problem, deflator.normalized(problem.tree)))
     return out
 
 
@@ -61,7 +61,7 @@ def test_construct_and_normalize_run_no_doob_decomposition(doob_calls):
     problem = binomial_problem(steps=3)
     deflator = construct_deflator(problem)
     assert deflator.Z.at(problem.tree.root) != 1
-    normalized = deflator.normalized(problem.tree, problem.P)
+    normalized = deflator.normalized(problem.tree)
     assert normalized.Z.at(problem.tree.root) == 1
     assert doob_calls == []
     build_dominating_measure(problem.tree, problem.P, normalized)

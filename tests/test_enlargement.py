@@ -11,8 +11,7 @@ from deflator_lab.arbitrage import check_na1
 from deflator_lab.enlargement import (
     EnlargementSpec, IncompleteMarketError, complete_market_measure,
     g_supermartingale_check, generalized_jacod_check, insider_example,
-    jacod_check, kernel, log_utility_identity, na1_in_enlargement,
-    replicate, universal_density,
+    jacod_check, kernel, log_utility_identity, replicate, universal_density,
 )
 from deflator_lab.filtered_space import (AdaptedProcess, EventTree, ProbMeasure,
                                          Strategy, martingale_closure)
@@ -143,7 +142,7 @@ def test_na1_transfers_to_the_product_market():
         base = check_na1(problem)
         spec = EnlargementSpec(problem.tree, problem.P,
                                random_labels(rng, problem.tree))
-        enlarged = na1_in_enlargement(spec, problem.S)
+        enlarged = check_na1(product_market(spec, problem.S).problem())
         if base.na1_holds:
             assert enlarged.na1_holds, "insider gained unbounded profit"
             # the program decomposes per label copy under the decoupled

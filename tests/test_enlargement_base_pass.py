@@ -1,6 +1,6 @@
 """The insider's (NA1) on the base tree against the label product tree.
 
-`na1_in_enlargement` runs the backward pass on the base market.  The oracle
+`check_na1` on the base market decides the insider's verdict.  The oracle
 builds the enlarged market as an event tree of its own (one copy of the base
 per label under a label-drawing root, weighted by P x P_L) and runs the same
 pass there; verdicts and optimal values must agree exactly.
@@ -9,7 +9,7 @@ pass there; verdicts and optimal values must agree exactly.
 import random
 
 from deflator_lab.arbitrage import check_na1
-from deflator_lab.enlargement import EnlargementSpec, na1_in_enlargement
+from deflator_lab.enlargement import EnlargementSpec
 from product_oracle import product_market
 from test_backward_verdicts import assert_lifted_arbitrage
 from treegen import random_problem
@@ -27,7 +27,7 @@ def test_base_pass_matches_the_product_tree():
         labs = "abc"[:rng.randint(1, 3)]
         labels = {leaf: rng.choice(labs) for leaf in problem.tree.leaves}
         spec = EnlargementSpec(problem.tree, problem.P, labels)
-        got = na1_in_enlargement(spec, problem.S)
+        got = check_na1(problem)
         want = check_na1(product_market(spec, problem.S).problem())
         assert got.na1_holds == want.na1_holds
         assert got.unbounded == want.unbounded

@@ -117,7 +117,7 @@ def test_verify_ky_on_random_constructed_deflators():
         except Exception:
             continue
         checked += 1
-        normalized = deflator.normalized(problem.tree, problem.P)
+        normalized = deflator.normalized(problem.tree)
         dm = build_dominating_measure(problem.tree, problem.P, normalized)
         taus = []
         for _ in range(5):
@@ -163,7 +163,7 @@ def test_yoeurp_random_predictable_and_adapted():
         checked += 1
         dm = build_dominating_measure(
             problem.tree, problem.P,
-            deflator.normalized(problem.tree, problem.P))
+            deflator.normalized(problem.tree))
         for _ in range(50):
             Y = Strategy.of_scalars(
                 {v.id: F(rng.randint(-9, 9), rng.randint(1, 4))
@@ -187,7 +187,7 @@ def test_domination_when_terminal_density_positive():
         checked += 1
         dm = build_dominating_measure(
             problem.tree, problem.P,
-            deflator.normalized(problem.tree, problem.P))
+            deflator.normalized(problem.tree))
         # terminal density positive: every Q-null point is embedded-null
         for point in dm.space.points():
             if dm.Q.get(point, F(0)) == 0:
@@ -221,7 +221,7 @@ def test_stopped_price_detects_survival_drift():
 
 def test_strict_supermartingale_density_spoils_the_martingale_property():
     problem = binomial_problem(steps=1)      # up 2, down 1/2, fair coin
-    deflator = construct_deflator(problem).normalized(problem.tree, problem.P)
+    deflator = construct_deflator(problem).normalized(problem.tree)
     dm = build_dominating_measure(problem.tree, problem.P, deflator)
     assert verify_ky(dm).passed
     report = check_stopped_price(dm, problem.S)

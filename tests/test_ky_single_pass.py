@@ -114,7 +114,7 @@ def test_single_pass_matches_leaf_sums():
         antichains += check_antichain_test(rng, tree)
         densities = [random_supermartingale(rng, tree, P)]
         try:
-            densities.append(construct_deflator(problem).normalized(tree, P))
+            densities.append(construct_deflator(problem).normalized(tree))
             deflators += 1
         except Na1FailsOnAtom:
             pass
