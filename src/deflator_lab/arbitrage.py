@@ -261,6 +261,8 @@ class UtilityCurve:
     def from_slopes(cls, slopes) -> "UtilityCurve":
         """Wrap explicit nonincreasing slopes as a utility curve (no tail)."""
         g = [as_fraction(s) for s in slopes]
+        if not g:
+            raise ValueError("need at least one slope")
         if any(a < b for a, b in zip(g, g[1:])):
             raise ValueError("slopes must be nonincreasing for concavity")
         return cls(K=len(g), n_sum=0, K_n=[], n_k=[], g=g,
@@ -384,10 +386,11 @@ def finite_utility_check(problem: WealthProblem, U: UtilityCurve
 
     U is concave piecewise linear, so U(x) = min over pieces of (slope x +
     intercept); the hypograph variables u_leaf <= each piece linearize the
-    objective.  Beyond the last breakpoint U is extended with its final
-    slope.  Returns (finite, value); (False, None) means the supremum is
-    +infinity, which can only happen when (NA1) fails and the terminal slope
-    is positive.
+    objective.  They are measured from U(1), the utility of the initial
+    wealth, so that every row holds at the origin.  Beyond the last
+    breakpoint U is extended with its final slope.  Returns (finite, value);
+    (False, None) means the supremum is +infinity, which can only happen when
+    (NA1) fails and the terminal slope is positive.
     """
     problem.require_positive()
     rows, var_index = _gain_rows(problem)
@@ -401,15 +404,16 @@ def finite_utility_check(problem: WealthProblem, U: UtilityCurve
         if v.parent is not None and rows[v.id]:
             lp.add_ge(rows[v.id], -ONE)
     pieces = U.pieces()
+    u_one = min(slope + intercept for slope, intercept in pieces)   # U(1)
     for i, leaf in enumerate(leaves):
         for slope, intercept in pieces:
-            # u <= slope * (1 + gain) + intercept
+            # u_one + u <= slope * (1 + gain) + intercept
             row = {n_h + i: ONE}
             for j, coef in rows[leaf].items():
                 row[j] = -slope * coef
-            lp.add_le(row, slope + intercept)
+            lp.add_le(row, slope + intercept - u_one)
     res = lp.solve()
     if res.status == UNBOUNDED:
         return False, None
     assert res.status == OPTIMAL
-    return True, res.value
+    return True, u_one + res.value

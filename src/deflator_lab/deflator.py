@@ -50,6 +50,9 @@ def one_period_density(tree: EventTree, P: ProbMeasure, S: AdaptedProcess,
                        at_time: int = 0) -> AdaptedProcess:
     """The optimal-value density over one step, one value per time-`at_time`
     atom; always >= 1 because h = 0 is admissible."""
+    if not 0 <= at_time < tree.horizon:
+        raise ValueError(f"at_time must lie in [0, {tree.horizon}), "
+                         f"got {at_time}")
     if not P.strictly_positive:
         raise ValueError("one-period density needs a strictly positive measure")
     masses = P.node_masses(tree)

@@ -5,7 +5,9 @@ The library decides (NA) and (NA1) with a backward pass of one-step
 programs, and certifies the insider's missing martingale measure by the
 insider's explicit arbitrage.  These programs decide each question over the
 whole tree at once, one LP per question, sharing only the gain rows and the
-exact simplex with the library.
+exact simplex with the library.  Like every program that simplex solves,
+each holds at the origin (no holdings, no weights), so each is feasible and
+its verdict is an optimum or an improving ray, never an infeasibility.
 """
 
 from __future__ import annotations
@@ -93,21 +95,22 @@ def check_na1(problem: WealthProblem) -> ArbitrageReport:
 
 def _equivalent_slice_measure_program(spec: EnlargementSpec, S: AdaptedProcess
                                       ) -> LPResult:
-    """max epsilon over measures on realized slices, martingale on every
-    charged slice atom and bounded below by epsilon on every realized leaf;
-    a nonpositive optimum (or outright infeasibility) certifies that no
-    equivalent insider martingale measure exists."""
+    """max epsilon over leaf weights q >= 0 with q_leaf >= epsilon on every
+    leaf, sum q <= 1, epsilon <= 1, and every charged slice atom a
+    martingale.  Every row holds at the origin, and the martingale equalities
+    are homogeneous, so a positive optimum rescales to an equivalent insider
+    martingale measure, and an optimum of 0 certifies that none exists."""
     tree = spec.tree
     d = tree.asset_dim
     leaves = list(tree.leaves)
     idx = {leaf: j for j, leaf in enumerate(leaves)}
     eps = len(leaves)
     lp = LinearProgram(len(leaves) + 1)
-    lp.set_nonneg(range(len(leaves)))
     lp.set_objective({eps: ONE})
-    lp.add_eq({idx[leaf]: ONE for leaf in leaves}, ONE)
+    lp.add_le({idx[leaf]: ONE for leaf in leaves}, ONE)
     lp.add_le({eps: ONE}, ONE)
     for leaf in leaves:
+        lp.add_ge({idx[leaf]: ONE}, ZERO)
         lp.add_ge({idx[leaf]: ONE, eps: -ONE}, ZERO)
     for lab in spec.label_set:
         slices = spec.slice_masses(lab)
@@ -124,5 +127,6 @@ def _equivalent_slice_measure_program(spec: EnlargementSpec, S: AdaptedProcess
                     if ds != 0:
                         row[idx[leaf]] = row.get(idx[leaf], ZERO) + ds
                 if row:
-                    lp.add_eq(row, ZERO)
-    return lp.solve(want_duals=False)
+                    lp.add_le(row, ZERO)
+                    lp.add_ge(row, ZERO)
+    return lp.solve()

@@ -208,6 +208,22 @@ def test_finite_utility_constant_price():
     assert finite and value == curve.value(F(1))
 
 
+def test_finite_utility_with_negative_slopes():
+    # U(1) < 0: the hypograph rows are measured from U(1), and it is added
+    # back to the value
+    problem = binomial_problem(steps=1, p_up=F(1, 2))
+    finite, value = finite_utility_check(problem, UtilityCurve.from_slopes([-1]))
+    assert finite and value == F(-3, 4)
+    finite, value = finite_utility_check(problem,
+                                         UtilityCurve.from_slopes([1, -2]))
+    assert finite and value == 1
+
+
+def test_utility_curve_needs_a_slope():
+    with pytest.raises(ValueError, match="need at least one slope"):
+        UtilityCurve.from_slopes([])
+
+
 def test_finite_utility_infinite_marker_when_na1_fails():
     tree = EventTree.singleton_path(1)
     problem = WealthProblem(tree, ProbMeasure({1: F(1)}),

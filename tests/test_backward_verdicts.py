@@ -1,4 +1,5 @@
-"""The backward-pass verdicts against the whole-tree programs of lp_oracle.
+"""The backward-pass verdicts against whole-tree programs: those of
+lp_oracle, and the expected-utility program `finite_utility_check`.
 
 `check_na1` reads its value off the same backward pass that builds the
 deflator, so `Z_0 == optimal_value` holds by construction; this corpus keeps
@@ -6,9 +7,11 @@ the verdicts and values checked by an independent formulation.
 """
 
 import random
+from fractions import Fraction
 
 import lp_oracle
-from deflator_lab.arbitrage import check_na1
+from deflator_lab.arbitrage import (UtilityCurve, build_utility, check_na1,
+                                    finite_utility_check)
 from deflator_lab.filtered_space import stochastic_integral
 from treegen import random_problem
 
@@ -48,3 +51,24 @@ def test_backward_pass_matches_whole_tree_programs():
             assert_lifted_arbitrage(problem, got.witness)
     assert holds > 100 and fails > 100
 
+
+def test_finite_utility_is_finite_exactly_under_na1():
+    """A utility with positive terminal slope has a finite supremum exactly
+    when (NA1) holds (Karatzas and Kardaras 2007), and under U(x) = x that
+    supremum is the backward pass's optimal value."""
+    curve = build_utility(lambda k: Fraction(1, 2 ** k), K=4, n_sum=20)
+    assert curve.g[-1] > 0
+    linear = UtilityCurve.from_slopes([1])
+    rng = random.Random(SEED)
+    holds = 0
+    for n in range(100):
+        problem = random_problem(rng, max_steps=3, asset_dim=2 if n % 3 == 0 else 1)
+        verdict = check_na1(problem)
+        finite, _ = finite_utility_check(problem, curve)
+        assert finite == verdict.na1_holds, n
+        finite, value = finite_utility_check(problem, linear)
+        assert finite == verdict.na1_holds, n
+        if finite:
+            holds += 1
+            assert value == verdict.optimal_value, n
+    assert 20 < holds < 80

@@ -40,6 +40,16 @@ def test_one_period_unbounded_names_the_atom():
     assert err.value.ray[0] > 0
 
 
+def test_one_period_density_needs_an_interior_layer():
+    problem = binomial_problem(steps=2)
+    assert one_period_density(problem.tree, problem.P, problem.S,
+                              at_time=1).at(1) == F(3, 2)
+    for at_time in (-1, 2, 3):
+        with pytest.raises(ValueError, match="at_time"):
+            one_period_density(problem.tree, problem.P, problem.S,
+                               at_time=at_time)
+
+
 def test_constructed_deflator_on_martingale_is_one():
     problem = two_leaf_problem(F(2), F(0))   # E[dS] = 0
     deflator = construct_deflator(problem)

@@ -295,14 +295,14 @@ def test_equivalent_slice_measure_program_both_verdicts():
     from lp_oracle import _equivalent_slice_measure_program
 
     # In a complete market every non-constant label is fatal: even a parity
-    # label pins the last move once the first is seen, so the program is
-    # infeasible -- that is the impossibility phenomenon itself.
+    # label pins the last move once the first is seen, so no weights with a
+    # positive floor exist and the optimum is 0 -- that is the impossibility
+    # phenomenon itself.
     problem = binomial_problem(steps=2, p_up=F(1, 3))
     labels = {3: "e", 4: "o", 5: "o", 6: "e"}
     spec = EnlargementSpec(problem.tree, problem.P, labels)
     res = _equivalent_slice_measure_program(spec, problem.S)
-    assert res.status == "infeasible" or (res.status == "optimal"
-                                          and res.value <= 0)
+    assert res.status == "optimal" and res.value == 0
 
     # Incomplete markets can absorb a label: separating the flat branch of a
     # trinomial from the straddling pair leaves both slices priceable, so the

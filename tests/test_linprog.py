@@ -1,14 +1,19 @@
-"""Exact simplex: optimality, rays, infeasibility certificates, duals."""
+"""Exact simplex on origin-feasible programs: optimality, rays, vertices."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
-from deflator_lab.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram
+import pytest
+
+from deflator_lab.enlargement import _eliminate
+from deflator_lab.linprog import OPTIMAL, UNBOUNDED, LinearProgram
 
 
 def test_bounded_optimum_exact():
     lp = LinearProgram(2)
-    lp.set_nonneg([0, 1])
+    lp.add_ge({0: F(1)}, F(0))
+    lp.add_ge({1: F(1)}, F(0))
     lp.set_objective({0: F(3), 1: F(5)})
     lp.add_le({0: F(1)}, F(4))
     lp.add_le({1: F(2)}, F(12))
@@ -19,18 +24,13 @@ def test_bounded_optimum_exact():
     assert res.x == [F(2), F(6)]
 
 
-def test_free_variables_and_equalities():
-    lp = LinearProgram(2)
-    lp.set_objective({0: F(1), 1: F(2)})
-    lp.add_eq({0: F(1), 1: F(1)}, F(1))
-    lp.add_eq({0: F(1), 1: F(-1)}, F(0))
-    res = lp.solve(want_duals=True)
-    assert res.status == OPTIMAL
-    assert res.value == F(3, 2)
-    assert res.x == [F(1, 2), F(1, 2)]
-    # multipliers reproduce the objective on free variables exactly
-    y = res.duals
-    assert y[0] + y[1] == F(1) and y[0] - y[1] == F(2)
+def test_rows_must_hold_at_the_origin():
+    lp = LinearProgram(1)
+    with pytest.raises(ValueError):
+        lp.add_le({0: F(1)}, F(-1))
+    with pytest.raises(ValueError):
+        lp.add_ge({0: F(1)}, F(1))
+    assert lp.rows == []
 
 
 def test_unbounded_returns_improving_ray():
@@ -45,21 +45,11 @@ def test_unbounded_returns_improving_ray():
     assert d[0] > 0
 
 
-def test_infeasible_with_verified_certificate():
-    lp = LinearProgram(2)
-    lp.set_nonneg([0, 1])
-    lp.set_objective({0: F(1)})
-    lp.add_eq({0: F(1), 1: F(1)}, F(-1))
-    res = lp.solve()
-    assert res.status == INFEASIBLE
-    assert res.infeasibility > 0
-    assert res.farkas is not None  # the solver asserts the Farkas inequalities
-
-
 def test_degenerate_problems_terminate():
     # Bland's rule must survive heavy degeneracy: many redundant rows
     lp = LinearProgram(3)
-    lp.set_nonneg([0, 1, 2])
+    for j in range(3):
+        lp.add_ge({j: F(1)}, F(0))
     lp.set_objective({0: F(1), 1: F(1), 2: F(1)})
     for _ in range(4):
         lp.add_le({0: F(1), 1: F(1), 2: F(1)}, F(1))
@@ -70,80 +60,66 @@ def test_degenerate_problems_terminate():
     assert res.value == 1
 
 
-def test_duals_certify_optimality_on_random_equality_programs():
-    # strong duality on max c.x, A x == b with mixed signs: the multipliers
-    # must reproduce the objective on free variables, dominate it on
-    # nonnegative ones, and price the right-hand side to the optimum
-    rng = random.Random(77)
-    certified = 0
-    for _ in range(60):
-        n, m = rng.randint(1, 4), rng.randint(1, 3)
-        lp = LinearProgram(n)
-        nonneg = [j for j in range(n) if rng.random() < 0.5]
-        lp.set_nonneg(nonneg)
-        lp.set_objective({j: F(rng.randint(-3, 3)) for j in range(n)})
-        for _ in range(m):
-            lp.add_eq({j: F(rng.randint(-3, 3)) for j in range(n)},
-                      F(rng.randint(-3, 3)))
-        res = lp.solve(want_duals=True)
-        if res.status != "optimal":
-            continue
-        certified += 1
-        y = res.duals
-        priced = sum((yi * rhs for yi, (_, _, rhs) in zip(y, lp.rows)), F(0))
-        assert priced == res.value
-        for j in range(n):
-            pairing = sum((yi * coeffs.get(j, F(0))
-                           for yi, (coeffs, _, _) in zip(y, lp.rows)), F(0))
-            c_j = lp.objective.get(j, F(0))
-            if j in nonneg:
-                assert pairing >= c_j
-            else:
-                assert pairing == c_j
-    assert certified >= 15
+def _lhs(coeffs, x):
+    return sum((c * x[j] for j, c in coeffs.items()), F(0))
 
 
 def test_randomized_against_feasibility_checks():
     rng = random.Random(2024)
+    statuses = set()
     for trial in range(40):
         n = rng.randint(1, 4)
         lp = LinearProgram(n)
-        nonneg = [j for j in range(n) if rng.random() < 0.5]
-        lp.set_nonneg(nonneg)
+        for j in range(n):
+            if rng.random() < 0.5:
+                lp.add_ge({j: F(1)}, F(0))
         lp.set_objective({j: F(rng.randint(-4, 4)) for j in range(n)})
         for _ in range(rng.randint(1, 5)):
-            coeffs = {j: F(rng.randint(-3, 3)) for j in range(n)}
-            op = rng.choice(["<=", ">=", "=="])
-            lp.add_constraint(coeffs, op, F(rng.randint(-4, 4)))
+            lp.add_le({j: F(rng.randint(-3, 3)) for j in range(n)},
+                      F(rng.randint(0, 4)))
         res = lp.solve()
+        statuses.add(res.status)
         if res.status == OPTIMAL:
             x = res.x
-            for coeffs, op, rhs in lp.rows:
-                lhs = sum((c * x[j] for j, c in coeffs.items()), F(0))
-                if op == "<=":
-                    assert lhs <= rhs
-                elif op == ">=":
-                    assert lhs >= rhs
-                else:
-                    assert lhs == rhs
-            for j in nonneg:
-                assert x[j] >= 0
-            value = sum((c * x[j] for j, c in lp.objective.items()), F(0))
-            assert value == res.value
-        elif res.status == UNBOUNDED:
+            assert all(_lhs(coeffs, x) <= rhs for coeffs, rhs in lp.rows)
+            assert _lhs(lp.objective, x) == res.value
+            assert res.value >= 0          # x = 0 is feasible
+        else:
+            assert res.status == UNBOUNDED
             d = res.ray
             # homogeneous feasibility of the ray and positive objective rate
-            for coeffs, op, _ in lp.rows:
-                rate = sum((c * d[j] for j, c in coeffs.items()), F(0))
-                if op == "<=":
-                    assert rate <= 0
-                elif op == ">=":
-                    assert rate >= 0
-                else:
-                    assert rate == 0
-            for j in nonneg:
-                assert d[j] >= 0
-            assert sum((c * d[j] for j, c in lp.objective.items()), F(0)) > 0
-        else:
-            assert res.status == INFEASIBLE
-            assert res.infeasibility > 0
+            assert all(_lhs(coeffs, d) <= 0 for coeffs, _ in lp.rows)
+            assert _lhs(lp.objective, d) > 0
+    assert statuses == {OPTIMAL, UNBOUNDED}
+
+
+def test_optimum_is_the_best_vertex():
+    """On boxed programs the simplex value is the largest objective over all
+    vertices, each found by solving an n-row subset of the rows."""
+    rng = random.Random(20_261_018)
+    for trial in range(150):
+        n = rng.randint(1, 3)
+        lp = LinearProgram(n)
+        lp.set_objective({j: F(rng.randint(-4, 4)) for j in range(n)})
+        for _ in range(rng.randint(0, 4)):
+            lp.add_le({j: F(rng.randint(-3, 3)) for j in range(n)},
+                      F(rng.randint(0, 4), rng.randint(1, 3)))
+        for j in range(n):
+            lp.add_le({j: F(1)}, F(5))
+            lp.add_ge({j: F(1)}, F(-5))
+        res = lp.solve()
+        assert res.status == OPTIMAL, trial
+
+        best = None
+        for subset in itertools.combinations(lp.rows, n):
+            rank, x = _eliminate(
+                [[coeffs.get(j, F(0)) for j in range(n)] for coeffs, _ in subset],
+                [rhs for _, rhs in subset])
+            if rank < n or x is None:
+                continue
+            if all(_lhs(coeffs, x) <= rhs for coeffs, rhs in lp.rows):
+                value = _lhs(lp.objective, x)
+                best = value if best is None else max(best, value)
+        assert best is not None, trial     # the box has 2^n vertices
+        assert res.value == best, trial
+        assert _lhs(lp.objective, res.x) == res.value
