@@ -15,6 +15,9 @@ one linear inequality per node, so on a finite tree with strictly positive P:
   one-step program, so the two verdicts coincide.  A sup-norm box |h| <= 1
   keeps the failing atom's arbitrage program bounded.
 
+At one asset the one-step and box programs are closed form; with more assets
+the exact simplex of `linprog` solves them.
+
 The utility builder turns a tail-probability envelope F into a concave,
 unbounded U = integral of a step function g with diverging sum(g_k) but
 convergent sum(g_k F(k-1)), by the blockwise construction driven by Cesaro
@@ -23,6 +26,8 @@ averages of F.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -113,16 +118,57 @@ def one_step_program(tree: EventTree, P_masses: dict[int, Fraction],
     optimum and a maximizing h; which vertex comes back when the maximizer is
     not unique is an artifact of pivoting order and not part of the contract.
     Raises Na1FailsOnAtom with the improving ray when unbounded.
+
+    At one asset the program is closed form.  With pw_c = P(c)/P(node) * w_c
+    it maximizes sum(pw_c) + a*h, a = sum(pw_c * ds_c), over the interval
+    max(-1/ds_c : ds_c > 0) <= h <= min(-1/ds_c : ds_c < 0) that keeps
+    1 + h*ds_c >= 0 on every child, whatever its weight or mass.  The sign of
+    a picks the endpoint (h = 0 when a = 0), and a missing endpoint is the
+    ray (1,) or (-1,).  That is the vertex and ray the simplex returns.  With
+    more assets the simplex solves it.
     """
-    d = S.dim
-    children = tree.children_of(node)
     atom_mass = P_masses[node]
     if atom_mass == 0:
         raise ValueError(f"one-step program on null atom {node}")
+    if S.dim != 1:
+        return _one_step_simplex(tree, P_masses, S, node, weights)
+    s = S[node][0]
+    total = gain = ZERO     # P(node) times sum(pw_c) and a
+    ds_min = ds_max = ZERO
+    for c in tree.children_of(node):
+        ds = S[c][0] - s
+        pw = P_masses[c] if weights is None else P_masses[c] * weights[c]
+        total += pw
+        if ds:
+            gain += pw * ds
+            if ds < ds_min:
+                ds_min = ds
+            elif ds > ds_max:
+                ds_max = ds
+    if gain > 0:
+        if not ds_min:
+            raise Na1FailsOnAtom(node, (ONE,))
+        h = -ONE / ds_min
+    elif gain < 0:
+        if not ds_max:
+            raise Na1FailsOnAtom(node, (-ONE,))
+        h = -ONE / ds_max
+    else:
+        h = ZERO
+    return (total + gain * h) / atom_mass, (h,)
+
+
+def _one_step_simplex(tree: EventTree, P_masses: dict[int, Fraction],
+                      S: AdaptedProcess, node: int,
+                      weights: Optional[dict[int, Fraction]] = None
+                      ) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """`one_step_program` by the simplex, at any number of assets."""
+    d = S.dim
+    atom_mass = P_masses[node]
     lp = LinearProgram(d)
     objective: dict[int, Fraction] = {}
     const = ZERO
-    for c in children:
+    for c in tree.children_of(node):
         w = ONE if weights is None else weights[c]
         pw = P_masses[c] / atom_mass * w
         const += pw
@@ -166,7 +212,32 @@ def _box_program(tree: EventTree, S: AdaptedProcess, node: int
                  ) -> tuple[Fraction, tuple[Fraction, ...]]:
     """max of sum over children of h.dS subject to h.dS >= 0 on every child
     and |h|_inf <= 1: positive exactly when the atom admits a one-step
-    arbitrage, and then the maximizer is one."""
+    arbitrage, and then the maximizer is one.
+
+    At one asset the optimum is h = sign(sum of ds_c) with value
+    |sum of ds_c| when every nonzero ds_c has that sign, and h = 0 with value
+    0 otherwise; with more assets the simplex solves it.
+    """
+    if S.dim != 1:
+        return _box_simplex(tree, S, node)
+    s = S[node][0]
+    total = ZERO
+    rises = falls = False
+    for c in tree.children_of(node):
+        ds = S[c][0] - s
+        total += ds
+        rises = rises or ds > 0
+        falls = falls or ds < 0
+    if total > 0 and not falls:
+        return total, (ONE,)
+    if total < 0 and not rises:
+        return -total, (-ONE,)
+    return ZERO, (ZERO,)
+
+
+def _box_simplex(tree: EventTree, S: AdaptedProcess, node: int
+                 ) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """`_box_program` by the simplex, at any number of assets."""
     d = S.dim
     lp = LinearProgram(d)
     objective: dict[int, Fraction] = {}
@@ -227,6 +298,67 @@ def check_na1(problem: WealthProblem) -> ArbitrageReport:
 
 DEFAULT_N_SUM = 20_000
 DEFAULT_PROBE_LIMIT = 1_000_000
+
+
+class Slope(Fraction):
+    """An exact slope that carries its correctly rounded float.
+
+    Rounding to nearest is monotone, so fl(a) < fl(b) implies a < b.  A
+    comparison with a Slope or an int therefore returns at once for the same
+    object, answers from the floats when they differ, and cross-multiplies
+    only when they are equal: an exact floating-point filter (Shewchuk, 1997)
+    for slopes whose denominators run to tens of thousands of bits.
+    Arithmetic returns plain Fractions.
+    """
+
+    __slots__ = ("_float",)
+
+    def __new__(cls, numerator=0, denominator=None):
+        self = super().__new__(cls, numerator, denominator)
+        self._float = _rounded(self.numerator, self.denominator)
+        return self
+
+    __hash__ = Fraction.__hash__
+
+    def _filter(self, other, op):
+        """op on the floats when they decide it, else None."""
+        if self is other:
+            return op(0, 0)
+        if isinstance(other, Slope):
+            theirs = other._float
+        elif isinstance(other, int):
+            theirs = _rounded(other, 1)
+        else:
+            return None
+        return None if self._float == theirs else op(self._float, theirs)
+
+    def __eq__(self, other):
+        verdict = self._filter(other, operator.eq)
+        return Fraction.__eq__(self, other) if verdict is None else verdict
+
+    def __lt__(self, other):
+        verdict = self._filter(other, operator.lt)
+        return Fraction.__lt__(self, other) if verdict is None else verdict
+
+    def __le__(self, other):
+        verdict = self._filter(other, operator.le)
+        return Fraction.__le__(self, other) if verdict is None else verdict
+
+    def __gt__(self, other):
+        verdict = self._filter(other, operator.gt)
+        return Fraction.__gt__(self, other) if verdict is None else verdict
+
+    def __ge__(self, other):
+        verdict = self._filter(other, operator.ge)
+        return Fraction.__ge__(self, other) if verdict is None else verdict
+
+
+def _rounded(numerator: int, denominator: int) -> float:
+    """numerator / denominator correctly rounded, overflowing to +-inf."""
+    try:
+        return numerator / denominator
+    except OverflowError:
+        return math.inf if numerator > 0 else -math.inf
 
 
 class TailError(ValueError):
@@ -305,35 +437,30 @@ def build_utility(tail: Callable[[int], Fraction], K: int,
     if n_sum < 1:
         raise ValueError("n_sum must be positive")
 
-    tails: list[Fraction] = []     # tail(0), tail(1), ...
+    # One walk over k: K_n is the smallest k >= max(n, K_{n-1}) whose Cesaro
+    # sum passes, n * prefix[k] <= k, so each tail(k) is read once.  Only
+    # prefix[k] for k <= K is kept: the sums below need no more.
     prefix: list[Fraction] = [ZERO]  # prefix[m] = sum of tail(j), j < m
-
-    def extend_to(m: int) -> None:
-        while len(tails) < m:
-            j = len(tails)
-            t = as_fraction(tail(j))
-            if t < 0 or t > 1:
-                raise TailError(f"tail({j}) = {t} outside [0, 1]")
-            if tails and t > tails[-1]:
-                raise TailError(f"tail not nonincreasing at k = {j}")
-            tails.append(t)
-            prefix.append(prefix[-1] + t)
-
+    total, last = ZERO, ONE          # prefix[k] and tail(k - 1)
     K_n: list[int] = []
-    k_prev = 0
+    k = 0
     for n in range(1, n_sum + 1):
-        k = max(n, k_prev)
-        while True:
-            if k > probe_limit:
+        while k < n or n * total.numerator > k * total.denominator:
+            if k >= probe_limit:
                 raise TailError(
                     f"cannot certify Cesaro bound: no K_{n} <= {probe_limit} "
                     f"with average tail <= 1/{n}")
-            extend_to(k)
-            if n * prefix[k] <= k:
-                break
+            t = as_fraction(tail(k))
+            if t < 0 or t > 1:
+                raise TailError(f"tail({k}) = {t} outside [0, 1]")
+            if t > last:
+                raise TailError(f"tail not nonincreasing at k = {k}")
+            total += t
+            last = t
             k += 1
+            if k <= K:
+                prefix.append(total)
         K_n.append(k)
-        k_prev = k
 
     if K_n[-1] < K:
         raise TailError(
@@ -347,18 +474,24 @@ def build_utility(tail: Callable[[int], Fraction], K: int,
             n += 1
         n_k.append(n)
 
-    # One backward pass gives every truncated slope g_k = s_{n_k} where
-    # s_N = sum over N <= n <= n_sum of 1/(n K_n).
-    suffix: list[Fraction] = [ZERO] * (n_sum + 2)
-    for n in range(n_sum, 0, -1):
+    # Every truncated slope is g_k = s_{n_k}, where s_N is the sum over
+    # N <= n <= n_sum of 1/(n K_n).  Every block from n_top = n_K on has
+    # K_n >= K, so s_{n_top} is one balanced sum, the smaller s_N follow by a
+    # backward pass, and those blocks add K s_{n_top} to sum_g and
+    # prefix[K] s_{n_top} to sum_g_tail.
+    n_top = n_k[-1]
+    suffix = {n_top: _pairwise([Fraction(1, n * K_n[n - 1])
+                                for n in range(n_top, n_sum + 1)])}
+    for n in range(n_top - 1, 0, -1):
         suffix[n] = suffix[n + 1] + Fraction(1, n * K_n[n - 1])
-    g = [suffix[n_k[k - 1]] for k in range(1, K + 1)]
+    slopes = {n: Slope(suffix[n]) for n in set(n_k)}
+    g = [slopes[n] for n in n_k]
 
-    extend_to(K)
-    sum_g = _pairwise([Fraction(min(K_n[n - 1], K), n * K_n[n - 1])
-                       for n in range(1, n_sum + 1)])
-    sum_g_tail = _pairwise([prefix[min(K_n[n - 1], K)] / (n * K_n[n - 1])
-                            for n in range(1, n_sum + 1)])
+    sum_g = (_pairwise([Fraction(1, n) for n in range(1, n_top)])
+             + K * suffix[n_top])
+    sum_g_tail = (_pairwise([prefix[K_n[n - 1]] / (n * K_n[n - 1])
+                             for n in range(1, n_top)])
+                  + prefix[K] * suffix[n_top])
     harmonic = _pairwise([Fraction(1, n) for n in range(1, n_sum + 1)
                           if K_n[n - 1] <= K] or [ZERO])
     return UtilityCurve(

@@ -148,6 +148,9 @@ def cmd_check(args) -> int:
 def cmd_deflate(args) -> int:
     from .deflator import Na1FailsOnAtom, construct_deflator, verify_deflation
 
+    if args.name == args.price:
+        raise CliError(f"--name {args.name!r} is the --price process; writing "
+                       "the density under it would overwrite the prices")
     started = time.perf_counter()
     tf = load_tree(args.tree)
     problem = wealth_problem(tf, args)

@@ -2,7 +2,8 @@
 
 The one-period construction realizes the optimal-value measure: on each atom,
 the density value is the supremum of E[one-step wealth | atom] over one-step
-1-admissible holdings, an LP whose optimum is reached at a vertex.  The
+1-admissible holdings, a linear program whose optimum is reached at a
+vertex: closed form at one asset, the exact simplex with more.  The
 multi-period density runs the same program backward in time with the
 already-built later values as weights, terminal value 1.  Unboundedness of
 any per-atom program is precisely a one-step unbounded-profit ray, so (NA1)
@@ -11,7 +12,7 @@ failures surface as the offending atom rather than as a silent wrong number.
 Deflation means: Z * (1 + (H.S)) is a supermartingale for every 1-admissible
 H.  Scaling wealth to 1 on an atom shows it is enough to bound the one-step
 programs by Z, which is an exact, certifiable condition; `verify_deflation`
-checks it with one exact LP per atom of positive mass.
+checks it with one exact one-step program per atom of positive mass.
 """
 
 from __future__ import annotations
@@ -88,7 +89,8 @@ def verify_deflation(problem: WealthProblem, Z: "AdaptedProcess | Deflator"
                      ) -> DeflationReport:
     """Certify the deflation property of Z exactly.
 
-    One LP per atom of positive mass checks sup_h E[Z_next (1 + h.dS) | atom]
+    One exact one-step program per atom of positive mass (closed form at one
+    asset, the simplex with more) checks sup_h E[Z_next (1 + h.dS) | atom]
     <= Z there, which bounds every 1-admissible wealth at once.  Every child
     keeps its admissibility constraint, charged or not.  An unbounded program
     is a violation with excess -1.  Atoms of zero mass carry no conditional

@@ -1,12 +1,13 @@
 """(NA)/(NA1) verdicts, the utility builder, and the finite-utility check."""
 
+import operator
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from deflator_lab.arbitrage import (
-    TailError, UtilityCurve, WealthProblem, build_utility, check_na1,
+    Slope, TailError, UtilityCurve, WealthProblem, build_utility, check_na1,
     finite_utility_check,
 )
 from deflator_lab.filtered_space import (AdaptedProcess, EventTree, ProbMeasure,
@@ -186,6 +187,40 @@ def test_utility_curve_values_and_concavity():
     assert all(b >= a for a, b in zip(vals, vals[1:]))          # nondecreasing
     diffs = [b - a for a, b in zip(vals, vals[1:])]
     assert all(a >= b for a, b in zip(diffs, diffs[1:]))        # concave
+
+
+def test_slope_order_matches_fraction_order():
+    """The float filter of `Slope` against exact `Fraction` comparisons, on
+    pairs the floats cannot tell apart and on pairs they can."""
+    third = F(1, 3)
+    big = 2 ** 2000                        # beyond float range: rounds to inf
+    values = [third, third + F(1, 2 ** 200), third - F(1, 2 ** 200),
+              F(-5, 2), F(-2), F(0), F(7), F(big) + F(1, 2), F(-big) - 1,
+              F(1, 2 ** 1100)]             # below float range: rounds to 0
+    ints = [-3, -2, 0, 7, big, -big]
+    slopes = [Slope(v) for v in values]
+    twins = [Slope(v) for v in values]     # equal values, different objects
+    ops = [operator.eq, operator.ne, operator.lt, operator.le, operator.gt,
+           operator.ge]
+    for a, fa in zip(slopes, values):
+        for b, fb in [*zip(slopes, values), *zip(twins, values),
+                      *zip(values, values), *((i, F(i)) for i in ints)]:
+            for op in ops:
+                assert op(a, b) is op(fa, fb), (op, fa, fb)
+                assert op(b, a) is op(fb, fa), (op, fb, fa)
+    assert sorted(slopes + ints) == sorted(values + ints)
+    assert {hash(a) for a in slopes} == {hash(v) for v in values}
+    assert type(slopes[0] + slopes[1]) is F and type(-slopes[0]) is F
+
+
+def test_built_slopes_are_filtered_and_exact():
+    curve = build_utility(geometric_tail, K=200, n_sum=400)
+    assert all(type(g) is Slope and g._float == float(g) for g in curve.g)
+    # a move far below float resolution still breaks monotonicity
+    g = list(curve.g)
+    g[100] = Slope(g[99] + F(1, 2 ** 200_000))
+    assert float(g[100]) == float(g[99])
+    assert not all(a >= b for a, b in zip(g, g[1:]))
 
 
 def test_finite_utility_bounded_u():

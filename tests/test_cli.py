@@ -144,6 +144,16 @@ def test_deflate_reports_offending_atom(fixtures, tmp_path):
     assert "atom" in rep["values"]
 
 
+def test_deflate_refuses_to_overwrite_the_price(fixtures, tmp_path, capsys):
+    tree_in = str(fixtures["insider-binomial"] / "tree.json")
+    out = tmp_path / "o.json"
+    code = run(["deflate", "--tree", tree_in, "--price", "S", "--name", "S",
+                "--out", str(out)])
+    assert code == 2
+    assert "--name 'S'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_foellmer_emits_extension_measure(fixtures, tmp_path):
     out = tmp_path / "extension.json"
     code = run(["foellmer", "--tree",
