@@ -10,6 +10,7 @@ checked.  Everything in this module is exact; no floats enter or leave.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -438,28 +439,67 @@ def stochastic_integral(tree: EventTree, S: AdaptedProcess, H: Strategy
     return AdaptedProcess.of_scalars(out)
 
 
+def _over_lcm(values: Sequence[Fraction], *also: int) -> tuple[int, list[int]]:
+    """(D, numerators): D is the lcm of the values' denominators and of
+    `also`, and each value is its numerator over D, so sums and comparisons
+    of the values are int sums and comparisons of the numerators."""
+    dens = {x.denominator for x in values}
+    # merged 16 at a time, then the partial lcms likewise: folding all the
+    # denominators into one growing lcm costs a gcd against that whole lcm
+    # per denominator, quadratic when they are large and nearly coprime
+    level = [*dens, *also]
+    while len(level) > 1:
+        level = [math.lcm(*level[i:i + 16]) for i in range(0, len(level), 16)]
+    d = level[0] if level else 1
+    scale = {q: d // q for q in dens}
+    return d, [x.numerator * scale[x.denominator] for x in values]
+
+
+def _mass_numerators(tree: EventTree, P: ProbMeasure) -> tuple[int, list[int]]:
+    """(D, m): D is the lcm of P's leaf denominators, and m[v] / D is the
+    mass of atom v, summed over the children in one backward pass."""
+    d, leaf_m = _over_lcm([P.leaf_mass[leaf] for leaf in tree.leaves])
+    m = [0] * len(tree.nodes)
+    for leaf, x in zip(tree.leaves, leaf_m):
+        m[leaf] = x
+    for v in reversed(tree.nodes):
+        if v.children:
+            m[v.id] = sum(m[c] for c in v.children)
+    return d, m
+
+
 def doob_decomposition(tree: EventTree, P: ProbMeasure, Z: AdaptedProcess
                        ) -> tuple[AdaptedProcess, Strategy]:
     """Split Z = Z_0 + M - A with M an exact martingale started at zero and A
     predictable: the step of A over (k-1, k] is E[Z_{k-1} - Z_k | F_{k-1}],
-    stored on the time-(k-1) node.  Returns (M, increments of A)."""
+    stored on the time-(k-1) node.  Returns (M, increments of A).
+
+    The node masses run over the lcm of P's denominators and Z over its own,
+    so each step is one int sum over the children and one Fraction; A and M
+    are path sums of ints over the lcm of Z's and the steps' denominators."""
     if Z.dim != 1:
         raise ValueError("Doob decomposition expects a scalar process")
     if not P.strictly_positive:
         raise ValueError("Doob decomposition needs a strictly positive measure")
-    masses = P.node_masses(tree)
+    nodes = tree.nodes
+    _, m = _mass_numerators(tree, P)
+    dz, z = _over_lcm([Z.values[v.id][0] for v in nodes])
+    # Z_v - E[Z_next | v] = (z_v m_v - sum_c m_c z_c) / (m_v dz)
     dA: dict[int, Fraction] = {}
-    for v in tree.non_leaf_nodes():
-        exp_next = sum((masses[c] * Z.at(c) for c in v.children), Fraction(0))
-        dA[v.id] = Z.at(v.id) - exp_next / masses[v.id]
+    for v in nodes:
+        if v.children:
+            exp_next = sum(m[c] * z[c] for c in v.children)
+            dA[v.id] = Fraction(z[v.id] * m[v.id] - exp_next, m[v.id] * dz)
+    d, a = _over_lcm(list(dA.values()), dz)
+    step = dict(zip(dA, a))
+    scale = d // dz
+    z0 = z[tree.root]
+    A = [0] * len(nodes)
     M: dict[int, Fraction] = {tree.root: Fraction(0)}
-    A: dict[int, Fraction] = {tree.root: Fraction(0)}
-    z0 = Z.at(tree.root)
-    for v in tree.nodes:
-        if v.parent is None:
-            continue
-        A[v.id] = A[v.parent] + dA[v.parent]
-        M[v.id] = Z.at(v.id) - z0 + A[v.id]
+    for v in nodes:
+        if v.parent is not None:
+            A[v.id] = A[v.parent] + step[v.parent]
+            M[v.id] = Fraction((z[v.id] - z0) * scale + A[v.id], d)
     return AdaptedProcess.of_scalars(M), Strategy.of_scalars(dA)
 
 

@@ -20,6 +20,12 @@ expectations against Z and dA; both sides are computed and compared exactly
 here.  The pre-death price S^{T-} freezes S at its last value before death,
 and its Q-drift on each still-alive atom is E_P[Z_{k+1} dS | atom] up to
 positive normalization, which is what `check_stopped_price` reports.
+
+Q stays a public dict of Fractions, and every check reads the current Q.
+Inside each call the masses it sums are lifted onto one common denominator,
+the lcm of theirs: Q's points over one, P's leaf masses over another, so
+every table is a list of int numerators, and Fractions are built only for
+returned values and failure messages.
 """
 
 from __future__ import annotations
@@ -31,7 +37,8 @@ from typing import Iterable, Optional, Sequence
 from .arbitrage import WealthProblem
 from .deflator import Deflator, DeflationReport, verify_deflation
 from .filtered_space import (AdaptedProcess, EventTree, ProbMeasure,
-                             StoppingTime, Strategy, doob_decomposition)
+                             StoppingTime, Strategy, _mass_numerators,
+                             _over_lcm, doob_decomposition)
 
 ZERO = Fraction(0)
 
@@ -83,26 +90,33 @@ class DominatingMeasure:
     dA: Strategy = field(repr=False)
 
     def __post_init__(self) -> None:
-        total = sum(self.Q.values(), ZERO)
-        if total != 1:
-            raise KyError(f"enlarged masses sum to {total}, not 1")
+        d, nums = _over_lcm(list(self.Q.values()))
+        total = sum(nums)
+        if total != d:
+            raise KyError(f"enlarged masses sum to {Fraction(total, d)}, not 1")
 
     @property
     def tree(self) -> EventTree:
         return self.space.tree
 
-    def alive_masses(self) -> list[Fraction]:
-        """Q(atom(v) x {zeta > time(v)}) for every node v, by id, from the
-        current Q: each point's mass lands on the leaf (zeta None) or on the
-        node where it dies, and alive(v) sums alive + dying over v's
-        children in one backward pass."""
+    def _points(self) -> tuple[list[tuple[int, Death]], int, list[int]]:
+        """(keys, D, nums): the keys of the current Q that are points of the
+        space, and their masses as numerators over one common denominator D,
+        the lcm of theirs."""
+        keys = [key for key in self.Q if self.space.is_point(*key)]
+        d, nums = _over_lcm([self.Q[key] for key in keys])
+        return keys, d, nums
+
+    def _alive(self, keys: list[tuple[int, Death]], nums: list[int]) -> list[int]:
+        """Q(atom(v) x {zeta > time(v)}) for every node v, by id, as a
+        numerator over the D of `_points`: each point's mass lands on the
+        leaf (zeta None) or on the node where it dies, and alive(v) sums
+        alive + dying over v's children in one backward pass."""
         tree = self.tree
-        alive = [ZERO] * len(tree.nodes)
-        dying = [ZERO] * len(tree.nodes)
+        alive = [0] * len(tree.nodes)
+        dying = [0] * len(tree.nodes)
         paths: dict[int, list[int]] = {}
-        for (leaf, zeta), mass in self.Q.items():
-            if not self.space.is_point(leaf, zeta):
-                continue
+        for (leaf, zeta), mass in zip(keys, nums):
             if zeta is None:
                 alive[leaf] += mass
             else:
@@ -111,28 +125,43 @@ class DominatingMeasure:
                 dying[paths[leaf][zeta]] += mass
         for v in reversed(tree.nodes):
             if v.children:
-                alive[v.id] = sum((alive[c] + dying[c] for c in v.children), ZERO)
+                alive[v.id] = sum(alive[c] + dying[c] for c in v.children)
         return alive
 
-    def dead_masses(self) -> list[dict[int, Fraction]]:
+    def _dead(self, keys: list[tuple[int, Death]], nums: list[int]
+              ) -> list[dict[int, int]]:
         """{j: Q(atom(v) x {j})} for every node v and 1 <= j <= time(v), by
-        id, from the current Q: the leaves' death slices, merged upward over
-        the children in one backward pass.  Slices without mass are absent.
-        Its size is the number of dead atoms, so only `gamma` builds it."""
+        id, as numerators over the D of `_points`: the leaves' death slices,
+        merged upward over the children in one backward pass.  Slices without
+        a point of Q are absent.  Its size is the number of dead atoms, so
+        only `gamma` and `dead_masses` build it."""
         tree = self.tree
-        dead: list[dict[int, Fraction]] = [{} for _ in tree.nodes]
-        for (leaf, zeta), mass in self.Q.items():
-            if zeta is not None and self.space.is_point(leaf, zeta):
+        dead: list[dict[int, int]] = [{} for _ in tree.nodes]
+        for (leaf, zeta), mass in zip(keys, nums):
+            if zeta is not None:
                 dead[leaf][zeta] = mass
         for v in reversed(tree.nodes):
             if v.children:
-                merged: dict[int, Fraction] = {}
+                merged: dict[int, int] = {}
                 for c in v.children:
                     for j, mass in dead[c].items():
                         if j <= v.time:
-                            merged[j] = merged.get(j, ZERO) + mass
+                            merged[j] = merged.get(j, 0) + mass
                 dead[v.id] = merged
         return dead
+
+    def alive_masses(self) -> list[Fraction]:
+        """Q(atom(v) x {zeta > time(v)}) for every node v, by id, from the
+        current Q."""
+        keys, d, nums = self._points()
+        return [Fraction(a, d) for a in self._alive(keys, nums)]
+
+    def dead_masses(self) -> list[dict[int, Fraction]]:
+        """{j: Q(atom(v) x {j})} for every node v and 1 <= j <= time(v), by
+        id, from the current Q; slices without a point of Q are absent."""
+        keys, d, nums = self._points()
+        return [{j: Fraction(x, d) for j, x in slices.items()}
+                for slices in self._dead(keys, nums)]
 
     def alive_mass(self, node: int) -> Fraction:
         """Q(atom(node) x {zeta > time(node)})."""
@@ -146,16 +175,19 @@ class DominatingMeasure:
 
     def gamma(self) -> dict[tuple[int, Death], Fraction]:
         """Density dP_bar/dQ on the F_bar_k atoms of positive Q mass; atoms Q
-        does not charge are omitted (0/0 stays undefined, not 0)."""
+        does not charge are omitted (0/0 stays undefined, not 0).  P_bar does
+        not charge a dead atom, so gamma is 0 there."""
         out: dict[tuple[int, Death], Fraction] = {}
-        masses = self.space.P.node_masses(self.tree)
-        alive, dead = self.alive_masses(), self.dead_masses()
+        dp, masses = _mass_numerators(self.tree, self.space.P)
+        keys, dq, nums = self._points()
+        alive, dead = self._alive(keys, nums), self._dead(keys, nums)
         for k in range(self.tree.horizon + 1):
             for v, j in self.space.atoms_at(k):
-                q = alive[v] if j is None else dead[v].get(j, ZERO)
-                if q > 0:
-                    p = masses[v] if j is None else ZERO
-                    out[(v, j)] = p / q
+                if j is None:
+                    if alive[v] > 0:
+                        out[(v, j)] = Fraction(masses[v] * dq, alive[v] * dp)
+                elif dead[v].get(j, 0) > 0:
+                    out[(v, j)] = ZERO
         return out
 
 
@@ -179,17 +211,21 @@ def build_dominating_measure(tree: EventTree, P: ProbMeasure,
         if dA.at(v.id) < 0:
             raise KyError(f"not a supermartingale: compensator step at node "
                           f"{v.id} is {dA.at(v.id)}")
+    # P(w) dA and P(w) Z_n from numerators and denominators: one Fraction
+    # per point, and P(w) > 0, so a point has mass exactly when its step does
+    steps = {u: (x.numerator, x.denominator)
+             for u, (x,) in dA.steps.items() if x != 0}
     Q: dict[tuple[int, Death], Fraction] = {}
     for leaf in tree.leaves:
         p = P.mass(leaf)
+        pn, pd = p.numerator, p.denominator
         path = tree.path(leaf)
         for j in range(1, tree.horizon + 1):
-            mass = p * dA.at(path[j - 1])
-            if mass != 0:
-                Q[(leaf, j)] = mass
-        mass = p * Zp.at(leaf)
-        if mass != 0:
-            Q[(leaf, None)] = mass
+            step = steps.get(path[j - 1])
+            if step is not None:
+                Q[(leaf, j)] = Fraction(pn * step[0], pd * step[1])
+        z = Zp.at(leaf)
+        Q[(leaf, None)] = Fraction(pn * z.numerator, pd * z.denominator)
     return DominatingMeasure(EnlargedSpace(tree, P), Q, Zp, dA)
 
 
@@ -203,51 +239,59 @@ def verify_ky(dm: DominatingMeasure,
               stopping_times: Sequence[StoppingTime] = ()) -> KyReport:
     """Exact check of the three decomposition properties, plus the stopped
     version Q(A n {T > tau}) = E_P[1_{A, tau < inf} Z_tau] over the atoms of
-    each supplied stopping time."""
-    tree, P = dm.tree, dm.space.P
-    masses = P.node_masses(tree)
-    alive = dm.alive_masses()
+    each supplied stopping time.  Q's point masses are summed as numerators
+    over their lcm, and P's masses over theirs; Fractions are built only for
+    failure messages."""
+    tree = dm.tree
+    dp, masses = _mass_numerators(tree, dm.space.P)
+    keys, dq, nums = dm._points()
+    alive = dm._alive(keys, nums)
     failures: list[str] = []
 
     # (1) the embedded measure never dies
-    p_at_infinity = sum((dm.space.p_bar(leaf, None) for leaf in tree.leaves), ZERO)
-    if p_at_infinity != 1:
-        failures.append(f"property 1: P_bar(T = infinity) = {p_at_infinity}")
+    d1, p_bar = _over_lcm([dm.space.p_bar(leaf, None) for leaf in tree.leaves])
+    if sum(p_bar) != d1:
+        failures.append(f"property 1: P_bar(T = infinity) = "
+                        f"{Fraction(sum(p_bar), d1)}")
 
     # (2) mutual singularity on each layer: every dead atom is P_bar-null (by
     # construction of the embedding), and the dead mass of Q all sits on
     # those atoms.  Every leaf lies below exactly one time-t atom, so the dead
     # mass of layer t is Q's total minus that layer's alive masses; it must
     # equal the running total of the death slices 1..t summed point by point.
-    slices = [ZERO] * (tree.horizon + 1)
-    total = ZERO
-    for (leaf, zeta), mass in dm.Q.items():
-        if dm.space.is_point(leaf, zeta):
-            total += mass
-            if zeta is not None:
-                slices[zeta] += mass
-    direct = ZERO
+    slices = [0] * (tree.horizon + 1)
+    for (_, zeta), mass in zip(keys, nums):
+        if zeta is not None:
+            slices[zeta] += mass
+    total = sum(nums)
+    direct = 0
     for t in range(tree.horizon + 1):
         direct += slices[t]
-        dead_q = total - sum((alive[v] for v in tree.nodes_at(t)), ZERO)
+        dead_q = total - sum(alive[v] for v in tree.nodes_at(t))
         if dead_q != direct:
             failures.append(f"property 2: dead mass mismatch at t = {t}")
 
-    # (3) the density relation on every atom and layer
-    for t in range(tree.horizon + 1):
-        for v in tree.nodes_at(t):
-            lhs = alive[v]
-            rhs = masses[v] * dm.Z.at(v)
-            if lhs != rhs:
-                failures.append(
-                    f"property 3: atom {v} at t = {t}: Q(alive) = {lhs}, "
-                    f"E[1_A Z_t] = {rhs}")
+    # (3) the density relation Q(alive) = P(A) Z_t on every atom and layer,
+    # cross-multiplied: alive/dq = (masses/dp) (Z's numerator/denominator)
+    def sides(v: int) -> tuple[Fraction, Fraction]:
+        return Fraction(alive[v], dq), Fraction(masses[v], dp) * dm.Z.at(v)
 
+    holds = []
+    for v in tree.nodes:
+        z = dm.Z.at(v.id)
+        ok = alive[v.id] * dp * z.denominator == masses[v.id] * z.numerator * dq
+        holds.append(ok)
+        if not ok:
+            lhs, rhs = sides(v.id)
+            failures.append(
+                f"property 3: atom {v.id} at t = {v.time}: Q(alive) = {lhs}, "
+                f"E[1_A Z_t] = {rhs}")
+
+    # the stopped identity at a stop node u is property 3 at u
     for idx, tau in enumerate(stopping_times):
         for u in tau.stop_at:
-            lhs = alive[u]
-            rhs = masses[u] * dm.Z.at(u)
-            if lhs != rhs:
+            if not holds[u]:
+                lhs, rhs = sides(u)
                 failures.append(
                     f"stopping time {idx}: atom {u}: Q(A, T > tau) = {lhs} "
                     f"!= E_P[1_A Z_tau] = {rhs}")
@@ -323,30 +367,38 @@ def check_stopped_price(dm: DominatingMeasure, S: AdaptedProcess
     every 1-admissible wealth, certified per atom.
     """
     tree = dm.tree
-    alive = dm.alive_masses()
+    keys, dq, nums = dm._points()
+    alive = dm._alive(keys, nums)
+    # S over one denominator ds too, s[v] the numerators of S_v: the drift
+    # sum_c alive_c (s_c - s_v) is an int over dq ds, and divided by the
+    # alive mass it is a Fraction over alive_v ds
+    ds, flat = _over_lcm([x for v in tree.nodes for x in S[v.id]])
+    s = [flat[i:i + S.dim] for i in range(0, len(flat), S.dim)]
     violations: list[tuple[int, tuple[Fraction, ...]]] = []
     for v in tree.non_leaf_nodes():
         q_here = alive[v.id]
         if q_here == 0:
             continue
-        drift = tuple(ZERO for _ in range(S.dim))
+        drift = [0] * S.dim
         for c in v.children:
             q_c = alive[c]
             if q_c != 0:
-                ds = tuple(a - b for a, b in zip(S[c], S[v.id]))
-                drift = tuple(a + q_c * x for a, x in zip(drift, ds))
-        if any(x != 0 for x in drift):
-            violations.append((v.id, tuple(x / q_here for x in drift)))
+                for k, (a, b) in enumerate(zip(s[c], s[v.id])):
+                    drift[k] += q_c * (a - b)
+        if any(drift):
+            violations.append(
+                (v.id, tuple(Fraction(x, q_here * ds) for x in drift)))
 
     # gamma = masses / alive on the alive atoms of positive mass inverts back
     # to alive / masses = Z; feed it through the exact deflation certificate
     # as the converse-direction check.  Only alive atoms enter, so the dead
     # table is never built here.
-    masses = dm.space.P.node_masses(tree)
+    dp, masses = _mass_numerators(tree, dm.space.P)
     z_from_gamma = {}
     for v in tree.nodes:
         q, p = alive[v.id], masses[v.id]
-        z_from_gamma[v.id] = q / p if q > 0 and p != 0 else dm.Z.at(v.id)
+        z_from_gamma[v.id] = (Fraction(q * dp, p * dq) if q > 0 and p != 0
+                              else dm.Z.at(v.id))
     problem = WealthProblem(tree, dm.space.P, S)
     deflation = verify_deflation(problem, AdaptedProcess.of_scalars(z_from_gamma))
     return StoppedPriceReport(is_martingale=not violations,

@@ -133,12 +133,16 @@ class _Tableau:
         if piv != 1:
             inv = ONE / piv
             rows[row_i] = prow = [a * inv for a in prow]
+        # every row is its own list (see `solve`), so rows update in place,
+        # and only where the pivot row is nonzero
+        support = [(k, p) for k, p in enumerate(prow) if p != 0]
         for i, row in enumerate(rows):
             if i == row_i:
                 continue
             f = row[col_j]
             if f != 0:
-                rows[i] = [a - f * p for a, p in zip(row, prow)]
+                for k, p in support:
+                    row[k] -= f * p
         self.basis[row_i] = col_j
 
     def run(self, cost: list[Fraction]) -> tuple[str, Fraction, Optional[int]]:

@@ -30,7 +30,12 @@ def parse_rational(text: object, where: str = "value") -> Fraction:
     """Parse a canonical rational string; reject floats and non-reduced forms."""
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise TreeFileError(f"{where}: expected a rational string 'p/q', got {text!r}")
-    value = Fraction(text)
+    num, _, den = text.partition("/")
+    try:
+        value = Fraction(int(num), int(den)) if den else Fraction(int(num))
+    except ValueError as exc:       # more digits than int() converts
+        raise TreeFileError(f"{where}: rational string of {len(text)} "
+                            f"characters is too long to parse") from exc
     if str(value) != text:
         raise TreeFileError(f"{where}: non-canonical rational {text!r}")
     return value

@@ -1,4 +1,4 @@
-"""Leaf-sum reference for the Kunita-Yoeurp mass accounting.
+"""Leaf-sum and Fraction references for the Kunita-Yoeurp mass accounting.
 
 These are the per-atom sums that `DominatingMeasure` and the checks in
 `kunita_yoeurp` used before they read one backward pass: every alive or dead
@@ -6,6 +6,10 @@ mass re-sums the leaves below the atom over the death slices, straight from
 `dm.Q`.  They cost O(leaves below x horizon) per atom, so they serve only as
 the oracle of `test_ky_single_pass.py`.  The stopping-time helpers are the
 recursive hitting walk and the per-leaf ancestor scan of `StoppingTime`.
+
+`doob_decomposition`, `alive_masses` and `dead_masses` are the backward
+passes as they ran in `Fraction` arithmetic, before production moved them
+to int numerators over one common denominator per call.
 """
 
 from __future__ import annotations
@@ -15,10 +19,65 @@ from typing import Optional
 
 from deflator_lab.arbitrage import WealthProblem
 from deflator_lab.deflator import verify_deflation
-from deflator_lab.filtered_space import AdaptedProcess
+from deflator_lab.filtered_space import AdaptedProcess, Strategy
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def doob_decomposition(tree, P, Z):
+    """(M, dA) of Z = Z_0 + M - A by Fraction sums: dA is Z minus the
+    conditional mean of the next value, and A and M are its path sums."""
+    masses = P.node_masses(tree)
+    dA: dict[int, Fraction] = {}
+    for v in tree.non_leaf_nodes():
+        exp_next = sum((masses[c] * Z.at(c) for c in v.children), ZERO)
+        dA[v.id] = Z.at(v.id) - exp_next / masses[v.id]
+    M: dict[int, Fraction] = {tree.root: ZERO}
+    A: dict[int, Fraction] = {tree.root: ZERO}
+    z0 = Z.at(tree.root)
+    for v in tree.nodes:
+        if v.parent is None:
+            continue
+        A[v.id] = A[v.parent] + dA[v.parent]
+        M[v.id] = Z.at(v.id) - z0 + A[v.id]
+    return AdaptedProcess.of_scalars(M), Strategy.of_scalars(dA)
+
+
+def alive_masses(dm) -> list[Fraction]:
+    """Every node's alive mass by one backward pass of Fraction sums."""
+    tree = dm.tree
+    alive = [ZERO] * len(tree.nodes)
+    dying = [ZERO] * len(tree.nodes)
+    for (leaf, zeta), mass in dm.Q.items():
+        if not dm.space.is_point(leaf, zeta):
+            continue
+        if zeta is None:
+            alive[leaf] += mass
+        else:
+            dying[tree.path(leaf)[zeta]] += mass
+    for v in reversed(tree.nodes):
+        if v.children:
+            alive[v.id] = sum((alive[c] + dying[c] for c in v.children), ZERO)
+    return alive
+
+
+def dead_masses(dm) -> list[dict[int, Fraction]]:
+    """Every node's death slices by one backward merge of Fraction sums."""
+    tree = dm.tree
+    dead: list[dict[int, Fraction]] = [{} for _ in tree.nodes]
+    for (leaf, zeta), mass in dm.Q.items():
+        if zeta is not None and dm.space.is_point(leaf, zeta):
+            dead[leaf][zeta] = mass
+    for v in reversed(tree.nodes):
+        if v.children:
+            merged: dict[int, Fraction] = {}
+            for c in v.children:
+                for j, mass in dead[c].items():
+                    if j <= v.time:
+                        merged[j] = merged.get(j, ZERO) + mass
+            dead[v.id] = merged
+    return dead
 
 
 def alive_mass(dm, node: int) -> Fraction:

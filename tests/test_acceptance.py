@@ -280,7 +280,7 @@ def test_criterion_10_log_utility_identity():
 def test_criterion_11_utility_builder_bounds():
     K = 10_000
     n_sum = 20_000
-    curve = build_utility(lambda k: F(1, 2 ** k), K=K, n_sum=n_sum)
+    curve = build_utility(lambda k: F(1, 1 << k), K=K, n_sum=n_sum)
     # diverging lower bound: every block with K_n <= K contributes 1/n fully
     harmonic_half = sum((F(1, n) for n in range(1, K // 2 + 1)), F(0)) / 2
     assert curve.sum_g >= harmonic_half, "harmonic lower bound violated"

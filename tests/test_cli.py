@@ -90,6 +90,10 @@ MALFORMED_TREES = [
     (tree_bytes(P={"1": "1/0", "2": "1/2"}), "P[1]:"),
     (tree_bytes().replace(b'"horizon": 1', b'"horizon": 1' + b"0" * 5000),
      "not valid JSON"),
+    # more digits than int() converts, in a numerator and a denominator
+    (tree_bytes(processes={"S": {"0": ["1"], "1": ["1" + "0" * 5000],
+                                 "2": ["1/2"]}}), "processes[S][1]:"),
+    (tree_bytes(P={"1": "1/1" + "0" * 5000, "2": "1/2"}), "P[1]:"),
 ]
 
 

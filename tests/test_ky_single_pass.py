@@ -1,8 +1,11 @@
 """The backward-pass mass tables of `kunita_yoeurp` against the leaf sums of
 ky_oracle, on a seeded corpus of constructed and deliberately corrupted
 dominating measures.  Equality is exact: same gamma dicts, same failure
-lists in the same order, same stopped-price violations and verdicts."""
+lists in the same order, same stopped-price violations and verdicts.  The
+int numerators over one common denominator are also held to the Fraction
+recurrences they replaced, value and type alike."""
 
+import math
 import random
 import re
 from fractions import Fraction as F
@@ -10,12 +13,13 @@ from fractions import Fraction as F
 import pytest
 
 import ky_oracle
-from deflator_lab.arbitrage import Na1FailsOnAtom
+from deflator_lab.arbitrage import Na1FailsOnAtom, WealthProblem
 from deflator_lab.deflator import construct_deflator
-from deflator_lab.filtered_space import AdaptedProcess, StoppingTime
+from deflator_lab.filtered_space import (AdaptedProcess, EventTree, ProbMeasure,
+                                         StoppingTime, doob_decomposition)
 from deflator_lab.kunita_yoeurp import (DominatingMeasure, build_dominating_measure,
                                         check_stopped_price, verify_ky)
-from treegen import random_problem
+from treegen import random_problem, straddling_prices
 
 SEED = 20_261_018
 N_PROBLEMS = 200
@@ -104,25 +108,116 @@ def assert_matches_oracle(dm, S, taus):
     return report
 
 
-def test_single_pass_matches_leaf_sums():
+def corpus():
+    """The seeded corpus, one problem at a time, drawn in a fixed order:
+    (problem, stopping times, whether the random stop set was an antichain,
+    [(built measure, corrupted copy)] for a random supermartingale and, when
+    (NA1) holds, the constructed deflator)."""
     rng = random.Random(SEED)
-    measures = deflators = antichains = 0
     for n in range(N_PROBLEMS):
         problem = random_problem(rng, max_steps=3, asset_dim=2 if n % 4 == 0 else 1)
         tree, P = problem.tree, problem.P
         taus = stopping_times(rng, problem)
-        antichains += check_antichain_test(rng, tree)
+        antichain = check_antichain_test(rng, tree)
         densities = [random_supermartingale(rng, tree, P)]
         try:
             densities.append(construct_deflator(problem).normalized(tree))
-            deflators += 1
         except Na1FailsOnAtom:
             pass
+        measures = []
         for Z in densities:
             dm = build_dominating_measure(tree, P, Z)
+            measures.append((dm, corrupted(rng, dm)))
+        yield problem, taus, antichain, measures
+
+
+def test_single_pass_matches_leaf_sums():
+    measures = deflators = antichains = 0
+    for problem, taus, antichain, pairs in corpus():
+        antichains += antichain
+        deflators += len(pairs) - 1
+        for dm, broken in pairs:
             assert assert_matches_oracle(dm, problem.S, taus).passed
-            broken = assert_matches_oracle(corrupted(rng, dm), problem.S, taus)
-            assert any(f.startswith("property 3") for f in broken.failures)
+            report = assert_matches_oracle(broken, problem.S, taus)
+            assert any(f.startswith("property 3") for f in report.failures)
             measures += 2
     assert deflators > 50 and 0 < antichains < N_PROBLEMS
     assert measures >= 2 * (N_PROBLEMS + deflators)
+
+
+def assert_same(got, want):
+    """Equal, and of the same types all the way down: a Fraction where the
+    Fraction recurrence has one, never an int or a float."""
+    assert type(got) is type(want)
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            assert_same(got[key], want[key])
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert_same(a, b)
+    else:
+        assert got == want
+
+
+def assert_matches_fraction_recurrences(dm):
+    tree, P = dm.tree, dm.space.P
+    M, dA = doob_decomposition(tree, P, dm.Z)
+    M_want, dA_want = ky_oracle.doob_decomposition(tree, P, dm.Z)
+    assert_same(M.values, M_want.values)
+    assert_same(dA.steps, dA_want.steps)
+    assert_same(dm.alive_masses(), ky_oracle.alive_masses(dm))
+    assert_same(dm.dead_masses(), ky_oracle.dead_masses(dm))
+    assert_same(dm.gamma(), ky_oracle.gamma(dm))
+
+
+def test_integer_masses_match_fraction_recurrences():
+    measures = 0
+    for _, _, _, pairs in corpus():
+        for dm, broken in pairs:
+            assert_matches_fraction_recurrences(dm)
+            assert_matches_fraction_recurrences(broken)
+            measures += 2
+    assert measures > 2 * N_PROBLEMS
+
+
+def first_primes(count, start):
+    out, k = [], start
+    while len(out) < count:
+        if all(k % d for d in range(2, math.isqrt(k) + 1)):
+            out.append(k)
+        k += 1
+    return out
+
+
+def coprime_problem(horizon=4, seed=7):
+    """A binary tree whose leaf masses are 1/p for distinct primes p, except
+    the last leaf, which takes the rest: P's common denominator is the
+    product of all the primes."""
+    tree = EventTree.uniform(horizon, 2)
+    leaves = tree.leaves
+    masses = {leaf: F(1, p) for leaf, p in
+              zip(leaves, first_primes(len(leaves) - 1, 4 * len(leaves)))}
+    masses[leaves[-1]] = 1 - sum(masses.values())
+    S = straddling_prices(random.Random(seed), tree)
+    return WealthProblem(tree, ProbMeasure(masses), S)
+
+
+def test_pairwise_coprime_leaf_denominators():
+    problem = coprime_problem()
+    tree, P = problem.tree, problem.P
+    assert math.lcm(*(m.denominator for m in P.leaf_mass.values())).bit_length() > 80
+    rng = random.Random(SEED)
+    densities = [random_supermartingale(rng, tree, P),
+                 construct_deflator(problem).normalized(tree)]
+    taus = stopping_times(rng, problem)
+    for Z in densities:
+        dm = build_dominating_measure(tree, P, Z)
+        broken = corrupted(rng, dm)
+        assert math.lcm(*(q.denominator for q in dm.Q.values())).bit_length() > 80
+        for m in (dm, broken):
+            assert_matches_fraction_recurrences(m)
+        assert assert_matches_oracle(dm, problem.S, taus).passed
+        report = assert_matches_oracle(broken, problem.S, taus)
+        assert any(f.startswith("property 3") for f in report.failures)

@@ -25,6 +25,39 @@ def test_parse_rational_rejects_noncanonical_and_floats(bad):
         parse_rational(bad)
 
 
+def fraction_parse(text):
+    """The parser before int-based parsing: the same pattern and canonical
+    check around the Fraction string parser; None for a rejected string."""
+    if not isinstance(text, str) or not treeio._RATIONAL_RE.match(text):
+        return None
+    value = F(text)
+    return value if str(value) == text else None
+
+
+PARSER_CASES = ["2/4", "4/1", "-0", "007", "1/0", "+1", "1.0", "1/-2", "0/5",
+                "0", "-3/4", "12", "-12/35", "1/01", "3/007", "-1/1"]
+
+
+def test_parse_rational_matches_the_fraction_parser():
+    rng = random.Random(4)
+    cases = list(PARSER_CASES)
+    for _ in range(300):
+        num, den = rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6)
+        cases += [f"{num}/{den}", str(F(num, den)), str(num)]
+    accepted = 0
+    for text in cases:
+        want = fraction_parse(text)
+        if want is None:
+            with pytest.raises(TreeFileError):
+                parse_rational(text)
+            continue
+        got = parse_rational(text)
+        assert type(got) is F and got == want
+        assert treeio.format_rational(got) == text
+        accepted += 1
+    assert 300 < accepted < len(cases)
+
+
 def sample_tree_file(seed=0) -> TreeFile:
     rng = random.Random(seed)
     tree = random_tree(rng, max_steps=3, max_branch=3)
