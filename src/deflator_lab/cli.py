@@ -198,15 +198,10 @@ def cmd_foellmer(args) -> int:
     started = time.perf_counter()
     tf = load_tree(args.tree)
     dm = _dominating_measure(args, tf)
-    points = [{"leaf": leaf, "zeta": "inf" if zeta is None else zeta,
-               "mass": fr(mass)}
-              for (leaf, zeta), mass in sorted(
-                  dm.Q.items(), key=lambda kv: (kv[0][0], kv[0][1] or 10 ** 9))]
-    payload = {"points": points}
-    treeio.write_atomic(args.out, treeio.canonical_dumps(payload))
+    treeio.write_atomic(args.out, treeio.dumps_points(dm.Q))
     report = make_report(args, "kunita_yoeurp.build", started,
                          {"built": True},
-                         {"points": len(points), "written": args.out})
+                         {"points": len(dm.Q), "written": args.out})
     emit_report(report, args.report)
     return 0
 

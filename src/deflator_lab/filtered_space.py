@@ -269,6 +269,14 @@ class AdaptedProcess:
         return cls(values, dim=1)
 
     @classmethod
+    def of_vectors(cls, values: dict[int, Vector], dim: int) -> "AdaptedProcess":
+        """Take `values` as they are: int node ids to length-`dim` tuples of
+        Fractions, already checked by the caller, so nothing is coerced."""
+        proc = cls.__new__(cls)
+        proc.dim, proc.values = dim, values
+        return proc
+
+    @classmethod
     def constant(cls, tree: EventTree, value, dim: int = 1) -> "AdaptedProcess":
         vec = as_vector(value, dim)
         return cls({v.id: vec for v in tree.nodes}, dim)
@@ -300,6 +308,13 @@ class Strategy:
     @classmethod
     def of_scalars(cls, steps: Mapping[int, RationalLike]) -> "Strategy":
         return cls(steps, dim=1)
+
+    @classmethod
+    def of_vectors(cls, steps: dict[int, Vector], dim: int) -> "Strategy":
+        """Take `steps` as they are, like `AdaptedProcess.of_vectors`."""
+        strat = cls.__new__(cls)
+        strat.dim, strat.steps = dim, steps
+        return strat
 
     @classmethod
     def constant(cls, tree: EventTree, value, dim: Optional[int] = None) -> "Strategy":

@@ -4,7 +4,16 @@ The on-disk form is JSON with every rational serialized as a canonical
 fraction string "p/q" (reduced, positive denominator) or a plain integer
 string.  Measure, process and strategy entries that are not such strings are
 rejected outright: silently accepting JSON floats would smuggle rounding into
-a module whose whole point is exactness.
+a module whose whole point is exactness.  Node keys of `P`, processes and
+strategies are canonical ASCII decimals: "0" or digits without a leading
+zero, so no two keys name one node.
+
+Written text is canonical: byte for byte what `json.dumps(obj, indent=2,
+sort_keys=True) + "\n"` gives for the file's JSON object, that is a 2-space
+indent, keys sorted as strings (so "10" comes before "2"), non-ASCII
+characters escaped and a trailing newline.  `dumps` and `dumps_points` write
+that text from templates, with no intermediate dict and no `json` encoder;
+`from_obj` parses each distinct rational string once per call.
 """
 
 from __future__ import annotations
@@ -15,11 +24,13 @@ import re
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from json.encoder import encode_basestring_ascii as _encode
+from typing import Mapping, Optional
 
 from .filtered_space import AdaptedProcess, EventTree, ProbMeasure, Strategy
 
 _RATIONAL_RE = re.compile(r"-?\d+(/0*[1-9]\d*)?\Z")   # q > 0
+_NODE_KEY_RE = re.compile(r"(?:0|[1-9][0-9]*)\Z")
 
 
 class TreeFileError(ValueError):
@@ -41,10 +52,6 @@ def parse_rational(text: object, where: str = "value") -> Fraction:
     return value
 
 
-def format_rational(value: Fraction) -> str:
-    return str(value)
-
-
 @dataclass
 class TreeFile:
     """A tree plus its named measure, processes and strategies, as stored on disk."""
@@ -53,32 +60,6 @@ class TreeFile:
     P: Optional[ProbMeasure] = None
     processes: dict[str, AdaptedProcess] = field(default_factory=dict)
     strategies: dict[str, Strategy] = field(default_factory=dict)
-
-
-def to_obj(tf: TreeFile) -> dict:
-    tree = tf.tree
-    obj: dict = {
-        "horizon": tree.horizon,
-        "asset_dim": tree.asset_dim,
-        "nodes": [
-            {"id": v.id, "time": v.time, "parent": v.parent} for v in tree.nodes
-        ],
-    }
-    if tf.P is not None:
-        obj["P"] = {str(leaf): format_rational(m) for leaf, m in sorted(tf.P.leaf_mass.items())}
-    if tf.processes:
-        obj["processes"] = {
-            name: {str(n): [format_rational(x) for x in vec]
-                   for n, vec in sorted(proc.values.items())}
-            for name, proc in sorted(tf.processes.items())
-        }
-    if tf.strategies:
-        obj["strategies"] = {
-            name: {str(n): [format_rational(x) for x in vec]
-                   for n, vec in sorted(strat.steps.items())}
-            for name, strat in sorted(tf.strategies.items())
-        }
-    return obj
 
 
 def _integer(value: object, field: str, node: Optional[int] = None) -> int:
@@ -95,6 +76,28 @@ def _table(value: object, where: str) -> dict:
         raise TreeFileError(f"{where}: expected a JSON object, "
                             f"got {type(value).__name__}")
     return value
+
+
+def _node_key(key: object, where: str) -> int:
+    if not isinstance(key, str) or not _NODE_KEY_RE.match(key):
+        raise TreeFileError(f"{where}: node key {key!r} must be a canonical "
+                            "ASCII decimal (0, or digits without a leading 0)")
+    try:
+        return int(key)
+    except ValueError as exc:       # more digits than int() converts
+        raise TreeFileError(f"{where}: node key of {len(key)} digits is "
+                            "too long to parse") from exc
+
+
+def _rational(memo: dict, text: object, where: str) -> Fraction:
+    """`parse_rational` once per distinct string: `memo` maps each string
+    already accepted in this parse to its value.  Only accepted strings
+    enter it, so the first faulty entry is still the one named."""
+    try:
+        return memo[text]
+    except (KeyError, TypeError):           # not seen yet, or not hashable
+        value = memo[text] = parse_rational(text, where)
+        return value
 
 
 def from_obj(obj: dict) -> TreeFile:
@@ -126,52 +129,112 @@ def from_obj(obj: dict) -> TreeFile:
         raise TreeFileError(f"nodes: {exc}") from exc
 
     tf = TreeFile(tree)
+    memo: dict[str, Fraction] = {}
     if "P" in obj:
         masses = {}
         for key, text in _table(obj["P"], "P").items():
             leaf = _node_key(key, "P")
-            masses[leaf] = parse_rational(text, f"P[{key}]")
+            masses[leaf] = _rational(memo, text, f"P[{key}]")
         try:
             P = ProbMeasure(masses)
             P.validate_for(tree)
         except ValueError as exc:
             raise TreeFileError(f"P: {exc}") from exc
         tf.P = P
-    for section, store in (("processes", tf.processes), ("strategies", tf.strategies)):
+    for section, store, kind in (("processes", tf.processes, AdaptedProcess),
+                                 ("strategies", tf.strategies, Strategy)):
         for name, table in _table(obj.get(section, {}), section).items():
+            where = f"{section}[{name}]"
             values = {}
-            for key, vec in _table(table, f"{section}[{name}]").items():
-                node = _node_key(key, f"{section}[{name}]")
+            for key, vec in _table(table, where).items():
+                node = _node_key(key, where)
+                at = f"{where}[{key}]"
                 if not isinstance(vec, list):
-                    raise TreeFileError(f"{section}[{name}][{key}]: expected a list")
-                values[node] = [parse_rational(x, f"{section}[{name}][{key}]")
-                                for x in vec]
+                    raise TreeFileError(f"{at}: expected a list")
+                values[node] = tuple([_rational(memo, x, at) for x in vec])
             dims = {len(v) for v in values.values()}
             if len(dims) != 1:
-                raise TreeFileError(f"{section}[{name}]: inconsistent vector lengths")
-            dim = dims.pop()
-            try:
-                if section == "processes":
-                    store[name] = AdaptedProcess(values, dim)
-                else:
-                    store[name] = Strategy(values, dim)
-            except ValueError as exc:
-                raise TreeFileError(f"{section}[{name}]: {exc}") from exc
+                raise TreeFileError(f"{where}: inconsistent vector lengths")
+            store[name] = kind.of_vectors(values, dims.pop())
     return tf
 
 
-def _node_key(key: object, where: str) -> int:
-    if not isinstance(key, str) or not key.isdigit():
-        raise TreeFileError(f"{where}: node key {key!r} must be a decimal string")
-    return int(key)
+# -- writing ------------------------------------------------------------------
+#
+# Each writer lays its text out exactly as json.dumps(indent=2,
+# sort_keys=True) would: members sorted by their key strings, ",\n" between
+# them, and "{}" or "[]" for an empty object or array.
 
 
-def canonical_dumps(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _object(members: Mapping[str, str], indent: str) -> str:
+    """A JSON object whose values are already encoded, at this indent."""
+    if not members:
+        return "{}"
+    inner = ",\n" + indent + "  "
+    return ("{" + inner[1:] + inner.join(
+        f"{_encode(key)}: {members[key]}" for key in sorted(members))
+        + "\n" + indent + "}")
+
+
+def _array(items: list, indent: str) -> str:
+    """A JSON array of already encoded items, at this indent."""
+    if not items:
+        return "[]"
+    inner = ",\n" + indent + "  "
+    return "[" + inner[1:] + inner.join(items) + "\n" + indent + "]"
+
+
+_NODE = '{\n      "id": %d,\n      "parent": %s,\n      "time": %d\n    }'
+_SCALAR = '[\n        "%s"\n      ]'     # a length-1 vector, at its indent
+
+
+def _vectors(values: Mapping[int, tuple]) -> str:
+    """A node-keyed table of vectors, as a process or strategy entry."""
+    return _object({str(node): _SCALAR % vec[0] if len(vec) == 1
+                    else _array([f'"{x}"' for x in vec], "      ")
+                    for node, vec in values.items()}, "    ")
 
 
 def dumps(tf: TreeFile) -> str:
-    return canonical_dumps(to_obj(tf))
+    """The canonical text of a tree file (see the module docstring)."""
+    tree = tf.tree
+    fields = {
+        "asset_dim": "%d" % tree.asset_dim,
+        "horizon": "%d" % tree.horizon,
+        "nodes": _array([_NODE % (v.id, "null" if v.parent is None
+                                  else "%d" % v.parent, v.time)
+                         for v in tree.nodes], "  "),
+    }
+    if tf.P is not None:
+        fields["P"] = _object({str(leaf): f'"{m}"'
+                               for leaf, m in tf.P.leaf_mass.items()}, "  ")
+    if tf.processes:
+        fields["processes"] = _object(
+            {name: _vectors(proc.values)
+             for name, proc in tf.processes.items()}, "  ")
+    if tf.strategies:
+        fields["strategies"] = _object(
+            {name: _vectors(strat.steps)
+             for name, strat in tf.strategies.items()}, "  ")
+    return _object(fields, "") + "\n"
+
+
+_POINT = '{\n      "leaf": %d,\n      "mass": "%s",\n      "zeta": %s\n    }'
+
+
+def dumps_points(Q: Mapping[tuple[int, Optional[int]], Fraction]) -> str:
+    """The canonical text of a dominating measure's points file: an object
+    whose "points" list holds {"leaf", "mass", "zeta"} by leaf, then by death
+    time, with "inf" for a point that never dies (zeta None)."""
+    points = sorted(Q.items(), key=lambda kv: (kv[0][0], kv[0][1] or 10 ** 9))
+    return _object({"points": _array([
+        _POINT % (leaf, mass, '"inf"' if zeta is None else "%d" % zeta)
+        for (leaf, zeta), mass in points], "  ")}, "") + "\n"
+
+
+def canonical_dumps(obj: dict) -> str:
+    """The canonical text of a small JSON document, through `json`."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def loads(text: str) -> TreeFile:
@@ -201,14 +264,18 @@ def write_atomic(path: str, text: str) -> None:
     """Write via a temp file in the same directory and rename over the target.
 
     Non-regular targets (pipes, devices) cannot be replaced by rename, so
-    those are written through directly instead.
+    those are written through directly instead.  When the temp file cannot
+    be made, the error names the target, not the temp file.
     """
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -94,6 +94,15 @@ MALFORMED_TREES = [
     (tree_bytes(processes={"S": {"0": ["1"], "1": ["1" + "0" * 5000],
                                  "2": ["1/2"]}}), "processes[S][1]:"),
     (tree_bytes(P={"1": "1/1" + "0" * 5000, "2": "1/2"}), "P[1]:"),
+    # node keys: canonical ASCII decimals only, so no two keys name one node
+    (tree_bytes(P={"\u00b2": "1/2", "2": "1/2"}), "P:"),
+    (tree_bytes(P={"01": "1/2", "2": "1/2"}), "P:"),
+    (tree_bytes(processes={"S": {"0": ["1"], "1": ["2"], "2": ["1/2"],
+                                 "01": ["3"]}}), "processes[S]:"),
+    (tree_bytes(processes={"S": {"0": ["1"], "\u0661": ["2"], "2": ["1/2"]}}),
+     "processes[S]:"),
+    (tree_bytes(processes={"S": {"0": ["1"], "1": ["2"], "2": ["1/2"],
+                                 "1" + "0" * 5000: ["1"]}}), "processes[S]:"),
 ]
 
 
@@ -108,6 +117,15 @@ def test_malformed_tree_exits_2(tmp_path, capsys):
         bad.write_bytes(text)
         assert run(["check", "--tree", str(bad)]) == 2, field
         assert field in capsys.readouterr().err, field
+
+
+def test_unwritable_target_is_named(fixtures, tmp_path, capsys):
+    target = str(tmp_path / "missing" / "x.json")
+    assert run(["deflate", "--tree", str(fixtures["insider-binomial"] / "tree.json"),
+                "--price", "S", "--out", target]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and repr(target) in err, err
+    assert ".tmp-" not in err
 
 
 def test_deflate_then_verify_and_stopped_check(fixtures, tmp_path):

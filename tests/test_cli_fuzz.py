@@ -14,6 +14,7 @@ from deflator_lab import scenarios, treeio
 from deflator_lab.arbitrage import WealthProblem
 from deflator_lab.cli import run
 from deflator_lab.deflator import construct_deflator
+from treeio_oracle import to_obj
 
 FUZZ = settings(derandomize=True, max_examples=250, deadline=None,
                 database=None, suppress_health_check=[HealthCheck.too_slow])
@@ -25,7 +26,7 @@ def insider_documents():
     tf, labels = scenarios.insider_binomial()
     tf.processes["Z"] = construct_deflator(
         WealthProblem(tf.tree, tf.P, tf.processes["S"])).Z
-    return treeio.to_obj(tf), {str(k): v for k, v in labels.items()}
+    return to_obj(tf), {str(k): v for k, v in labels.items()}
 
 
 TREE, LABELS = insider_documents()
@@ -75,18 +76,71 @@ def mutated(doc, changes):
     return doc
 
 
+def node_keys(doc, prefix=()):
+    """(path of a table, one of its node keys) for every node-keyed table."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            if key.isdigit():
+                yield prefix, key
+            yield from node_keys(value, prefix + (key,))
+
+
+# Each turns a node key into one that no canonical ASCII decimal equals, but
+# that int() reads as the same node or that str.isdigit() accepts.
+KEY_CHANGES = {
+    "zero-padded": lambda key: "0" + key,
+    "arabic-indic": lambda key: key.translate(str.maketrans(
+        "0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                      "\u0665\u0666\u0667\u0668\u0669")),
+    "fullwidth": lambda key: key.translate(str.maketrans(
+        "0123456789", "\uff10\uff11\uff12\uff13\uff14"
+                      "\uff15\uff16\uff17\uff18\uff19")),
+    "superscript": lambda key: key.translate(str.maketrans(
+        "0123456789", "\u2070\u00b9\u00b2\u00b3\u2074"
+                      "\u2075\u2076\u2077\u2078\u2079")),
+}
+
+
+def key_edits(doc):
+    """At most one node key changed: renamed, or aliased next to the
+    original (same value)."""
+    return st.lists(st.tuples(st.sampled_from(list(node_keys(doc))),
+                              st.sampled_from(sorted(KEY_CHANGES)),
+                              st.booleans()), max_size=1)
+
+
+def rekeyed(doc, changes) -> bool:
+    """Apply the key edits to doc in place; whether any of them applied."""
+    applied = False
+    for (path, key), change, alias in changes:
+        try:
+            table = doc
+            for step in path:
+                table = table[step]
+            value = table[key] if alias else table.pop(key)
+        except (KeyError, IndexError, TypeError, AttributeError):
+            continue        # a value edit removed or replaced this table
+        table[KEY_CHANGES[change](key)] = value
+        applied = True
+    return applied
+
+
 def write_json(path, doc):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
 
 
 @FUZZ
-@given(tree_edits=edits(TREE, 1, 2), label_edits=edits(LABELS, 0, 1))
-def test_tree_side_commands_never_raise(tree_edits, label_edits):
+@given(tree_edits=edits(TREE, 0, 2), tree_keys=key_edits(TREE),
+       label_edits=edits(LABELS, 0, 1))
+def test_tree_side_commands_never_raise(tree_edits, tree_keys, label_edits):
+    """A non-canonical node key anywhere in the tree file exits 2."""
     with tempfile.TemporaryDirectory() as d:
         tree, labels, out, written = (os.path.join(d, name) for name in (
             "tree.json", "labels.json", "report.json", "written.json"))
-        write_json(tree, mutated(TREE, tree_edits))
+        doc = mutated(TREE, tree_edits)
+        bad_key = rekeyed(doc, tree_keys)
+        write_json(tree, doc)
         write_json(labels, mutated(LABELS, label_edits))
         commands = [
             ["check", "--tree", tree, "--out", out],
@@ -98,7 +152,7 @@ def test_tree_side_commands_never_raise(tree_edits, label_edits):
               "--event", "u", "--out", out]
              for action in ("jacod", "universal-z", "insider", "logutility")]
         for argv in commands:
-            assert run(argv) in (0, 1, 2), argv
+            assert run(argv) in ((2,) if bad_key else (0, 1, 2)), argv
 
 
 # Bounded junk: with --paths and --steps fixed on the command line, no value

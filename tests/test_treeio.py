@@ -1,14 +1,18 @@
 """Tree file format: canonical rationals, strict parsing, round trips."""
 
+import copy
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from deflator_lab import treeio
-from deflator_lab.filtered_space import EventTree, ProbMeasure, Strategy
+from deflator_lab.filtered_space import AdaptedProcess, EventTree, ProbMeasure, Strategy
 from deflator_lab.treeio import TreeFile, TreeFileError, parse_rational
 from treegen import random_measure, random_prices, random_tree
+import treeio_oracle
+from treeio_oracle import to_obj
 
 
 def test_parse_rational_accepts_canonical_forms():
@@ -53,7 +57,7 @@ def test_parse_rational_matches_the_fraction_parser():
             continue
         got = parse_rational(text)
         assert type(got) is F and got == want
-        assert treeio.format_rational(got) == text
+        assert str(got) == text
         accepted += 1
     assert 300 < accepted < len(cases)
 
@@ -87,18 +91,18 @@ def test_round_trip_preserves_content():
 
 def test_malformed_files_name_the_offending_field():
     tf = sample_tree_file()
-    obj = treeio.to_obj(tf)
+    obj = to_obj(tf)
     obj["P"][next(iter(obj["P"]))] = 0.5
     with pytest.raises(TreeFileError, match="P\\["):
         treeio.from_obj(obj)
 
-    obj = treeio.to_obj(tf)
+    obj = to_obj(tf)
     leaf = next(iter(obj["processes"]["S"]))
     obj["processes"]["S"][leaf] = ["2/4"]
     with pytest.raises(TreeFileError, match="processes\\[S\\]"):
         treeio.from_obj(obj)
 
-    obj = treeio.to_obj(tf)
+    obj = to_obj(tf)
     del obj["nodes"]
     with pytest.raises(TreeFileError, match="nodes"):
         treeio.from_obj(obj)
@@ -106,7 +110,7 @@ def test_malformed_files_name_the_offending_field():
 
 def test_measure_must_cover_exactly_the_leaves():
     tree = EventTree.uniform(1, 2)
-    obj = treeio.to_obj(TreeFile(tree, ProbMeasure({1: F(1, 2), 2: F(1, 2)})))
+    obj = to_obj(TreeFile(tree, ProbMeasure({1: F(1, 2), 2: F(1, 2)})))
     obj["P"]["0"] = "0"
     with pytest.raises(TreeFileError, match="P"):
         treeio.from_obj(obj)
@@ -119,3 +123,114 @@ def test_atomic_write_and_load(tmp_path):
     loaded = treeio.load(str(path))
     assert treeio.dumps(loaded) == treeio.dumps(tf)
     assert not list(tmp_path.glob(".tmp-*"))
+
+
+# -- the template writers and the parse-once reader against the json path ----
+
+NAMES = ["S", "Z", 'q"uote', "back\\slash", "été", "☃",
+         "\U0001d54a", "10", "2", ""]
+
+
+def writer_corpus():
+    """Seeded tree files: markets at one and two assets, with and without P
+    and strategies, odd process names, and trees whose ids cross 9/10 and
+    99/100, so string order and numeric order of node keys differ."""
+    rng = random.Random(20_261_019)
+    trees = [EventTree.uniform(6, 2), EventTree.uniform(2, 4, asset_dim=2)]
+    for n in range(60):
+        trees.append(random_tree(rng, max_steps=4, max_branch=4,
+                                 asset_dim=2 if n % 3 == 0 else 1))
+    for n, tree in enumerate(trees):
+        d = tree.asset_dim
+        P = random_measure(rng, tree) if n % 4 else None
+        processes = {rng.choice(NAMES): random_prices(rng, tree, den=rng.randint(1, 9))
+                     for _ in range(rng.randint(0, 3))}
+        strategies = {}
+        if n % 2:
+            strategies["H"] = Strategy({v.id: tuple(F(rng.randint(-4, 4), 3)
+                                                    for _ in range(d))
+                                        for v in tree.non_leaf_nodes()}, d)
+        yield TreeFile(tree, P, processes, strategies)
+    tree = EventTree.uniform(1, 2)
+    yield TreeFile(tree, None, {"empty": AdaptedProcess({}, 1),
+                                "flat": AdaptedProcess({0: (), 1: (), 2: ()}, 0)},
+                   {"none": Strategy({}, 1)})
+
+
+def test_dumps_matches_the_json_encoder():
+    sizes = set()
+    for tf in writer_corpus():
+        assert treeio.dumps(tf) == treeio_oracle.dumps(tf)
+        sizes.add(len(tf.tree.nodes))
+    assert max(sizes) > 100 and min(sizes) < 10
+
+
+def test_points_file_matches_the_json_encoder():
+    from test_ky_single_pass import corpus
+
+    measures = immortal = 0
+    for n, (_, _, _, pairs) in enumerate(corpus()):
+        if n == 40:
+            break
+        for built, corrupted in pairs:
+            for dm in (built, corrupted):
+                assert treeio.dumps_points(dm.Q) == treeio_oracle.dumps_points(dm.Q)
+                measures += 1
+                immortal += any(zeta is None for _, zeta in dm.Q)
+    assert treeio.dumps_points({}) == treeio_oracle.dumps_points({})
+    assert measures > 80 and immortal == measures
+
+
+def outcome(reader, obj):
+    """The canonical text a reader gives, or the message it raises."""
+    try:
+        return treeio.dumps(reader(obj))
+    except TreeFileError as exc:
+        return f"error: {exc}"
+
+
+def test_reader_names_the_same_field_as_the_reference():
+    from test_cli import MALFORMED_TREES
+
+    checked = 0
+    for text, _ in MALFORMED_TREES:
+        try:
+            obj = json.loads(text.decode("utf-8"))
+        except ValueError:          # rejected before the reader runs
+            continue
+        got = outcome(treeio.from_obj, copy.deepcopy(obj))
+        assert got.startswith("error: ")
+        assert got == outcome(treeio_oracle.from_obj, obj)
+        checked += 1
+    assert checked >= len(MALFORMED_TREES) - 3
+
+
+JUNK = ["2/4", "1/2", "-0", 0.5, 3, None, ["1"], {"1": "1"}, "1/3", "x"]
+
+
+def test_reader_matches_the_reference_on_mutated_files():
+    """One or two entries replaced by junk, some of it valid text already
+    seen elsewhere in the file, and some keys zero-padded: the memoised
+    reader must accept the same files and name the same first fault."""
+    rng = random.Random(5)
+    base = [to_obj(sample_tree_file(seed)) for seed in range(6)]
+    errors = 0
+    for _ in range(400):
+        obj = copy.deepcopy(rng.choice(base))
+        for _ in range(rng.randint(1, 2)):
+            section = rng.choice(["P", "processes", "strategies"])
+            table = obj[section]
+            if section != "P":
+                table = table[rng.choice(sorted(table))]
+            key = rng.choice(sorted(table))
+            if section == "P" or rng.random() < 0.3:
+                table[key] = rng.choice(JUNK)
+            elif isinstance(table[key], list):
+                vec = table[key]
+                vec[rng.randrange(len(vec))] = rng.choice(JUNK)
+            if rng.random() < 0.2:          # and a zero-padded key
+                table["0" + key] = table.pop(key)
+        want = outcome(treeio_oracle.from_obj, copy.deepcopy(obj))
+        assert outcome(treeio.from_obj, obj) == want
+        errors += want.startswith("error: ")
+    assert 100 < errors < 400
