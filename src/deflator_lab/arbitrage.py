@@ -15,8 +15,9 @@ one linear inequality per node, so on a finite tree with strictly positive P:
   one-step program, so the two verdicts coincide.  A sup-norm box |h| <= 1
   keeps the failing atom's arbitrage program bounded.
 
-At one asset the one-step and box programs are closed form; with more assets
-the exact simplex of `linprog` solves them.
+At one asset the one-step program is closed form and its ray is the box
+program's maximizer; with more assets the exact simplex of `linprog` solves
+both.
 
 The utility builder turns a tail-probability envelope F into a concave,
 unbounded U = integral of a step function g with diverging sum(g_k) but
@@ -208,36 +209,11 @@ def backward_pass(problem: WealthProblem) -> dict[int, Fraction]:
     return z
 
 
-def _box_program(tree: EventTree, S: AdaptedProcess, node: int
-                 ) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """max of sum over children of h.dS subject to h.dS >= 0 on every child
-    and |h|_inf <= 1: positive exactly when the atom admits a one-step
-    arbitrage, and then the maximizer is one.
-
-    At one asset the optimum is h = sign(sum of ds_c) with value
-    |sum of ds_c| when every nonzero ds_c has that sign, and h = 0 with value
-    0 otherwise; with more assets the simplex solves it.
-    """
-    if S.dim != 1:
-        return _box_simplex(tree, S, node)
-    s = S[node][0]
-    total = ZERO
-    rises = falls = False
-    for c in tree.children_of(node):
-        ds = S[c][0] - s
-        total += ds
-        rises = rises or ds > 0
-        falls = falls or ds < 0
-    if total > 0 and not falls:
-        return total, (ONE,)
-    if total < 0 and not rises:
-        return -total, (-ONE,)
-    return ZERO, (ZERO,)
-
-
 def _box_simplex(tree: EventTree, S: AdaptedProcess, node: int
                  ) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """`_box_program` by the simplex, at any number of assets."""
+    """max of sum over children of h.dS subject to h.dS >= 0 on every child
+    and |h|_inf <= 1, by the simplex: positive exactly when the atom admits a
+    one-step arbitrage, and then the maximizer is one."""
     d = S.dim
     lp = LinearProgram(d)
     objective: dict[int, Fraction] = {}
@@ -282,13 +258,24 @@ def check_na1(problem: WealthProblem) -> ArbitrageReport:
     unbounded atom gives `na_optimum` and the witness, held on that atom
     only: its wealth 1 + (H.S) lies in W1, never falls below 1 and exceeds 1
     on some leaf.  When both hold `na_optimum` is 0.
+
+    At one asset the pass's ray is that maximizer: the one-step program is
+    unbounded with ray (1,) or (-1,) exactly when every nonzero dS_c has the
+    ray's sign, and then h = ray gives the largest sum of h dS_c over
+    |h| <= 1.  With more assets the box program goes to the simplex.
     """
     try:
         z = backward_pass(problem)
     except Na1FailsOnAtom as exc:
-        value, h = _box_program(problem.tree, problem.S, exc.atom)
+        tree, S = problem.tree, problem.S
+        if S.dim == 1:
+            h = exc.ray
+            value = sum((h[0] * (S[c][0] - S[exc.atom][0])
+                         for c in tree.children_of(exc.atom)), ZERO)
+        else:
+            value, h = _box_simplex(tree, S, exc.atom)
         return ArbitrageReport(na_holds=False, na1_holds=False, unbounded=True,
-                               witness=_lift(problem.tree, exc.atom, h),
+                               witness=_lift(tree, exc.atom, h),
                                na_optimum=value)
     return ArbitrageReport(na_holds=True, na1_holds=True,
                            optimal_value=z[problem.tree.root], na_optimum=ZERO)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
 from . import __version__, treeio
-from .filtered_space import AdaptedProcess, StoppingTime
+from .filtered_space import AdaptedProcess
 
 # Each subcommand imports the analysis modules it runs, so a command compiles
 # and loads only those.
@@ -206,32 +206,24 @@ def cmd_foellmer(args) -> int:
     return 0
 
 
-# The hitting levels of `ky-verify`.  The stopped identity at a stop node u is
-# the comparison alive[u] == P(u) Z(u) that property 3 already makes at every
-# node, so no choice of levels can change the verdict.
-HITTING_LEVELS = tuple(Fraction(x) for x in (
-    "2", "5/2", "-7/2", "0", "4", "15/4", "9/4", "3/4", "7/2", "3/2"))
-
-
 def cmd_ky_verify(args) -> int:
+    """The three decomposition properties.  A stopped identity at a stopping
+    time's stop node is property 3 there, so `--price` selects nothing; a
+    name the tree file lacks still exits 2."""
     from .kunita_yoeurp import verify_ky
 
     started = time.perf_counter()
     tf = load_tree(args.tree)
     dm = _dominating_measure(args, tf)
-    source = dm.Z
     if args.price is not None:
         try:
-            source = need_process(tf, args.price, args.tree)
+            need_process(tf, args.price, args.tree)
         except CliError as exc:
             raise CliError(f"--price: {exc}") from exc
-    taus = [StoppingTime.hitting_time(tf.tree, source, level)
-            for level in HITTING_LEVELS]
-    result = verify_ky(dm, taus)
+    result = verify_ky(dm)
     report = make_report(args, "kunita_yoeurp.verify", started,
                          {"kunita_yoeurp": result.passed},
-                         {"failures": result.failures,
-                          "stopping_times": len(taus)})
+                         {"failures": result.failures})
     emit_report(report, args.out)
     return 0 if result.passed else 1
 
@@ -264,10 +256,17 @@ def load_labels(path: str) -> dict[int, str]:
     if not isinstance(raw, dict):
         raise CliError(f"--label-map {path}: expected a JSON object of leaf "
                        f"id to label, got {type(raw).__name__}")
-    try:
-        return {int(k): str(v) for k, v in raw.items()}
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"label map {path}: keys must be leaf ids") from exc
+    labels: dict[int, str] = {}
+    for key, value in raw.items():
+        try:
+            leaf = treeio._node_key(key, f"--label-map {path}")
+        except treeio.TreeFileError as exc:
+            raise CliError(str(exc)) from exc
+        if not isinstance(value, str):
+            raise CliError(f"--label-map {path}: the label of leaf {key} must "
+                           f"be a JSON string, got {json.dumps(value)}")
+        labels[leaf] = value
+    return labels
 
 
 def cmd_enlarge(args) -> int:
@@ -542,8 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree", required=True)
     p.add_argument("--deflator", default="Z")
     p.add_argument("--price", default=None,
-                   help="process whose hitting times drive the stopped checks "
-                        "(default: the deflator)")
+                   help="accepted and ignored, but must name a process of the "
+                        "tree file: the stopped identities are property 3")
     common(p)
     p.set_defaults(func=cmd_ky_verify)
 

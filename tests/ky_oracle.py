@@ -4,8 +4,11 @@ These are the per-atom sums that `DominatingMeasure` and the checks in
 `kunita_yoeurp` used before they read one backward pass: every alive or dead
 mass re-sums the leaves below the atom over the death slices, straight from
 `dm.Q`.  They cost O(leaves below x horizon) per atom, so they serve only as
-the oracle of `test_ky_single_pass.py`.  The stopping-time helpers are the
-recursive hitting walk and the per-leaf ancestor scan of `StoppingTime`.
+the oracle of `test_ky_single_pass.py`.  `verify_ky_failures` also checks
+the stopped identity of each given stopping time on its own; production
+leaves it to property 3, of which it is a reading.  The stopping-time
+helpers are the recursive hitting walk and the per-leaf ancestor scan of
+`StoppingTime`.
 
 `doob_decomposition`, `alive_masses` and `dead_masses` are the backward
 passes as they ran in `Fraction` arithmetic, before production moved them

@@ -29,6 +29,7 @@ from deflator_lab.montecarlo import (DiffusionScenario, LevyScenario,
                                      density_mean_test,
                                      simulate_levy_counterexample)
 from deflator_lab.scenarios import exponential_death, insider_binomial
+import ky_oracle
 from product_oracle import product_market
 from treegen import binomial_problem, random_problem
 
@@ -94,8 +95,11 @@ def test_criterion_02_kunita_yoeurp_properties(corpus):
         for _ in range(HITTING_TIMES):
             level = F(rng.randint(-16, 16), 4)
             taus.append(StoppingTime.hitting_time(problem.tree, problem.S, level))
-        report = verify_ky(dm, taus)
+        report = verify_ky(dm)
         assert report.passed, report.failures
+        # the stopped identities are property 3 on each stop set; the
+        # leaf-sum oracle checks them as identities of their own
+        assert ky_oracle.verify_ky_failures(dm, taus) == []
         measures += 1
     ok(2, f"three decomposition properties plus {HITTING_TIMES} stopped "
           f"identities exact on {measures} dominating measures")

@@ -15,6 +15,7 @@ from deflator_lab.kunita_yoeurp import (
     KyError, build_dominating_measure, check_stopped_price, verify_ky,
     yoeurp_expectation,
 )
+import ky_oracle
 from treegen import binomial_problem, random_measure, random_problem, random_tree
 
 SEED = 555_001
@@ -97,8 +98,9 @@ def test_verify_ky_passes_on_construction_and_catches_corruption():
     tree, P, S, Z = survival_fixture()
     dm = build_dominating_measure(tree, P, Z)
     taus = [StoppingTime(tree, [1]), StoppingTime(tree, [2]), StoppingTime(tree, [])]
-    report = verify_ky(dm, taus)
+    report = verify_ky(dm)
     assert report.passed, report.failures
+    assert ky_oracle.verify_ky_failures(dm, taus) == []
     # move mass between death slices: property 3 must name the touched atom
     dm.Q[(2, 1)] -= F(1, 8)
     dm.Q[(2, 2)] += F(1, 8)
@@ -123,7 +125,8 @@ def test_verify_ky_on_random_constructed_deflators():
         for _ in range(5):
             level = F(rng.randint(-8, 8), 4)
             taus.append(StoppingTime.hitting_time(problem.tree, problem.S, level))
-        assert verify_ky(dm, taus).passed
+        assert verify_ky(dm).passed
+        assert ky_oracle.verify_ky_failures(dm, taus) == []
 
 
 def test_yoeurp_constant_process():
@@ -271,7 +274,7 @@ def test_long_path_needs_no_recursion():
     assert conditional_expectation(tree, P, S, 3, at_time=7).at(3) == 7
     dm = build_dominating_measure(tree, P, Z)
     assert dm.Q[(horizon, 1)] == F(1, 2) and dm.Q[(horizon, None)] == Z.at(horizon)
-    assert verify_ky(dm, [tau, never]).passed
+    assert verify_ky(dm).passed
     report = check_stopped_price(dm, S)
     # the alive mass shrinks from 1/(t+1) to 1/(t+2) while the price gains 1
     assert report.violations[0] == (0, (F(1, 2),))
@@ -296,7 +299,7 @@ def test_tree_side_ky_pipeline_makes_no_per_atom_tree_walks(monkeypatch):
         monkeypatch.setattr(EventTree, name, counted)
     tau = StoppingTime.hitting_time(tree, S, F(300))
     dm = build_dominating_measure(tree, P, Z)
-    assert verify_ky(dm, [tau]).passed
+    assert verify_ky(dm).passed
     check_stopped_price(dm, S)
     yoeurp_expectation(dm, Strategy.constant(tree, F(2), dim=1))
     yoeurp_expectation(dm, S)

@@ -1,9 +1,11 @@
 """The closed-form one-step programs at one asset against the simplex.
 
-`one_step_program` and `_box_program` solve one-asset atoms without a
-tableau; `_one_step_simplex` and `_box_simplex` are the same programs on the
-Bland simplex.  Both must agree on the value, on boundedness, on the
-maximizer h and on the ray, since reports print all four.
+`one_step_program` solves one-asset atoms without a tableau, and
+`_one_step_simplex` is the same program on the Bland simplex.  Both must
+agree on the value, on boundedness, on the maximizer h and on the ray, since
+reports print all four.  At one asset `check_na1` takes the ray as the box
+program's maximizer, so on every unbounded program `(sum of ray.dS_c, ray)`
+must be what `_box_simplex` returns.
 """
 
 import random
@@ -11,7 +13,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from deflator_lab.arbitrage import (Na1FailsOnAtom, _box_program, _box_simplex,
+from deflator_lab.arbitrage import (Na1FailsOnAtom, _box_simplex,
                                     _one_step_simplex, one_step_program)
 from deflator_lab.filtered_space import AdaptedProcess, EventTree
 
@@ -71,6 +73,12 @@ def random_program(rng: random.Random, pattern: str):
     return star(n), masses, S, weights
 
 
+def box_from_ray(tree, S, ray, node=0):
+    """(value, h) of the box program as `check_na1` reads it off the ray."""
+    return sum((ray[0] * (S[c][0] - S[node][0])
+                for c in tree.children_of(node)), F(0)), ray
+
+
 def solve(program, node=0):
     """(status, value, h, ray) of a one-step solver, for comparison."""
     try:
@@ -91,7 +99,9 @@ def test_closed_form_matches_simplex(pattern):
         simplex = solve(lambda v: _one_step_simplex(tree, masses, S, v, weights))
         assert closed == simplex, (S.values, masses, weights)
         assert all(type(x) is F for x in closed[2] or closed[3])
-        assert _box_program(tree, S, 0) == _box_simplex(tree, S, 0), S.values
+        if closed[0] == "unbounded":
+            assert box_from_ray(tree, S, closed[3]) == _box_simplex(tree, S, 0), \
+                S.values
         statuses.add(closed[0])
         if pattern == "balanced":
             assert closed[2] == (0,)
@@ -111,7 +121,9 @@ def test_closed_form_on_a_single_child():
             closed = solve(lambda v: one_step_program(tree, masses, S, v, w))
             assert closed == solve(
                 lambda v: _one_step_simplex(tree, masses, S, v, w))
-        assert _box_program(tree, S, 0) == _box_simplex(tree, S, 0)
+            if closed[0] == "unbounded":
+                assert box_from_ray(tree, S, closed[3]) == _box_simplex(
+                    tree, S, 0)
     # a zero-weight child still bounds h: a = 0 there, so h = 0 and value 0
     S = AdaptedProcess({0: (F(1),), 1: (F(3),)})
     assert one_step_program(tree, masses, S, 0, {1: F(0)}) == (F(0), (F(0),))
@@ -119,7 +131,8 @@ def test_closed_form_on_a_single_child():
     with pytest.raises(Na1FailsOnAtom) as exc:
         one_step_program(tree, masses, S, 0)
     assert exc.value.ray == (F(1),)
-    assert _box_program(tree, S, 0) == (F(2), (F(1),))
+    assert box_from_ray(tree, S, exc.value.ray) == _box_simplex(tree, S, 0) \
+        == (F(2), (F(1),))
 
 
 def test_zero_mass_children_keep_their_bounds():
