@@ -17,7 +17,12 @@ one linear inequality per node, so on a finite tree with strictly positive P:
 
 At one asset the one-step program is closed form and its ray is the box
 program's maximizer; with more assets the exact simplex of `linprog` solves
-both.
+both.  The one-asset closed form runs on reduced (numerator, denominator)
+int pairs: `_atom_program` is the one kernel of `one_step_program`, of the
+backward pass and of `deflator.verify_deflation`.  Each atom lifts only its
+children's pairs onto the lcm of their denominators and reduces its own
+value with one gcd, so no common denominator of the whole tree is formed,
+and a Fraction is built only for a returned value.
 
 The utility builder turns a tail-probability envelope F into a concave,
 unbounded U = integral of a step function g with diverging sum(g_k) but
@@ -31,11 +36,14 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .filtered_space import (AdaptedProcess, EventTree, ProbMeasure, Strategy,
                              as_fraction)
-from .linprog import OPTIMAL, UNBOUNDED, LinearProgram
+
+# `linprog` is imported by the three programs that run the simplex (two or
+# more assets, and `finite_utility_check`), so a one-asset command never
+# compiles or loads it.
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -120,43 +128,152 @@ def one_step_program(tree: EventTree, P_masses: dict[int, Fraction],
     not unique is an artifact of pivoting order and not part of the contract.
     Raises Na1FailsOnAtom with the improving ray when unbounded.
 
-    At one asset the program is closed form.  With pw_c = P(c)/P(node) * w_c
-    it maximizes sum(pw_c) + a*h, a = sum(pw_c * ds_c), over the interval
-    max(-1/ds_c : ds_c > 0) <= h <= min(-1/ds_c : ds_c < 0) that keeps
-    1 + h*ds_c >= 0 on every child, whatever its weight or mass.  The sign of
-    a picks the endpoint (h = 0 when a = 0), and a missing endpoint is the
-    ray (1,) or (-1,).  That is the vertex and ray the simplex returns.  With
-    more assets the simplex solves it.
+    At one asset the program is closed form (`_atom_program`); with more
+    assets the simplex solves it.
     """
     atom_mass = P_masses[node]
     if atom_mass == 0:
         raise ValueError(f"one-step program on null atom {node}")
     if S.dim != 1:
         return _one_step_simplex(tree, P_masses, S, node, weights)
-    s = S[node][0]
-    total = gain = ZERO     # P(node) times sum(pw_c) and a
-    ds_min = ds_max = ZERO
-    for c in tree.children_of(node):
-        ds = S[c][0] - s
-        pw = P_masses[c] if weights is None else P_masses[c] * weights[c]
-        total += pw
+    children = tree.children_of(node)
+    masses = [P_masses[c] for c in children]
+    x = ([(m.numerator, m.denominator) for m in masses] if weights is None
+         else [(m.numerator * w.numerator, m.denominator * w.denominator)
+               for m, w in zip(masses, (weights[c] for c in children))])
+    s = [(x.numerator, x.denominator)
+         for x in (S[v][0] for v in (node, *children))]
+    scale, e = _increments(s, 0, range(1, len(s)))
+    num, den, bound = _atom_program(node, x, e)
+    h = Fraction(-scale, bound) if bound else ZERO
+    return (Fraction(num * atom_mass.denominator, den * atom_mass.numerator),
+            (h,))
+
+
+# -- the one-asset kernel on reduced (numerator, denominator) int pairs -------
+
+
+def _atom_program(node: int, x: list[tuple[int, int]], e: list[int]
+                  ) -> tuple[int, int, int]:
+    """The one-asset one-step program at `node`, in ints.
+
+    x holds (numerator, denominator) of P(c) w_c for each child c, and e its
+    price increment S_c - S_node as an int over one positive scale L shared
+    by the children.  The program maximizes
+
+        sum_c P(c) w_c (1 + h ds_c) = T + G h / L,   T = sum_c P(c) w_c,
+
+    over the interval max(-L/e_c : e_c > 0) <= h <= min(-L/e_c : e_c < 0)
+    that keeps 1 + h ds_c >= 0 on every child, whatever its weight or mass.
+    The sign of G picks the endpoint: h = -L/e with e the most negative
+    increment when G > 0, the most positive when G < 0, and h = 0 when G = 0,
+    where the optimum is T.  At an endpoint it is T - G/e, so L cancels.
+    Returns (num, den, e) with the optimum num/den, den > 0 and e = 0 for
+    h = 0; the pair is not reduced.  A missing endpoint is the unbounded ray
+    (1,) or (-1,), raised as Na1FailsOnAtom.
+
+    The children's pairs are lifted onto the lcm of their denominators only,
+    so a large denominator elsewhere in the tree costs nothing here.
+    """
+    d = x[0][1]
+    for _, q in x:
+        if q != d:
+            d = math.lcm(*[q for _, q in x])
+            break
+    total = gain = e_min = e_max = 0
+    for (n, q), ds in zip(x, e):
+        if q != d:
+            n *= d // q
+        total += n
         if ds:
-            gain += pw * ds
-            if ds < ds_min:
-                ds_min = ds
-            elif ds > ds_max:
-                ds_max = ds
+            gain += n * ds
+            if ds < e_min:
+                e_min = ds
+            elif ds > e_max:
+                e_max = ds
     if gain > 0:
-        if not ds_min:
+        if not e_min:
             raise Na1FailsOnAtom(node, (ONE,))
-        h = -ONE / ds_min
-    elif gain < 0:
-        if not ds_max:
+        return gain - total * e_min, -d * e_min, e_min
+    if gain < 0:
+        if not e_max:
             raise Na1FailsOnAtom(node, (-ONE,))
-        h = -ONE / ds_max
-    else:
-        h = ZERO
-    return (total + gain * h) / atom_mass, (h,)
+        return total * e_max - gain, d * e_max, e_max
+    return total, d, 0
+
+
+def _increments(s: Sequence[tuple[int, int]], node: int,
+                children: Sequence[int]) -> tuple[int, list[int]]:
+    """(L, e): the increments S_c - S_node of the children as ints e_c over
+    one positive scale L, the lcm of the prices' denominators, from the
+    (numerator, denominator) pairs s[v]."""
+    a, b = s[node]
+    scale = b
+    for c in children:
+        q = s[c][1]
+        if scale % q:
+            scale = math.lcm(scale, q)
+    if scale != b:
+        a *= scale // b
+    return scale, [n - a if q == scale else n * (scale // q) - a
+                   for n, q in [s[c] for c in children]]
+
+
+def _mass_pairs(tree: EventTree, P: ProbMeasure) -> list[tuple[int, int]]:
+    """Reduced (numerator, denominator) of every atom's mass, by id: each
+    atom adds its children's pairs one at a time.  Two reduced pairs over
+    denominators with gcd g add over their lcm, and their sum reduces by a
+    gcd with g alone (Knuth, TAOCP 4.5.1), never one of the lcm's size."""
+    m: list[tuple[int, int]] = [(0, 1)] * len(tree.nodes)
+    for leaf in tree.leaves:
+        x = P.leaf_mass[leaf]
+        m[leaf] = (x.numerator, x.denominator)
+    for v in reversed(tree.nodes):
+        kids = v.children
+        if not kids:
+            continue
+        num, den = m[kids[0]]
+        for c in kids[1:]:
+            n, q = m[c]
+            g = math.gcd(den, q)
+            if g == 1:
+                num, den = num * q + n * den, den * q
+            else:
+                s = den // g
+                t = num * (q // g) + n * s
+                g = math.gcd(t, g)
+                num, den = t // g, s * (q // g)
+        m[v.id] = (num, den)
+    return m
+
+
+def _price_pairs(tree: EventTree, S: AdaptedProcess) -> list[tuple[int, int]]:
+    """(numerator, denominator) of the scalar price at every node, by id."""
+    values = S.values
+    return [(x.numerator, x.denominator)
+            for x in (values[v.id][0] for v in tree.nodes)]
+
+
+def _backward_pairs(problem: WealthProblem
+                    ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """(y, m) of the one-asset backward pass: m[v] is the mass of atom v
+    and y[v] = m[v] z[v] its mass-weighted value, both reduced pairs.
+
+    With weights z_c the program at v maximizes sum_c m_c z_c (1 + h ds_c),
+    which is y_v and needs the children's y only: leaves have y = m, and
+    each atom costs one `_atom_program` and one gcd.
+    """
+    tree = problem.tree
+    s = _price_pairs(tree, problem.S)
+    m = _mass_pairs(tree, problem.P)
+    y = list(m)
+    for v in reversed(tree.nodes):
+        if v.children:
+            _, e = _increments(s, v.id, v.children)
+            num, den, _ = _atom_program(v.id, [y[c] for c in v.children], e)
+            g = math.gcd(num, den)
+            y[v.id] = (num // g, den // g)
+    return y, m
 
 
 def _one_step_simplex(tree: EventTree, P_masses: dict[int, Fraction],
@@ -164,6 +281,8 @@ def _one_step_simplex(tree: EventTree, P_masses: dict[int, Fraction],
                       weights: Optional[dict[int, Fraction]] = None
                       ) -> tuple[Fraction, tuple[Fraction, ...]]:
     """`one_step_program` by the simplex, at any number of assets."""
+    from .linprog import OPTIMAL, UNBOUNDED, LinearProgram
+
     d = S.dim
     atom_mass = P_masses[node]
     lp = LinearProgram(d)
@@ -195,12 +314,23 @@ def backward_pass(problem: WealthProblem) -> dict[int, Fraction]:
     before its parent.  Each non-leaf atom solves the one-step program
     weighted by its children's values, leaves are worth 1, and the first
     unbounded atom raises Na1FailsOnAtom.  The root value is
-    sup E[1 + (H.S)_n] over 1-admissible H.
+    sup E[1 + (H.S)_n] over 1-admissible H.  At one asset the pass runs on
+    int pairs (`_backward_pairs`), and each value z = y/m is the one
+    Fraction built per node.
     """
     problem.require_positive()
     tree, S = problem.tree, problem.S
-    masses = problem.P.node_masses(tree)
     z: dict[int, Fraction] = {}
+    if S.dim == 1:
+        y, m = _backward_pairs(problem)
+        for v in range(len(tree.nodes) - 1, -1, -1):
+            (yn, yd), (mn, md) = y[v], m[v]
+            # both pairs are reduced, so once their cross gcds cancel z is in
+            # lowest terms, and Fraction's own gcd runs at z's size only
+            g, h = math.gcd(yn, mn), math.gcd(yd, md)
+            z[v] = Fraction(yn // g * (md // h), yd // h * (mn // g))
+        return z
+    masses = problem.P.node_masses(tree)
     for v in reversed(tree.nodes):
         if v.children:
             z[v.id], _ = one_step_program(tree, masses, S, v.id, z)
@@ -214,6 +344,8 @@ def _box_simplex(tree: EventTree, S: AdaptedProcess, node: int
     """max of sum over children of h.dS subject to h.dS >= 0 on every child
     and |h|_inf <= 1, by the simplex: positive exactly when the atom admits a
     one-step arbitrage, and then the maximizer is one."""
+    from .linprog import OPTIMAL, LinearProgram
+
     d = S.dim
     lp = LinearProgram(d)
     objective: dict[int, Fraction] = {}
@@ -512,6 +644,8 @@ def finite_utility_check(problem: WealthProblem, U: UtilityCurve
     (False, None) means the supremum is +infinity, which can only happen when
     (NA1) fails and the terminal slope is positive.
     """
+    from .linprog import OPTIMAL, UNBOUNDED, LinearProgram
+
     problem.require_positive()
     rows, var_index = _gain_rows(problem)
     tree = problem.tree

@@ -179,7 +179,6 @@ def cmd_deflate(args) -> int:
 def _dominating_measure(args, tf):
     """The dominating measure of the --deflator process, rescaled by its root
     value Z_0 so that E[Z_0] = 1; a deflator needs Z_0 > 0."""
-    from .deflator import Deflator
     from .kunita_yoeurp import KyError, build_dominating_measure
 
     P = need_measure(tf, args.tree)
@@ -187,7 +186,7 @@ def _dominating_measure(args, tf):
     if Z.dim != 1 or Z.at(tf.tree.root) <= 0:
         raise CliError(f"--deflator {args.deflator!r}: need a scalar process "
                        "with Z_0 > 0 at the root, since Z is rescaled by Z_0")
-    Z = Deflator(Z).normalized(tf.tree).Z
+    Z = Z.divided_by(tf.tree.root)
     try:
         return build_dominating_measure(tf.tree, P, Z)
     except (KyError, ValueError) as exc:
@@ -322,15 +321,17 @@ def cmd_enlarge(args) -> int:
             result = log_utility_identity(spec, S)
         except (IncompleteMarketError, ValueError) as exc:
             raise CliError(str(exc)) from exc
-        identity = abs(result.identity_gap) <= result.FLOAT_TOLERANCE
+        tol = result.FLOAT_TOLERANCE
+        verdicts = {
+            "identity": abs(result.identity_gap) <= tol,
+            "information_nonnegative": result.mutual_information >= -tol}
         report = make_report(
-            args, "enlargement.log_utility", started, {"identity": identity},
+            args, "enlargement.log_utility", started, verdicts,
             {"u_base": result.u_base, "u_insider": result.u_insider,
              "mutual_information": result.mutual_information,
-             "gap": result.identity_gap,
-             "float_tolerance": result.FLOAT_TOLERANCE})
+             "gap": result.identity_gap, "float_tolerance": tol})
         emit_report(report, args.out)
-        return 0 if identity else 1
+        return 0 if all(verdicts.values()) else 1
     raise CliError(f"unknown enlarge action {args.action!r}")
 
 

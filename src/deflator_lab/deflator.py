@@ -12,7 +12,10 @@ failures surface as the offending atom rather than as a silent wrong number.
 Deflation means: Z * (1 + (H.S)) is a supermartingale for every 1-admissible
 H.  Scaling wealth to 1 on an atom shows it is enough to bound the one-step
 programs by Z, which is an exact, certifiable condition; `verify_deflation`
-checks it with one exact one-step program per atom of positive mass.
+checks it with one exact one-step program per atom of positive mass.  At one
+asset both the construction and the certificate run on the int pairs of
+`arbitrage._atom_program`: the certificate compares each atom's optimum with
+Z by one cross-multiplication and builds a Fraction only for an excess.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arbitrage import (Na1FailsOnAtom, WealthProblem, backward_pass,
+from .arbitrage import (Na1FailsOnAtom, WealthProblem, _atom_program,
+                        _increments, _mass_pairs, _price_pairs, backward_pass,
                         one_step_program)
 from .filtered_space import AdaptedProcess, EventTree, ProbMeasure
 
@@ -40,11 +44,8 @@ class Deflator:
 
     def normalized(self, tree: EventTree) -> "Deflator":
         """Z / Z_0 on every node of `tree`."""
-        scale = self.Z.at(tree.root)
-        if scale == 1:
-            return self
-        return Deflator(AdaptedProcess.of_scalars(
-            {v.id: self.Z.at(v.id) / scale for v in tree.nodes}))
+        Z = self.Z.divided_by(tree.root)
+        return self if Z is self.Z else Deflator(Z)
 
 
 def one_period_density(tree: EventTree, P: ProbMeasure, S: AdaptedProcess,
@@ -98,18 +99,56 @@ def verify_deflation(problem: WealthProblem, Z: "AdaptedProcess | Deflator"
     """
     if isinstance(Z, Deflator):
         Z = Z.Z
+    if Z.dim != 1:
+        raise ValueError("scalar access on a vector-valued process")
+    values = Z.values
+    return _certify_pairs(problem, [
+        (x.numerator, x.denominator)
+        for x in (values[v.id][0] for v in problem.tree.nodes)])
+
+
+def _certify_pairs(problem: WealthProblem, z: list[tuple[int, int]]
+                   ) -> DeflationReport:
+    """`verify_deflation` with Z as (numerator, denominator) pairs by node
+    id, each denominator positive.
+
+    At one asset the program at atom v, weighted by P(c) Z_c, is
+    `_atom_program`'s num/den, P(v) times the conditional optimum, so the
+    check is the int comparison num P_den(v) Z_den(v) <= Z_num(v) den
+    P_num(v), and a Fraction is built only for an excess.  With more assets
+    each atom goes to the simplex.
+    """
     tree, P, S = problem.tree, problem.P, problem.S
-    masses = P.node_masses(tree)
     violations: list[tuple[int, Fraction]] = []
+    if S.dim != 1:
+        masses = P.node_masses(tree)
+        for v in tree.non_leaf_nodes():
+            if masses[v.id] == 0:
+                continue
+            weights = {c: Fraction(*z[c]) for c in v.children}
+            try:
+                value, _ = one_step_program(tree, masses, S, v.id, weights)
+            except Na1FailsOnAtom:
+                violations.append((v.id, Fraction(-1)))
+                continue
+            if value > Fraction(*z[v.id]):
+                violations.append((v.id, value - Fraction(*z[v.id])))
+        return DeflationReport(certified=not violations, violations=violations)
+    s = _price_pairs(tree, S)
+    m = _mass_pairs(tree, P)
     for v in tree.non_leaf_nodes():
-        if masses[v.id] == 0:
+        mn, md = m[v.id]
+        if mn == 0:
             continue
+        x = [(m[c][0] * z[c][0], m[c][1] * z[c][1]) for c in v.children]
+        _, e = _increments(s, v.id, v.children)
         try:
-            value, _ = one_step_program(tree, masses, S, v.id,
-                                        {c: Z.at(c) for c in v.children})
+            num, den, _ = _atom_program(v.id, x, e)
         except Na1FailsOnAtom:
             violations.append((v.id, Fraction(-1)))
             continue
-        if value > Z.at(v.id):
-            violations.append((v.id, value - Z.at(v.id)))
+        zn, zd = z[v.id]
+        lhs, rhs = num * md * zd, zn * den * mn
+        if lhs > rhs:
+            violations.append((v.id, Fraction(lhs - rhs, den * mn * zd)))
     return DeflationReport(certified=not violations, violations=violations)

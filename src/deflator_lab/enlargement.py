@@ -53,8 +53,15 @@ class EnlargementSpec:
 
     def __post_init__(self) -> None:
         self.P.validate_for(self.tree)
-        if set(self.labels) != set(self.tree.leaves):
-            raise ValueError("every leaf needs a label")
+        leaves = set(self.tree.leaves)
+        stray = sorted(set(self.labels) - leaves)
+        if stray:
+            raise ValueError(
+                f"key {_first_of(stray)} names no leaf of the tree")
+        missing = sorted(leaves - set(self.labels))
+        if missing:
+            raise ValueError(f"every leaf needs a label: leaf "
+                             f"{_first_of(missing)} has none")
         if not self.P.strictly_positive:
             raise ValueError("enlargement analysis needs a strictly positive base")
         self.label_set: tuple[str, ...] = tuple(sorted(set(self.labels.values())))
@@ -72,6 +79,12 @@ class EnlargementSpec:
                 out[v.id] = sum((out[c] for c in v.children), ZERO)
         self._slices[label] = out
         return out
+
+
+def _first_of(nodes: list[int]) -> str:
+    """The first node of a sorted list, and how many follow it."""
+    more = len(nodes) - 1
+    return f"{nodes[0]}" + (f" (and {more} more)" if more else "")
 
 
 @dataclass
@@ -496,7 +509,8 @@ def log_utility_identity(spec: EnlargementSpec, S: AdaptedProcess
     constrain the insider, so the market structure is shared).  The identity
     u_insider = u_base + I(label; terminal information) is then an algebraic
     rearrangement; `identity_gap` is its float residual, which the caller
-    judges against FLOAT_TOLERANCE.
+    judges against FLOAT_TOLERANCE, as it judges `mutual_information`, a
+    mutual information and so nonnegative up to that tolerance.
     """
     tree = spec.tree
     # Strictly positive pricing weights leave no atom a one-step arbitrage,
@@ -526,7 +540,5 @@ def log_utility_identity(spec: EnlargementSpec, S: AdaptedProcess
                     _log_fraction(cond) - _log_fraction(market.q_leaf[leaf]))
                 information += float(p) * (_log_fraction(cond) - _log_fraction(p))
     gap = u_insider - u_base - information
-    assert information >= -LogUtilityReport.FLOAT_TOLERANCE, \
-        "mutual information must be nonnegative"
     return LogUtilityReport(u_base=u_base, u_insider=u_insider,
                             mutual_information=information, identity_gap=gap)

@@ -264,6 +264,17 @@ class AdaptedProcess:
         if set(self.values) != {v.id for v in tree.nodes}:
             raise ValueError("process must assign a value to every node")
 
+    def divided_by(self, node: int) -> "AdaptedProcess":
+        """The scalar process over its value at `node`, or the process
+        itself when that value is 1."""
+        scale = self.at(node)
+        if scale == 1:
+            return self
+        sn, sd = scale.numerator, scale.denominator
+        return AdaptedProcess.of_vectors(
+            {v: (Fraction(x.numerator * sd, x.denominator * sn),)
+             for v, (x,) in self.values.items()}, 1)
+
     @classmethod
     def of_scalars(cls, values: Mapping[int, RationalLike]) -> "AdaptedProcess":
         return cls(values, dim=1)

@@ -32,13 +32,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
-from .arbitrage import WealthProblem
-from .deflator import Deflator, DeflationReport, verify_deflation
 from .filtered_space import (AdaptedProcess, EventTree, ProbMeasure,
                              Strategy, _mass_numerators, _over_lcm,
                              doob_decomposition)
+
+# The deflation certificate loads with `check_stopped_price`, its only user,
+# so building and verifying a measure never compiles the arbitrage layer.
+if TYPE_CHECKING:
+    from .deflator import Deflator, DeflationReport
 
 ZERO = Fraction(0)
 
@@ -197,7 +200,7 @@ def build_dominating_measure(tree: EventTree, P: ProbMeasure,
     the death slices and the surviving density mass at infinity.  Z is a
     process or a `Deflator`; either way the compensator steps dA come from
     its Doob decomposition."""
-    Zp = Z.Z if isinstance(Z, Deflator) else Z
+    Zp = Z if isinstance(Z, AdaptedProcess) else Z.Z
     if not P.strictly_positive:
         raise KyError("the base measure must be strictly positive")
     _, dA = doob_decomposition(tree, P, Zp)
@@ -380,15 +383,22 @@ def check_stopped_price(dm: DominatingMeasure, S: AdaptedProcess
 
     # gamma = masses / alive on the alive atoms of positive mass inverts back
     # to alive / masses = Z; feed it through the exact deflation certificate
-    # as the converse-direction check.  Only alive atoms enter, so the dead
+    # as the converse-direction check, as (numerator, denominator) pairs, so
+    # no Fraction is built per node.  Only alive atoms enter, so the dead
     # table is never built here.
+    from .arbitrage import WealthProblem
+    from .deflator import _certify_pairs
+
     dp, masses = _mass_numerators(tree, dm.space.P)
-    z_from_gamma = {}
+    z_from_gamma = []
     for v in tree.nodes:
         q, p = alive[v.id], masses[v.id]
-        z_from_gamma[v.id] = (Fraction(q * dp, p * dq) if q > 0 and p != 0
-                              else dm.Z.at(v.id))
+        if q > 0 and p != 0:
+            z_from_gamma.append((q * dp, p * dq))
+        else:
+            z = dm.Z.at(v.id)
+            z_from_gamma.append((z.numerator, z.denominator))
     problem = WealthProblem(tree, dm.space.P, S)
-    deflation = verify_deflation(problem, AdaptedProcess.of_scalars(z_from_gamma))
     return StoppedPriceReport(is_martingale=not violations,
-                              violations=violations, deflation=deflation)
+                              violations=violations,
+                              deflation=_certify_pairs(problem, z_from_gamma))

@@ -251,8 +251,32 @@ def test_logutility_exits_1_when_the_identity_fails(fixtures, tmp_path,
                 "--label-map", str(fixtures["insider-binomial"] / "labels.json"),
                 "--out", str(out)]) == 1
     report = read(out)
-    assert report["verdicts"] == {"identity": False}
+    assert report["verdicts"] == {"identity": False,
+                                  "information_nonnegative": True}
     assert abs(report["values"]["gap"]) > report["values"]["float_tolerance"]
+
+
+def test_logutility_exits_1_on_negative_mutual_information(fixtures, tmp_path,
+                                                           monkeypatch):
+    """A float mutual information below -float_tolerance is a failed
+    verdict, not an escaping AssertionError."""
+    from deflator_lab import enlargement
+
+    exact = enlargement._log_fraction
+
+    def log_half_off(x):
+        return exact(x) + (1.0 if x == Fraction(1, 2) else 0.0)
+
+    monkeypatch.setattr(enlargement, "_log_fraction", log_half_off)
+    out = tmp_path / "log.json"
+    fixture = fixtures["insider-binomial"]
+    assert run(["enlarge", "logutility", "--tree", str(fixture / "tree.json"),
+                "--label-map", str(fixture / "labels.json"),
+                "--out", str(out)]) == 1
+    report = read(out)
+    assert report["verdicts"]["information_nonnegative"] is False
+    assert report["values"]["mutual_information"] < \
+        -report["values"]["float_tolerance"]
 
 
 def test_simulate_reports_a_positive_survival_gap_as_a_verdict(tmp_path,
@@ -380,9 +404,35 @@ def test_each_command_imports_only_what_it_runs(tmp_path, fixtures):
         "check", "--tree", str(fixtures["insider-binomial"] / "tree.json"),
         "--out", out))
     assert "arbitrage" in check
-    assert not check & {"kunita_yoeurp", "enlargement", "montecarlo"}, check
+    assert not check & {"linprog", "kunita_yoeurp", "enlargement",
+                        "montecarlo"}, check
     version = loaded_modules(run_probe("--version"))
     assert not version & ANALYSIS, version
+
+
+def test_measure_commands_load_no_arbitrage_layer(tmp_path, fixtures):
+    """foellmer and ky-verify build and check a dominating measure: no
+    one-step program runs, so neither the arbitrage layer nor the simplex
+    loads.  A one-asset deflate and stopped-check solve their programs in
+    closed form, without the simplex."""
+    tree = str(fixtures["insider-binomial"] / "tree.json")
+    deflated, out = str(tmp_path / "d.json"), str(tmp_path / "r.json")
+    deflate = loaded_modules(run_probe("deflate", "--tree", tree,
+                                       "--normalize", "--out", deflated,
+                                       "--report", out))
+    assert deflate == {"cli", "treeio", "filtered_space", "arbitrage",
+                       "deflator"}, deflate
+    measure = {"cli", "treeio", "filtered_space", "kunita_yoeurp"}
+    foellmer = loaded_modules(run_probe(
+        "foellmer", "--tree", deflated, "--out", str(tmp_path / "q.json"),
+        "--report", out))
+    assert foellmer == measure, foellmer
+    ky = loaded_modules(run_probe("ky-verify", "--tree", deflated,
+                                  "--price", "S", "--out", out))
+    assert ky == measure, ky
+    stopped = loaded_modules(run_probe("stopped-check", "--tree", deflated,
+                                       "--out", out))
+    assert stopped == measure | {"arbitrage", "deflator"}, stopped
 
 
 def test_every_exported_name_resolves():
@@ -477,7 +527,9 @@ def insider_files(fixtures, tmp_path, P=None, S=None, labels=None):
 
 
 @pytest.mark.parametrize("labels, named", [
-    ({"1": "u"}, "every leaf"),
+    ({"1": "u"}, "every leaf needs a label: leaf 2 has none"),
+    ({"0": "u", "1": "u", "2": "d"}, "key 0 names no leaf"),
+    ({"1": "u", "2": "d", "7": "u"}, "key 7 names no leaf"),
     (["u", "d"], "JSON object"),
     ({"1": "u", "2": "d", "01": "d", "02": "u"}, "'01'"),
     ({" 1": "u", " 2": "d"}, "' 1'"),
@@ -485,7 +537,8 @@ def insider_files(fixtures, tmp_path, P=None, S=None, labels=None):
     ({"1": None, "2": "d"}, "leaf 1"),
     ({"1": ["d"], "2": "u"}, "leaf 1"),
     ({"1": "u", "2": 2}, "leaf 2"),
-], ids=["misses-a-leaf", "json-list", "zero-padded-alias", "space-padded",
+], ids=["misses-a-leaf", "labels-the-root", "labels-an-absent-node",
+        "json-list", "zero-padded-alias", "space-padded",
         "arabic-indic-digit", "null-label", "list-label", "number-label"])
 def test_enlarge_rejects_bad_label_maps(fixtures, tmp_path, capsys, labels,
                                         named):

@@ -1,0 +1,192 @@
+"""The one-asset int kernel against the `Fraction` closed form it replaced.
+
+`backward_pass`, `verify_deflation` and `one_step_program` run one-asset
+atoms on reduced (numerator, denominator) int pairs; `closed_form_oracle`
+keeps their `Fraction` code.  Both must give the same values (as Fractions,
+in the same key order), the same first failing atom and ray, and the same
+violations with the same excesses, on:
+
+* the 402-problem backward-verdict corpus (its one-asset problems), with the
+  constructed density, a perturbed copy and the constant density 1;
+* binary trees whose leaf masses are 1/p for distinct primes, where every
+  node mass has its own large denominator;
+* the insider's slice laws, which vanish off a label's leaves while every
+  child keeps its admissibility bound.
+"""
+
+import random
+from fractions import Fraction as F
+
+import closed_form_oracle as oracle
+from deflator_lab.arbitrage import (Na1FailsOnAtom, WealthProblem,
+                                    backward_pass, check_na1, one_step_program)
+from deflator_lab.deflator import construct_deflator, verify_deflation
+from deflator_lab.enlargement import (EnlargementSpec, multiply,
+                                      universal_density)
+from deflator_lab.filtered_space import (AdaptedProcess, EventTree,
+                                         ProbMeasure)
+from treegen import random_problem, straddling_prices
+
+SEED = 20_261_017           # the corpus of test_backward_verdicts
+N_PROBLEMS = 402
+
+
+def outcome(run, problem):
+    """('values', z) or ('unbounded', atom, ray) of a backward pass."""
+    try:
+        z = run(problem)
+    except Na1FailsOnAtom as exc:
+        return "unbounded", exc.atom, exc.ray
+    assert all(type(x) is F for x in z.values())
+    return "values", list(z.items())
+
+
+def assert_same_certificate(problem, Z):
+    got = verify_deflation(problem, Z)
+    want = oracle.verify_deflation(problem, Z)
+    assert got.violations == want, (got.violations, want)
+    assert all(type(excess) is F for _, excess in got.violations)
+    assert got.certified == (not want)
+    return want
+
+
+def assert_same_programs(problem, z):
+    """Every atom's one-step program, unweighted and weighted by z: the same
+    value, maximizer and ray."""
+    tree, S = problem.tree, problem.S
+    masses = problem.P.node_masses(tree)
+
+    def solve(program, v, weights):
+        try:
+            return program(tree, masses, S, v, weights)
+        except Na1FailsOnAtom as exc:
+            return exc.atom, exc.ray
+    for v in tree.non_leaf_nodes():
+        if masses[v.id] == 0:
+            continue
+        for weights in (None, z):
+            got = solve(one_step_program, v.id, weights)
+            assert got == solve(oracle.one_step_program, v.id, weights)
+            assert all(type(x) is F for x in got[1])
+
+
+def perturbed(rng, tree, z):
+    """z lowered to half on one random interior atom, so it no longer
+    deflates there."""
+    values = dict(z)
+    v = rng.choice([v.id for v in tree.non_leaf_nodes()])
+    values[v] /= 2
+    return AdaptedProcess.of_scalars(values)
+
+
+def test_backward_corpus_matches_the_fraction_oracle():
+    rng = random.Random(SEED)
+    seen = dict.fromkeys(("values", "unbounded", "violations"), 0)
+    for n in range(N_PROBLEMS):
+        problem = random_problem(rng, max_steps=3,
+                                 asset_dim=2 if n % 3 == 0 else 1)
+        if problem.S.dim != 1:
+            continue
+        got = outcome(backward_pass, problem)
+        assert got == outcome(oracle.backward_pass, problem), n
+        seen[got[0]] += 1
+        tree = problem.tree
+        ones = assert_same_certificate(problem,
+                                       AdaptedProcess.constant(tree, 1))
+        if got[0] == "values":
+            z = dict(got[1])
+            assert check_na1(problem).optimal_value == z[tree.root]
+            assert assert_same_certificate(problem,
+                                           AdaptedProcess.of_scalars(z)) == []
+            if assert_same_certificate(problem, perturbed(rng, tree, z)):
+                seen["violations"] += 1
+        else:
+            z = {v.id: F(1) for v in tree.nodes}
+            # an unbounded atom is a violation with excess -1
+            assert (got[1], F(-1)) in ones
+        assert_same_programs(problem, z)
+    assert seen["values"] > 100 and seen["unbounded"] > 60
+    assert seen["violations"] > 100
+
+
+def first_primes(n, after):
+    out, k = [], after
+    while len(out) < n:
+        k += 1
+        if all(k % p for p in range(2, int(k ** 0.5) + 1)):
+            out.append(k)
+    return out
+
+
+def coprime_problem(horizon, seed):
+    """A binary tree whose leaf masses are 1/p for distinct primes p, except
+    the last leaf, which takes the rest."""
+    tree = EventTree.uniform(horizon, 2)
+    leaves = tree.leaves
+    masses = {leaf: F(1, p) for leaf, p in
+              zip(leaves, first_primes(len(leaves) - 1, 4 * len(leaves)))}
+    masses[leaves[-1]] = 1 - sum(masses.values())
+    return WealthProblem(tree, ProbMeasure(masses),
+                         straddling_prices(random.Random(seed), tree))
+
+
+def test_pairwise_coprime_trees_match_the_fraction_oracle():
+    rng = random.Random(SEED)
+    for horizon, seed in [(7, 1), (7, 2), (8, 3)]:
+        problem = coprime_problem(horizon, seed)
+        tree = problem.tree
+        assert len(tree.nodes) >= 255
+        got = outcome(backward_pass, problem)
+        assert got == outcome(oracle.backward_pass, problem)
+        z = dict(got[1])
+        assert z[tree.root].denominator.bit_length() > 200
+        Z = AdaptedProcess.of_scalars(z)
+        assert assert_same_certificate(problem, Z) == []
+        assert assert_same_certificate(problem, Z.divided_by(tree.root)) == []
+        assert assert_same_certificate(problem, perturbed(rng, tree, z))
+        assert_same_programs(problem, z)
+
+
+def slice_problems(rng, problem):
+    """(sliced problem, density column) pairs, per label of a random
+    labelling of the leaves: the problem under P( . | L = label), which
+    vanishes off the label's leaves, with the label's column of the
+    insider's constructed density (when the base has one), and with a random
+    positive column."""
+    tree = problem.tree
+    labs = "abc"[:rng.randint(2, 3)]
+    spec = EnlargementSpec(tree, problem.P, {leaf: rng.choice(labs)
+                                             for leaf in tree.leaves})
+    try:
+        Zg = multiply(spec, universal_density(spec),
+                      construct_deflator(problem).Z)
+    except Na1FailsOnAtom:
+        Zg = None
+    for lab in spec.label_set:
+        slices = spec.slice_masses(lab)
+        sliced = WealthProblem(tree, ProbMeasure(
+            {leaf: slices[leaf] / slices[tree.root] for leaf in tree.leaves}),
+            problem.S)
+        if Zg is not None:
+            yield sliced, AdaptedProcess.of_scalars(
+                {v.id: Zg.at(v.id, lab) for v in tree.nodes})
+        yield sliced, AdaptedProcess.of_scalars(
+            {v.id: F(rng.randint(1, 9), rng.randint(1, 4))
+             for v in tree.nodes})
+
+
+def test_slice_laws_match_the_fraction_oracle():
+    rng = random.Random(SEED + 1)
+    dead = passed = failed = 0
+    for _ in range(150):
+        problem = random_problem(rng, max_steps=3)
+        for sliced, column in slice_problems(rng, problem):
+            masses = sliced.P.node_masses(sliced.tree)
+            dead += any(m == 0 for m in masses.values())
+            if assert_same_certificate(sliced, column):
+                failed += 1
+            else:
+                passed += 1
+            assert_same_programs(sliced, {v: x for v, (x,)
+                                          in column.values.items()})
+    assert dead > 100 and passed > 100 and failed > 100
