@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -49,19 +48,17 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass
 class WealthProblem:
     """A priced tree: the implicit objects are the 1-admissible wealth family
     W1 = {1 + (H.S)} and its terminal values K1."""
 
-    tree: EventTree
-    P: ProbMeasure
-    S: AdaptedProcess
-
-    def __post_init__(self) -> None:
-        self.P.validate_for(self.tree)
-        self.S.validate_for(self.tree)
-        if self.S.dim != self.tree.asset_dim:
+    def __init__(self, tree: EventTree, P: ProbMeasure, S: AdaptedProcess):
+        self.tree = tree
+        self.P = P
+        self.S = S
+        P.validate_for(tree)
+        S.validate_for(tree)
+        if S.dim != tree.asset_dim:
             raise ValueError("price process dimension must equal the tree's asset_dim")
 
     def require_positive(self) -> None:
@@ -71,14 +68,19 @@ class WealthProblem:
                 "leaves would change the admissibility constraint set")
 
 
-@dataclass
 class ArbitrageReport:
-    na_holds: Optional[bool] = None
-    na1_holds: Optional[bool] = None
-    witness: Optional[Strategy] = None
-    optimal_value: Optional[Fraction] = None   # sup E[terminal wealth]
-    unbounded: bool = False                    # marks optimal_value = +infinity
-    na_optimum: Optional[Fraction] = None      # box one-step NA optimum, failing atom
+    def __init__(self, na_holds: Optional[bool] = None,
+                 na1_holds: Optional[bool] = None,
+                 witness: Optional[Strategy] = None,
+                 optimal_value: Optional[Fraction] = None,
+                 unbounded: bool = False,
+                 na_optimum: Optional[Fraction] = None):
+        self.na_holds = na_holds
+        self.na1_holds = na1_holds
+        self.witness = witness
+        self.optimal_value = optimal_value     # sup E[terminal wealth]
+        self.unbounded = unbounded             # marks optimal_value = +infinity
+        self.na_optimum = na_optimum           # box one-step NA optimum, failing atom
 
 
 def _gain_rows(problem: WealthProblem) -> tuple[dict[int, dict[int, Fraction]], dict[tuple[int, int], int]]:
@@ -276,6 +278,15 @@ def _backward_pairs(problem: WealthProblem
     return y, m
 
 
+def _ratio(y: tuple[int, int], m: tuple[int, int]) -> Fraction:
+    """The value z = y/m of two reduced pairs of `_backward_pairs`: once
+    their cross gcds cancel z is in lowest terms, so Fraction's own gcd runs
+    at z's size only."""
+    (yn, yd), (mn, md) = y, m
+    g, h = math.gcd(yn, mn), math.gcd(yd, md)
+    return Fraction(yn // g * (md // h), yd // h * (mn // g))
+
+
 def _one_step_simplex(tree: EventTree, P_masses: dict[int, Fraction],
                       S: AdaptedProcess, node: int,
                       weights: Optional[dict[int, Fraction]] = None
@@ -324,11 +335,7 @@ def backward_pass(problem: WealthProblem) -> dict[int, Fraction]:
     if S.dim == 1:
         y, m = _backward_pairs(problem)
         for v in range(len(tree.nodes) - 1, -1, -1):
-            (yn, yd), (mn, md) = y[v], m[v]
-            # both pairs are reduced, so once their cross gcds cancel z is in
-            # lowest terms, and Fraction's own gcd runs at z's size only
-            g, h = math.gcd(yn, mn), math.gcd(yd, md)
-            z[v] = Fraction(yn // g * (md // h), yd // h * (mn // g))
+            z[v] = _ratio(y[v], m[v])
         return z
     masses = problem.P.node_masses(tree)
     for v in reversed(tree.nodes):
@@ -394,10 +401,17 @@ def check_na1(problem: WealthProblem) -> ArbitrageReport:
     At one asset the pass's ray is that maximizer: the one-step program is
     unbounded with ray (1,) or (-1,) exactly when every nonzero dS_c has the
     ray's sign, and then h = ray gives the largest sum of h dS_c over
-    |h| <= 1.  With more assets the box program goes to the simplex.
+    |h| <= 1.  With more assets the box program goes to the simplex.  At
+    one asset only the root value becomes a Fraction.
     """
+    root = problem.tree.root
     try:
-        z = backward_pass(problem)
+        if problem.S.dim == 1:
+            problem.require_positive()
+            y, m = _backward_pairs(problem)
+            optimum = _ratio(y[root], m[root])
+        else:
+            optimum = backward_pass(problem)[root]
     except Na1FailsOnAtom as exc:
         tree, S = problem.tree, problem.S
         if S.dim == 1:
@@ -410,7 +424,7 @@ def check_na1(problem: WealthProblem) -> ArbitrageReport:
                                witness=_lift(tree, exc.atom, h),
                                na_optimum=value)
     return ArbitrageReport(na_holds=True, na1_holds=True,
-                           optimal_value=z[problem.tree.root], na_optimum=ZERO)
+                           optimal_value=optimum, na_optimum=ZERO)
 
 
 # -- de la Vallee-Poussin style utility construction ----------------------------
@@ -484,7 +498,6 @@ class TailError(ValueError):
     """The tail envelope is invalid or does not decay within the probe range."""
 
 
-@dataclass
 class UtilityCurve:
     """Slopes g_k of a concave piecewise-linear U with U(0) = 0, U' = g_k on
     [k-1, k), built so that sum(g_k) diverges while sum(g_k F(k-1)) stays
@@ -497,16 +510,22 @@ class UtilityCurve:
     (finite, nonnegative) summations, which is exact for the truncated array.
     """
 
-    K: int
-    n_sum: int
-    K_n: list[int]                 # K_n for n = 1..n_sum
-    n_k: list[int]                 # n_k for k = 1..K
-    g: list[Fraction]              # truncated slopes, k = 1..K
-    remainder_bound: Fraction
-    sum_g: Fraction                # sum of the emitted g_k, k <= K
-    sum_g_tail: Fraction           # sum of g_k * tail(k-1), k <= K
-    harmonic_lower_bound: Fraction  # sum of 1/n over {n: K_n <= K}, <= sum_g
-    tail: Callable[[int], Fraction] = field(repr=False, default=None)
+    def __init__(self, K: int, n_sum: int, K_n: list[int], n_k: list[int],
+                 g: list[Fraction], remainder_bound: Fraction,
+                 sum_g: Fraction, sum_g_tail: Fraction,
+                 harmonic_lower_bound: Fraction,
+                 tail: Optional[Callable[[int], Fraction]] = None):
+        self.K = K
+        self.n_sum = n_sum
+        self.K_n = K_n                 # K_n for n = 1..n_sum
+        self.n_k = n_k                 # n_k for k = 1..K
+        self.g = g                     # truncated slopes, k = 1..K
+        self.remainder_bound = remainder_bound
+        self.sum_g = sum_g             # sum of the emitted g_k, k <= K
+        self.sum_g_tail = sum_g_tail   # sum of g_k * tail(k-1), k <= K
+        # sum of 1/n over {n: K_n <= K}, <= sum_g
+        self.harmonic_lower_bound = harmonic_lower_bound
+        self.tail = tail
 
     @classmethod
     def from_slopes(cls, slopes) -> "UtilityCurve":

@@ -10,7 +10,6 @@ the fully resolved configuration, a provenance stamp and wall-clock timing.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -350,7 +349,10 @@ def load_params(path: str) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    # numpy loads here only, so the exact tree-side commands start without it
+    # numpy and dataclasses load here only, so the exact tree-side commands
+    # start without them
+    import dataclasses
+
     import numpy as np
 
     from .montecarlo import (MIN_PATHS_FOR_VERDICT, STREAM_VERSION,

@@ -20,7 +20,6 @@ Z by one cross-multiplication and builds a Fraction only for an excess.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arbitrage import (Na1FailsOnAtom, WealthProblem, _atom_program,
@@ -29,7 +28,6 @@ from .arbitrage import (Na1FailsOnAtom, WealthProblem, _atom_program,
 from .filtered_space import AdaptedProcess, EventTree, ProbMeasure
 
 
-@dataclass
 class Deflator:
     """A strictly positive supermartingale density.
 
@@ -40,7 +38,8 @@ class Deflator:
     `build_dominating_measure` derives it from Z.
     """
 
-    Z: AdaptedProcess
+    def __init__(self, Z: AdaptedProcess):
+        self.Z = Z
 
     def normalized(self, tree: EventTree) -> "Deflator":
         """Z / Z_0 on every node of `tree`."""
@@ -80,10 +79,11 @@ def construct_deflator(problem: WealthProblem) -> Deflator:
     return Deflator(AdaptedProcess.of_scalars(backward_pass(problem)))
 
 
-@dataclass
 class DeflationReport:
-    certified: bool
-    violations: list[tuple[int, Fraction]]     # (atom, excess over Z)
+    def __init__(self, certified: bool,
+                 violations: list[tuple[int, Fraction]]):
+        self.certified = certified
+        self.violations = violations           # (atom, excess over Z)
 
 
 def verify_deflation(problem: WealthProblem, Z: "AdaptedProcess | Deflator"

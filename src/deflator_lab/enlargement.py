@@ -30,41 +30,41 @@ witness is a strategy on the base tree's nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from .arbitrage import ArbitrageReport, WealthProblem
-from .deflator import construct_deflator, verify_deflation
 from .filtered_space import (AdaptedProcess, EventTree, ProbMeasure,
                              Strategy, stochastic_integral)
+
+# The arbitrage layer and the deflator load with the two functions that run
+# them, so `enlarge jacod` and `enlarge universal-z` compile neither.
+if TYPE_CHECKING:
+    from .arbitrage import ArbitrageReport
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass
 class EnlargementSpec:
     """Base market filtration plus the label revealed at time zero."""
 
-    tree: EventTree
-    P: ProbMeasure
-    labels: dict[int, str]
-
-    def __post_init__(self) -> None:
-        self.P.validate_for(self.tree)
-        leaves = set(self.tree.leaves)
-        stray = sorted(set(self.labels) - leaves)
+    def __init__(self, tree: EventTree, P: ProbMeasure, labels: dict[int, str]):
+        self.tree = tree
+        self.P = P
+        self.labels = labels
+        P.validate_for(tree)
+        leaves = set(tree.leaves)
+        stray = sorted(set(labels) - leaves)
         if stray:
             raise ValueError(
                 f"key {_first_of(stray)} names no leaf of the tree")
-        missing = sorted(leaves - set(self.labels))
+        missing = sorted(leaves - set(labels))
         if missing:
             raise ValueError(f"every leaf needs a label: leaf "
                              f"{_first_of(missing)} has none")
-        if not self.P.strictly_positive:
+        if not P.strictly_positive:
             raise ValueError("enlargement analysis needs a strictly positive base")
-        self.label_set: tuple[str, ...] = tuple(sorted(set(self.labels.values())))
+        self.label_set: tuple[str, ...] = tuple(sorted(set(labels.values())))
         self._slices: dict[str, dict[int, Fraction]] = {}
 
     def slice_masses(self, label: str) -> dict[int, Fraction]:
@@ -87,12 +87,13 @@ def _first_of(nodes: list[int]) -> str:
     return f"{nodes[0]}" + (f" (and {more} more)" if more else "")
 
 
-@dataclass
 class ConditionalKernel:
     """Rows P_t(atom, label) of the conditional label law, plus the marginal."""
 
-    P_t: dict[tuple[int, str], Fraction]
-    P_L: dict[str, Fraction]
+    def __init__(self, P_t: dict[tuple[int, str], Fraction],
+                 P_L: dict[str, Fraction]):
+        self.P_t = P_t
+        self.P_L = P_L
 
 
 def kernel(spec: EnlargementSpec) -> ConditionalKernel:
@@ -106,13 +107,15 @@ def kernel(spec: EnlargementSpec) -> ConditionalKernel:
     return ConditionalKernel(p_t, p_l)
 
 
-@dataclass
 class JacodReport:
-    holds: bool                     # P_t << P_L on every atom (true here)
-    reverse_holds: bool             # P_t >> P_L on every atom and time
-    equivalent: bool
-    reverse_by_time: dict[int, bool]
-    Y: dict[tuple[int, str], Fraction]
+    def __init__(self, holds: bool, reverse_holds: bool, equivalent: bool,
+                 reverse_by_time: dict[int, bool],
+                 Y: dict[tuple[int, str], Fraction]):
+        self.holds = holds                  # P_t << P_L on every atom (true here)
+        self.reverse_holds = reverse_holds  # P_t >> P_L on every atom and time
+        self.equivalent = equivalent
+        self.reverse_by_time = reverse_by_time
+        self.Y = Y
 
 
 def jacod_check(spec: EnlargementSpec) -> JacodReport:
@@ -139,11 +142,11 @@ def jacod_check(spec: EnlargementSpec) -> JacodReport:
                        reverse_by_time=reverse_by_time, Y=y)
 
 
-@dataclass
 class GProcess:
     """A value per (node, label) slice of the enlarged filtration."""
 
-    values: dict[tuple[int, str], Fraction]
+    def __init__(self, values: dict[tuple[int, str], Fraction]):
+        self.values = values
 
     def at(self, node: int, label: str) -> Fraction:
         return self.values[(node, label)]
@@ -199,6 +202,9 @@ def g_deflation_certificate(spec: EnlargementSpec, S: AdaptedProcess,
     still constrain the insider); the optimum must not exceed Zg on the
     slice.  Returns the violations (node, label, excess).
     """
+    from .arbitrage import WealthProblem
+    from .deflator import verify_deflation
+
     tree = spec.tree
     violations = []
     for lab in spec.label_set:
@@ -221,12 +227,14 @@ def multiply(spec: EnlargementSpec, Zg: GProcess, Y: AdaptedProcess) -> GProcess
 # -- generalized density condition for arbitrary refinements --------------------
 
 
-@dataclass
 class GeneralizedJacodReport:
-    holds: bool                    # later conditional laws << earlier, per path
-    reverse_holds: bool
-    failures: list[tuple[int, int, int, frozenset]]          # (t, u, atom, cell)
-    reverse_failures: list[tuple[int, int, int, frozenset]]
+    def __init__(self, holds: bool, reverse_holds: bool,
+                 failures: list[tuple[int, int, int, frozenset]],
+                 reverse_failures: list[tuple[int, int, int, frozenset]]):
+        self.holds = holds              # later conditional laws << earlier, per path
+        self.reverse_holds = reverse_holds
+        self.failures = failures        # (t, u, atom, cell)
+        self.reverse_failures = reverse_failures
 
 
 def generalized_jacod_check(tree: EventTree, P: ProbMeasure,
@@ -302,12 +310,12 @@ class IncompleteMarketError(ValueError):
     """The construction needs a complete base market (unique pricing rule)."""
 
 
-@dataclass
 class CompleteMarket:
     """Unique strictly positive pricing measure of a complete base market."""
 
-    q_leaf: dict[int, Fraction]            # unique martingale measure
-    q_step: dict[int, Fraction]            # one-step weights q(child | parent)
+    def __init__(self, q_leaf: dict[int, Fraction], q_step: dict[int, Fraction]):
+        self.q_leaf = q_leaf            # unique martingale measure
+        self.q_step = q_step            # one-step weights q(child | parent)
 
 
 def complete_market_measure(tree: EventTree, S: AdaptedProcess) -> CompleteMarket:
@@ -407,18 +415,21 @@ def _eliminate(rows: list[list[Fraction]], rhs: list[Fraction]
     return r, x
 
 
-@dataclass
 class InsiderReport:
     """The insider example's certificates.  `na1_product` is the enlarged
     market's (NA1) report under P x P_L, read off the base market's backward
     pass (see the module docstring)."""
 
-    hedge: Strategy                               # replicates the label event
-    value_process: AdaptedProcess
-    arbitrage_gain: dict[tuple[int, str], Fraction]   # terminal insider wealth
-    emm_infeasible: bool
-    na1_product: ArbitrageReport
-    deflator_violations: list[tuple[int, str, Fraction]]
+    def __init__(self, hedge: Strategy, value_process: AdaptedProcess,
+                 arbitrage_gain: dict[tuple[int, str], Fraction],
+                 emm_infeasible: bool, na1_product: ArbitrageReport,
+                 deflator_violations: list[tuple[int, str, Fraction]]):
+        self.hedge = hedge                        # replicates the label event
+        self.value_process = value_process
+        self.arbitrage_gain = arbitrage_gain      # terminal insider wealth
+        self.emm_infeasible = emm_infeasible
+        self.na1_product = na1_product
+        self.deflator_violations = deflator_violations
 
     @property
     def contradiction_certified(self) -> bool:
@@ -444,6 +455,9 @@ def insider_example(spec: EnlargementSpec, S: AdaptedProcess,
     slice density (universal density times the base deflator that pass
     builds) passing the exact deflation certificate.
     """
+    from .arbitrage import ArbitrageReport, WealthProblem
+    from .deflator import construct_deflator
+
     if not event_labels or not set(event_labels) <= set(spec.label_set):
         raise ValueError("event labels must be a nonempty subset of the labels")
     p_event = sum((spec.P.mass(leaf) for leaf in spec.tree.leaves
@@ -484,14 +498,15 @@ def insider_example(spec: EnlargementSpec, S: AdaptedProcess,
 # -- log-utility identity --------------------------------------------------------
 
 
-@dataclass
 class LogUtilityReport:
-    u_base: float
-    u_insider: float
-    mutual_information: float
-    identity_gap: float            # u_insider - u_base - mutual_information
-
     FLOAT_TOLERANCE = 1e-9
+
+    def __init__(self, u_base: float, u_insider: float,
+                 mutual_information: float, identity_gap: float):
+        self.u_base = u_base
+        self.u_insider = u_insider
+        self.mutual_information = mutual_information
+        self.identity_gap = identity_gap    # u_insider - u_base - mutual_information
 
 
 def _log_fraction(x: Fraction) -> float:

@@ -11,7 +11,6 @@ checked.  Everything in this module is exact; no floats enter or leave.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -48,12 +47,15 @@ def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
-@dataclass(frozen=True)
 class Node:
-    id: int
-    time: int
-    parent: Optional[int]
-    children: tuple[int, ...]
+    __slots__ = ("id", "time", "parent", "children")
+
+    def __init__(self, id: int, time: int, parent: Optional[int],
+                 children: tuple[int, ...]):
+        self.id = id
+        self.time = time
+        self.parent = parent
+        self.children = children
 
 
 class EventTree:

@@ -30,7 +30,6 @@ returned values and failure messages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Optional
 
@@ -49,13 +48,13 @@ ZERO = Fraction(0)
 Death = Optional[int]
 
 
-@dataclass
 class EnlargedSpace:
     """Leaves x death indices, filtered by (atom of F_k) x (dead at j <= k, or
     still alive).  The embedding w -> (w, infinity) carries P to P_bar."""
 
-    tree: EventTree
-    P: ProbMeasure
+    def __init__(self, tree: EventTree, P: ProbMeasure):
+        self.tree = tree
+        self.P = P
 
     def points(self) -> Iterable[tuple[int, Death]]:
         for leaf in self.tree.leaves:
@@ -85,15 +84,14 @@ class KyError(ValueError):
     """Input cannot be the Kunita-Yoeurp data of a dominating measure."""
 
 
-@dataclass
 class DominatingMeasure:
-    space: EnlargedSpace
-    Q: dict[tuple[int, Death], Fraction]
-    Z: AdaptedProcess
-    dA: Strategy = field(repr=False)
-
-    def __post_init__(self) -> None:
-        d, nums = _over_lcm(list(self.Q.values()))
+    def __init__(self, space: EnlargedSpace, Q: dict[tuple[int, Death], Fraction],
+                 Z: AdaptedProcess, dA: Strategy):
+        self.space = space
+        self.Q = Q
+        self.Z = Z
+        self.dA = dA
+        d, nums = _over_lcm(list(Q.values()))
         total = sum(nums)
         if total != d:
             raise KyError(f"enlarged masses sum to {Fraction(total, d)}, not 1")
@@ -232,10 +230,10 @@ def build_dominating_measure(tree: EventTree, P: ProbMeasure,
     return DominatingMeasure(EnlargedSpace(tree, P), Q, Zp, dA)
 
 
-@dataclass
 class KyReport:
-    passed: bool
-    failures: list[str]
+    def __init__(self, passed: bool, failures: list[str]):
+        self.passed = passed
+        self.failures = failures
 
 
 def verify_ky(dm: DominatingMeasure) -> KyReport:
@@ -333,11 +331,13 @@ def yoeurp_expectation(dm: DominatingMeasure, Y: "Strategy | AdaptedProcess"
     return q_side, p_side
 
 
-@dataclass
 class StoppedPriceReport:
-    is_martingale: bool
-    violations: list[tuple[int, tuple[Fraction, ...]]]   # (atom, drift vector)
-    deflation: DeflationReport
+    def __init__(self, is_martingale: bool,
+                 violations: list[tuple[int, tuple[Fraction, ...]]],
+                 deflation: DeflationReport):
+        self.is_martingale = is_martingale
+        self.violations = violations        # (atom, drift vector)
+        self.deflation = deflation
 
 
 def check_stopped_price(dm: DominatingMeasure, S: AdaptedProcess

@@ -20,7 +20,6 @@ whole-tree program of `arbitrage.finite_utility_check`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -31,15 +30,16 @@ OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
 
 
-@dataclass
 class LPResult:
-    status: str
-    x: Optional[list[Fraction]] = None
-    value: Optional[Fraction] = None
-    ray: Optional[list[Fraction]] = None
+    def __init__(self, status: str, x: Optional[list[Fraction]] = None,
+                 value: Optional[Fraction] = None,
+                 ray: Optional[list[Fraction]] = None):
+        self.status = status
+        self.x = x
+        self.value = value
+        self.ray = ray
 
 
-@dataclass
 class LinearProgram:
     """Maximize c.x over free x subject to rows a.x <= b, each with b >= 0.
 
@@ -47,9 +47,12 @@ class LinearProgram:
     order; the slacks are the starting basis at x = 0.  Results are reported
     in the original variables."""
 
-    n_vars: int
-    objective: dict[int, Fraction] = field(default_factory=dict)
-    rows: list[tuple[dict[int, Fraction], Fraction]] = field(default_factory=list)
+    def __init__(self, n_vars: int,
+                 objective: Optional[dict[int, Fraction]] = None,
+                 rows: Optional[list[tuple[dict[int, Fraction], Fraction]]] = None):
+        self.n_vars = n_vars
+        self.objective = {} if objective is None else objective
+        self.rows = [] if rows is None else rows
 
     def set_objective(self, coeffs: dict[int, Fraction]) -> None:
         self.objective = {j: Fraction(v) for j, v in coeffs.items() if v != 0}

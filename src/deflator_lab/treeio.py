@@ -22,7 +22,6 @@ import json
 import os
 import re
 import tempfile
-from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode
 from typing import Mapping, Optional
@@ -52,14 +51,16 @@ def parse_rational(text: object, where: str = "value") -> Fraction:
     return value
 
 
-@dataclass
 class TreeFile:
     """A tree plus its named measure, processes and strategies, as stored on disk."""
 
-    tree: EventTree
-    P: Optional[ProbMeasure] = None
-    processes: dict[str, AdaptedProcess] = field(default_factory=dict)
-    strategies: dict[str, Strategy] = field(default_factory=dict)
+    def __init__(self, tree: EventTree, P: Optional[ProbMeasure] = None,
+                 processes: Optional[dict[str, AdaptedProcess]] = None,
+                 strategies: Optional[dict[str, Strategy]] = None):
+        self.tree = tree
+        self.P = P
+        self.processes = {} if processes is None else processes
+        self.strategies = {} if strategies is None else strategies
 
 
 def _integer(value: object, field: str, node: Optional[int] = None) -> int:

@@ -408,6 +408,19 @@ def test_each_command_imports_only_what_it_runs(tmp_path, fixtures):
                         "montecarlo"}, check
     version = loaded_modules(run_probe("--version"))
     assert not version & ANALYSIS, version
+    # jacod and universal-z read the label law only; logutility prices with
+    # the complete-market measure and needs no deflator
+    labels = str(fixtures["insider-binomial"] / "labels.json")
+    enlarge = {"cli", "treeio", "filtered_space", "enlargement"}
+    extra = {"jacod": set(), "universal-z": set(), "logutility": {"arbitrage"},
+             "insider": {"arbitrage", "deflator"}}
+    for action, modules in extra.items():
+        argv = ["enlarge", action, "--tree",
+                str(fixtures["insider-binomial"] / "tree.json"),
+                "--label-map", labels, "--out", out]
+        loaded = loaded_modules(run_probe(*argv, "--event", "u")
+                                if action == "insider" else run_probe(*argv))
+        assert loaded == enlarge | modules, (action, loaded)
 
 
 def test_measure_commands_load_no_arbitrage_layer(tmp_path, fixtures):
@@ -433,6 +446,48 @@ def test_measure_commands_load_no_arbitrage_layer(tmp_path, fixtures):
     stopped = loaded_modules(run_probe("stopped-check", "--tree", deflated,
                                        "--out", out))
     assert stopped == measure | {"arbitrage", "deflator"}, stopped
+
+
+def test_tree_side_commands_start_without_dataclasses(tmp_path, fixtures):
+    """`dataclasses` imports `inspect`, `ast` and `dis`, and each record class
+    it builds execs generated code, so no tree-side command may load it.
+    The commands run in turn in one child; each one's result lists what
+    it had loaded by then, so the first to load a module is named."""
+    d = fixtures["insider-binomial"]
+    tree, deflated = str(d / "tree.json"), str(tmp_path / "d.json")
+    out = str(tmp_path / "r.json")
+    enlarge = ["--tree", tree, "--label-map", str(d / "labels.json"),
+               "--out", out]
+    commands = [
+        ["--version"],
+        ["scenario", "insider-binomial", "--dir", str(tmp_path / "s")],
+        ["check", "--tree", tree, "--out", out],
+        ["deflate", "--tree", tree, "--normalize", "--out", deflated,
+         "--report", out],
+        ["foellmer", "--tree", deflated, "--out", str(tmp_path / "q.json"),
+         "--report", out],
+        ["ky-verify", "--tree", deflated, "--price", "S", "--out", out],
+        ["stopped-check", "--tree", deflated, "--out", out],
+        ["enlarge", "jacod", *enlarge],
+        ["enlarge", "universal-z", *enlarge],
+        ["enlarge", "insider", *enlarge, "--event", "u"],
+        ["enlarge", "logutility", *enlarge],
+    ]
+    probe = ("import json, sys\nfrom deflator_lab.cli import run\n"
+             f"results = [(argv[:2], run(argv), sorted("
+             f"{{'dataclasses', 'inspect'}} & set(sys.modules))) "
+             f"for argv in {commands!r}]\n"
+             "print(json.dumps(results))")
+    stdout = subprocess.run([sys.executable, "-c", probe],
+                            env=subprocess_env(), check=True,
+                            capture_output=True, text=True).stdout
+    results = json.loads(stdout.splitlines()[-1])
+    # the fixture's density is a strict supermartingale, so stopped-check
+    # finds drift and exits 1; every other command passes
+    assert [code for _, code, _ in results] == [
+        1 if argv[0] == "stopped-check" else 0 for argv in commands]
+    for command, _, loaded in results:
+        assert loaded == [], (command, loaded)
 
 
 def test_every_exported_name_resolves():
