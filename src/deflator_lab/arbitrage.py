@@ -19,10 +19,11 @@ At one asset the one-step program is closed form and its ray is the box
 program's maximizer; with more assets the exact simplex of `linprog` solves
 both.  The one-asset closed form runs on reduced (numerator, denominator)
 int pairs: `_atom_program` is the one kernel of `one_step_program`, of the
-backward pass and of `deflator.verify_deflation`.  Each atom lifts only its
-children's pairs onto the lcm of their denominators and reduces its own
-value with one gcd, so no common denominator of the whole tree is formed,
-and a Fraction is built only for a returned value.
+backward pass and of `deflator.verify_deflation`.  The atoms' masses are
+`filtered_space._mass_pairs`, the one bottom-up sum of leaf masses.  Each
+atom lifts only its children's pairs onto the lcm of their denominators and
+reduces its own value with one gcd, so no common denominator of the whole
+tree is formed, and a Fraction is built only for a returned value.
 
 The utility builder turns a tail-probability envelope F into a concave,
 unbounded U = integral of a step function g with diverging sum(g_k) but
@@ -38,7 +39,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .filtered_space import (AdaptedProcess, EventTree, ProbMeasure, Strategy,
-                             as_fraction)
+                             _mass_pairs, as_fraction)
 
 # `linprog` is imported by the three programs that run the simplex (two or
 # more assets, and `finite_utility_check`), so a one-asset command never
@@ -221,34 +222,6 @@ def _increments(s: Sequence[tuple[int, int]], node: int,
                    for n, q in [s[c] for c in children]]
 
 
-def _mass_pairs(tree: EventTree, P: ProbMeasure) -> list[tuple[int, int]]:
-    """Reduced (numerator, denominator) of every atom's mass, by id: each
-    atom adds its children's pairs one at a time.  Two reduced pairs over
-    denominators with gcd g add over their lcm, and their sum reduces by a
-    gcd with g alone (Knuth, TAOCP 4.5.1), never one of the lcm's size."""
-    m: list[tuple[int, int]] = [(0, 1)] * len(tree.nodes)
-    for leaf in tree.leaves:
-        x = P.leaf_mass[leaf]
-        m[leaf] = (x.numerator, x.denominator)
-    for v in reversed(tree.nodes):
-        kids = v.children
-        if not kids:
-            continue
-        num, den = m[kids[0]]
-        for c in kids[1:]:
-            n, q = m[c]
-            g = math.gcd(den, q)
-            if g == 1:
-                num, den = num * q + n * den, den * q
-            else:
-                s = den // g
-                t = num * (q // g) + n * s
-                g = math.gcd(t, g)
-                num, den = t // g, s * (q // g)
-        m[v.id] = (num, den)
-    return m
-
-
 def _price_pairs(tree: EventTree, S: AdaptedProcess) -> list[tuple[int, int]]:
     """(numerator, denominator) of the scalar price at every node, by id."""
     values = S.values
@@ -267,7 +240,7 @@ def _backward_pairs(problem: WealthProblem
     """
     tree = problem.tree
     s = _price_pairs(tree, problem.S)
-    m = _mass_pairs(tree, problem.P)
+    m = _mass_pairs(tree, problem.P.leaf_mass)
     y = list(m)
     for v in reversed(tree.nodes):
         if v.children:

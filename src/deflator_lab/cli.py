@@ -32,12 +32,8 @@ class CliError(Exception):
     """Usage or input problem: exits with code 2."""
 
 
-def fr(x: Fraction) -> str:
-    return str(x)
-
-
 def strategy_json(strategy) -> dict:
-    return {str(node): [fr(x) for x in vec]
+    return {str(node): [str(x) for x in vec]
             for node, vec in sorted(strategy.steps.items())}
 
 
@@ -133,9 +129,9 @@ def cmd_check(args) -> int:
     started = time.perf_counter()
     result = check_na1(wealth_problem(load_tree(args.tree), args))
     verdicts = {"na": result.na_holds, "na1": result.na1_holds}
-    values = {"na_optimum": fr(result.na_optimum),
+    values = {"na_optimum": str(result.na_optimum),
               "optimal_value": ("inf" if result.unbounded
-                                else fr(result.optimal_value))}
+                                else str(result.optimal_value))}
     witnesses = {}
     if result.witness is not None:
         witnesses["strategy"] = strategy_json(result.witness)
@@ -159,7 +155,7 @@ def cmd_deflate(args) -> int:
         report = make_report(args, "deflator.construct", started,
                              {"na1": False, "constructed": False},
                              {"atom": exc.atom,
-                              "ray": [fr(x) for x in exc.ray]})
+                              "ray": [str(x) for x in exc.ray]})
         emit_report(report, args.report)
         return 1
     if args.normalize:
@@ -170,7 +166,7 @@ def cmd_deflate(args) -> int:
     report = make_report(
         args, "deflator.construct", started,
         {"na1": True, "constructed": True, "certified": certificate.certified},
-        {"initial_value": fr(deflator.Z.at(tf.tree.root)), "written": args.out})
+        {"initial_value": str(deflator.Z.at(tf.tree.root)), "written": args.out})
     emit_report(report, args.report)
     return 0 if certificate.certified else 1
 
@@ -237,7 +233,7 @@ def cmd_stopped_check(args) -> int:
         args, "kunita_yoeurp.stopped_price", started,
         {"martingale": result.is_martingale,
          "deflation": result.deflation.certified},
-        {"violations": [{"atom": atom, "drift": [fr(x) for x in drift]}
+        {"violations": [{"atom": atom, "drift": [str(x) for x in drift]}
                         for atom, drift in result.violations]})
     emit_report(report, args.out)
     return 0 if result.is_martingale and result.deflation.certified else 1
@@ -285,7 +281,7 @@ def cmd_enlarge(args) -> int:
             args, "enlargement.jacod", started,
             {"jacod": result.holds, "reverse": result.reverse_holds,
              "equivalent": result.equivalent},
-            {"density": {f"{v},{lab}": fr(y)
+            {"density": {f"{v},{lab}": str(y)
                          for (v, lab), y in sorted(result.Y.items())}})
         emit_report(report, args.out)
         return 0 if result.holds else 1
@@ -294,7 +290,7 @@ def cmd_enlarge(args) -> int:
         report = make_report(
             args, "enlargement.universal_density", started,
             {"built": True},
-            {"density": {f"{v},{lab}": fr(z)
+            {"density": {f"{v},{lab}": str(z)
                          for (v, lab), z in sorted(Z.values.items())}})
         emit_report(report, args.out)
         return 0
@@ -311,7 +307,7 @@ def cmd_enlarge(args) -> int:
             {"emm_infeasible": result.emm_infeasible,
              "na1_enlarged": bool(result.na1_product.na1_holds),
              "certified": result.contradiction_certified},
-            {"replication_cost": fr(result.value_process.at(0))},
+            {"replication_cost": str(result.value_process.at(0))},
             {"hedge": strategy_json(result.hedge)})
         emit_report(report, args.out)
         return 0 if result.contradiction_certified else 1

@@ -23,9 +23,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arbitrage import (Na1FailsOnAtom, WealthProblem, _atom_program,
-                        _increments, _mass_pairs, _price_pairs, backward_pass,
+                        _increments, _price_pairs, backward_pass,
                         one_step_program)
-from .filtered_space import AdaptedProcess, EventTree, ProbMeasure
+from .filtered_space import AdaptedProcess, EventTree, ProbMeasure, _mass_pairs
 
 
 class Deflator:
@@ -135,7 +135,7 @@ def _certify_pairs(problem: WealthProblem, z: list[tuple[int, int]]
                 violations.append((v.id, value - Fraction(*z[v.id])))
         return DeflationReport(certified=not violations, violations=violations)
     s = _price_pairs(tree, S)
-    m = _mass_pairs(tree, P)
+    m = _mass_pairs(tree, P.leaf_mass)
     for v in tree.non_leaf_nodes():
         mn, md = m[v.id]
         if mn == 0:

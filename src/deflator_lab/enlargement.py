@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .filtered_space import (AdaptedProcess, EventTree, ProbMeasure,
-                             Strategy, stochastic_integral)
+                             Strategy, _mass_pairs, stochastic_integral)
 
 # The arbitrage layer and the deflator load with the two functions that run
 # them, so `enlarge jacod` and `enlarge universal-z` compile neither.
@@ -68,17 +68,15 @@ class EnlargementSpec:
         self._slices: dict[str, dict[int, Fraction]] = {}
 
     def slice_masses(self, label: str) -> dict[int, Fraction]:
-        """P(atom(v) n {L = label}) for every node v."""
-        if label in self._slices:
-            return self._slices[label]
-        out: dict[int, Fraction] = {}
-        for v in reversed(self.tree.nodes):
-            if not v.children:
-                out[v.id] = self.P.mass(v.id) if self.labels[v.id] == label else ZERO
-            else:
-                out[v.id] = sum((out[c] for c in v.children), ZERO)
-        self._slices[label] = out
-        return out
+        """P(atom(v) n {L = label}) for every node v, by `_mass_pairs`."""
+        if label not in self._slices:
+            mass, labels = self.P.leaf_mass, self.labels
+            pairs = _mass_pairs(self.tree, {
+                leaf: mass[leaf] if labels[leaf] == label else ZERO
+                for leaf in self.tree.leaves})
+            self._slices[label] = {v: Fraction(n, d)
+                                   for v, (n, d) in enumerate(pairs)}
+        return self._slices[label]
 
 
 def _first_of(nodes: list[int]) -> str:

@@ -230,14 +230,9 @@ class ProbMeasure:
         return self.leaf_mass[leaf]
 
     def node_masses(self, tree: EventTree) -> dict[int, Fraction]:
-        """Mass of every atom: sum of the leaf masses below each node."""
-        out: dict[int, Fraction] = {}
-        for v in reversed(tree.nodes):
-            if not v.children:
-                out[v.id] = self.leaf_mass[v.id]
-            else:
-                out[v.id] = sum((out[c] for c in v.children), Fraction(0))
-        return out
+        """Mass of every atom, as Fractions of `_mass_pairs`."""
+        return {v: Fraction(n, d)
+                for v, (n, d) in enumerate(_mass_pairs(tree, self.leaf_mass))}
 
     def validate_for(self, tree: EventTree) -> None:
         if set(self.leaf_mass) != set(tree.leaves):
@@ -467,15 +462,15 @@ def stochastic_integral(tree: EventTree, S: AdaptedProcess, H: Strategy
     return AdaptedProcess.of_scalars(out)
 
 
-def _over_lcm(values: Sequence[Fraction], *also: int) -> tuple[int, list[int]]:
-    """(D, numerators): D is the lcm of the values' denominators and of
-    `also`, and each value is its numerator over D, so sums and comparisons
-    of the values are int sums and comparisons of the numerators."""
+def _over_lcm(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(D, numerators): D is the lcm of the values' denominators, and each
+    value is its numerator over D, so sums and comparisons of the values are
+    int sums and comparisons of the numerators."""
     dens = {x.denominator for x in values}
     # merged 16 at a time, then the partial lcms likewise: folding all the
     # denominators into one growing lcm costs a gcd against that whole lcm
     # per denominator, quadratic when they are large and nearly coprime
-    level = [*dens, *also]
+    level = list(dens)
     while len(level) > 1:
         level = [math.lcm(*level[i:i + 16]) for i in range(0, len(level), 16)]
     d = level[0] if level else 1
@@ -483,17 +478,58 @@ def _over_lcm(values: Sequence[Fraction], *also: int) -> tuple[int, list[int]]:
     return d, [x.numerator * scale[x.denominator] for x in values]
 
 
-def _mass_numerators(tree: EventTree, P: ProbMeasure) -> tuple[int, list[int]]:
-    """(D, m): D is the lcm of P's leaf denominators, and m[v] / D is the
-    mass of atom v, summed over the children in one backward pass."""
-    d, leaf_m = _over_lcm([P.leaf_mass[leaf] for leaf in tree.leaves])
-    m = [0] * len(tree.nodes)
-    for leaf, x in zip(tree.leaves, leaf_m):
-        m[leaf] = x
+def _mass_pairs(tree: EventTree, leaf_mass: Mapping[int, Fraction]
+                ) -> list[tuple[int, int]]:
+    """Reduced (numerator, denominator) of every atom's mass, by id, from
+    the mass of every leaf: each atom adds its children's pairs one at a
+    time.  Two reduced pairs over denominators with gcd g add over their
+    lcm, and their sum reduces by a gcd with g alone (Knuth, TAOCP 4.5.1),
+    never one of the lcm's size.  Every table of atom masses reads it."""
+    m: list[tuple[int, int]] = [(0, 1)] * len(tree.nodes)
+    for leaf in tree.leaves:
+        x = leaf_mass[leaf]
+        m[leaf] = (x.numerator, x.denominator)
     for v in reversed(tree.nodes):
-        if v.children:
-            m[v.id] = sum(m[c] for c in v.children)
-    return d, m
+        kids = v.children
+        if not kids:
+            continue
+        num, den = m[kids[0]]
+        for c in kids[1:]:
+            n, q = m[c]
+            g = math.gcd(den, q)
+            if g == 1:
+                num, den = num * q + n * den, den * q
+            else:
+                s = den // g
+                t = num * (q // g) + n * s
+                g = math.gcd(t, g)
+                num, den = t // g, s * (q // g)
+        m[v.id] = (num, den)
+    return m
+
+
+def _compensator(tree: EventTree, P: ProbMeasure, Z: AdaptedProcess
+                 ) -> dict[int, Fraction]:
+    """The steps Z_v - E[Z_next | v] of Z's compensator, by non-leaf node id
+    in id order.  Each atom lifts its children's m_c z_c, from the mass
+    pairs of `_mass_pairs`, onto the lcm of those children's denominators
+    only, as `arbitrage._atom_program` does, so a step is one int sum over
+    the children and one Fraction.  P must charge every atom."""
+    m = _mass_pairs(tree, P.leaf_mass)
+    values = Z.values
+    z = [(x.numerator, x.denominator)
+         for x in (values[v.id][0] for v in tree.nodes)]
+    dA: dict[int, Fraction] = {}
+    for v in tree.nodes:
+        if not v.children:
+            continue
+        x = [(m[c][0] * z[c][0], m[c][1] * z[c][1]) for c in v.children]
+        d = math.lcm(*[q for _, q in x])
+        total = sum(n * (d // q) for n, q in x)
+        # Z_v - total / (d m_v), with m_v = a / b
+        (a, b), (zn, zd) = m[v.id], z[v.id]
+        dA[v.id] = Fraction(zn * d * a - total * b * zd, zd * d * a)
+    return dA
 
 
 def doob_decomposition(tree: EventTree, P: ProbMeasure, Z: AdaptedProcess
@@ -502,32 +538,18 @@ def doob_decomposition(tree: EventTree, P: ProbMeasure, Z: AdaptedProcess
     predictable: the step of A over (k-1, k] is E[Z_{k-1} - Z_k | F_{k-1}],
     stored on the time-(k-1) node.  Returns (M, increments of A).
 
-    The node masses run over the lcm of P's denominators and Z over its own,
-    so each step is one int sum over the children and one Fraction; A and M
-    are path sums of ints over the lcm of Z's and the steps' denominators."""
+    The steps are `_compensator`'s, and M is a Fraction path sum of Z's
+    increments plus the steps.  The dominating measure needs the steps
+    only, so it calls `_compensator` and no command builds M."""
     if Z.dim != 1:
         raise ValueError("Doob decomposition expects a scalar process")
     if not P.strictly_positive:
         raise ValueError("Doob decomposition needs a strictly positive measure")
-    nodes = tree.nodes
-    _, m = _mass_numerators(tree, P)
-    dz, z = _over_lcm([Z.values[v.id][0] for v in nodes])
-    # Z_v - E[Z_next | v] = (z_v m_v - sum_c m_c z_c) / (m_v dz)
-    dA: dict[int, Fraction] = {}
-    for v in nodes:
-        if v.children:
-            exp_next = sum(m[c] * z[c] for c in v.children)
-            dA[v.id] = Fraction(z[v.id] * m[v.id] - exp_next, m[v.id] * dz)
-    d, a = _over_lcm(list(dA.values()), dz)
-    step = dict(zip(dA, a))
-    scale = d // dz
-    z0 = z[tree.root]
-    A = [0] * len(nodes)
+    dA = _compensator(tree, P, Z)
     M: dict[int, Fraction] = {tree.root: Fraction(0)}
-    for v in nodes:
+    for v in tree.nodes:
         if v.parent is not None:
-            A[v.id] = A[v.parent] + step[v.parent]
-            M[v.id] = Fraction((z[v.id] - z0) * scale + A[v.id], d)
+            M[v.id] = M[v.parent] + Z.at(v.id) - Z.at(v.parent) + dA[v.parent]
     return AdaptedProcess.of_scalars(M), Strategy.of_scalars(dA)
 
 

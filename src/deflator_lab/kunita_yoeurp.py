@@ -8,7 +8,8 @@ index zeta in {1..n, infinity} and put
     Q({w} x {k})        = P(w) * dA_k(w),      k = 1..n,
     Q({w} x {infinity}) = P(w) * Z_n(w),
 
-where Z = Z_0 + M - A is the additive decomposition of Z.  The original
+where dA are the steps of the compensator A of Z, the predictable part of
+its additive decomposition Z = Z_0 + M - A.  The original
 measure embeds as P_bar = P x delta_infinity.  Telescoping M's martingale
 property gives the progressive Lebesgue decomposition of Q against P_bar: Q
 restricted to {T > t} has density Z_t on F_t, and the part that has already
@@ -22,10 +23,11 @@ and its Q-drift on each still-alive atom is E_P[Z_{k+1} dS | atom] up to
 positive normalization, which is what `check_stopped_price` reports.
 
 Q stays a public dict of Fractions, and every check reads the current Q.
-Inside each call the masses it sums are lifted onto one common denominator,
-the lcm of theirs: Q's points over one, P's leaf masses over another, so
-every table is a list of int numerators, and Fractions are built only for
-returned values and failure messages.
+Inside each call Q's point masses are lifted onto one common denominator,
+the lcm of theirs, so its tables are lists of int numerators.  P's atom
+masses are the reduced int pairs of `filtered_space._mass_pairs`, and the
+build computes the compensator from them atom by atom, never M.  Fractions
+are built only for returned values and failure messages.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from .filtered_space import (AdaptedProcess, EventTree, ProbMeasure,
-                             Strategy, _mass_numerators, _over_lcm,
-                             doob_decomposition)
+                             Strategy, _compensator, _mass_pairs, _over_lcm)
 
 # The deflation certificate loads with `check_stopped_price`, its only user,
 # so building and verifying a measure never compiles the arbitrage layer.
@@ -179,14 +180,15 @@ class DominatingMeasure:
         does not charge are omitted (0/0 stays undefined, not 0).  P_bar does
         not charge a dead atom, so gamma is 0 there."""
         out: dict[tuple[int, Death], Fraction] = {}
-        dp, masses = _mass_numerators(self.tree, self.space.P)
+        masses = _mass_pairs(self.tree, self.space.P.leaf_mass)
         keys, dq, nums = self._points()
         alive, dead = self._alive(keys, nums), self._dead(keys, nums)
         for k in range(self.tree.horizon + 1):
             for v, j in self.space.atoms_at(k):
                 if j is None:
                     if alive[v] > 0:
-                        out[(v, j)] = Fraction(masses[v] * dq, alive[v] * dp)
+                        pn, pd = masses[v]
+                        out[(v, j)] = Fraction(pn * dq, pd * alive[v])
                 elif dead[v].get(j, 0) > 0:
                     out[(v, j)] = ZERO
         return out
@@ -196,26 +198,27 @@ def build_dominating_measure(tree: EventTree, P: ProbMeasure,
                              Z: "AdaptedProcess | Deflator") -> DominatingMeasure:
     """Solve the Kunita-Yoeurp problem for Z: place the compensator mass on
     the death slices and the surviving density mass at infinity.  Z is a
-    process or a `Deflator`; either way the compensator steps dA come from
-    its Doob decomposition."""
+    process or a `Deflator`.  Z_0 = 1 and Z > 0 are checked first; then the
+    compensator steps dA come from `_compensator`, one Fraction per atom,
+    and the martingale part of Z is never built."""
     Zp = Z if isinstance(Z, AdaptedProcess) else Z.Z
     if not P.strictly_positive:
         raise KyError("the base measure must be strictly positive")
-    _, dA = doob_decomposition(tree, P, Zp)
     if Zp.at(tree.root) != 1:
         raise KyError(
             f"normalization error: E[Z_0] = {Zp.at(tree.root)}, expected 1 "
             "(rescale by the root value first)")
     if any(Zp.at(v.id) <= 0 for v in tree.nodes):
         raise KyError("density must be strictly positive")
-    for v in tree.non_leaf_nodes():
-        if dA.at(v.id) < 0:
+    dA = _compensator(tree, P, Zp)
+    for v, step in dA.items():
+        if step < 0:
             raise KyError(f"not a supermartingale: compensator step at node "
-                          f"{v.id} is {dA.at(v.id)}")
+                          f"{v} is {step}")
     # P(w) dA and P(w) Z_n from numerators and denominators: one Fraction
     # per point, and P(w) > 0, so a point has mass exactly when its step does
     steps = {u: (x.numerator, x.denominator)
-             for u, (x,) in dA.steps.items() if x != 0}
+             for u, x in dA.items() if x != 0}
     Q: dict[tuple[int, Death], Fraction] = {}
     for leaf in tree.leaves:
         p = P.mass(leaf)
@@ -227,7 +230,8 @@ def build_dominating_measure(tree: EventTree, P: ProbMeasure,
                 Q[(leaf, j)] = Fraction(pn * step[0], pd * step[1])
         z = Zp.at(leaf)
         Q[(leaf, None)] = Fraction(pn * z.numerator, pd * z.denominator)
-    return DominatingMeasure(EnlargedSpace(tree, P), Q, Zp, dA)
+    return DominatingMeasure(EnlargedSpace(tree, P), Q, Zp,
+                             Strategy.of_scalars(dA))
 
 
 class KyReport:
@@ -238,23 +242,23 @@ class KyReport:
 
 def verify_ky(dm: DominatingMeasure) -> KyReport:
     """Exact check of the three decomposition properties.  Q's point masses
-    are summed as numerators over their lcm, and P's masses over theirs;
-    Fractions are built only for failure messages.
+    are summed as numerators over their lcm, and P's atom masses are the
+    reduced pairs of `_mass_pairs`; Fractions are built only for failure
+    messages.
 
     The stopped identity Q(A n {T > tau}) = E_P[1_{A, tau < inf} Z_tau] of a
     stopping time tau is property 3 read on tau's stop nodes, so it needs no
     check of its own."""
     tree = dm.tree
-    dp, masses = _mass_numerators(tree, dm.space.P)
+    masses = _mass_pairs(tree, dm.space.P.leaf_mass)
     keys, dq, nums = dm._points()
     alive = dm._alive(keys, nums)
     failures: list[str] = []
 
-    # (1) the embedded measure never dies
-    d1, p_bar = _over_lcm([dm.space.p_bar(leaf, None) for leaf in tree.leaves])
-    if sum(p_bar) != d1:
-        failures.append(f"property 1: P_bar(T = infinity) = "
-                        f"{Fraction(sum(p_bar), d1)}")
+    # (1) the embedded measure never dies: P_bar(T = infinity) = P(root)
+    pn, pd = masses[tree.root]
+    if pn != pd:
+        failures.append(f"property 1: P_bar(T = infinity) = {Fraction(pn, pd)}")
 
     # (2) mutual singularity on each layer: every dead atom is P_bar-null (by
     # construction of the embedding), and the dead mass of Q all sits on
@@ -274,14 +278,15 @@ def verify_ky(dm: DominatingMeasure) -> KyReport:
             failures.append(f"property 2: dead mass mismatch at t = {t}")
 
     # (3) the density relation Q(alive) = P(A) Z_t on every atom and layer,
-    # cross-multiplied: alive/dq = (masses/dp) (Z's numerator/denominator)
+    # cross-multiplied: alive/dq = (pn/pd) (Z's numerator/denominator)
     for v in tree.nodes:
         z = dm.Z.at(v.id)
-        if alive[v.id] * dp * z.denominator != masses[v.id] * z.numerator * dq:
+        pn, pd = masses[v.id]
+        if alive[v.id] * pd * z.denominator != pn * z.numerator * dq:
             failures.append(
                 f"property 3: atom {v.id} at t = {v.time}: Q(alive) = "
                 f"{Fraction(alive[v.id], dq)}, E[1_A Z_t] = "
-                f"{Fraction(masses[v.id], dp) * z}")
+                f"{Fraction(pn, pd) * z}")
     return KyReport(passed=not failures, failures=failures)
 
 
@@ -389,12 +394,12 @@ def check_stopped_price(dm: DominatingMeasure, S: AdaptedProcess
     from .arbitrage import WealthProblem
     from .deflator import _certify_pairs
 
-    dp, masses = _mass_numerators(tree, dm.space.P)
+    masses = _mass_pairs(tree, dm.space.P.leaf_mass)
     z_from_gamma = []
     for v in tree.nodes:
-        q, p = alive[v.id], masses[v.id]
-        if q > 0 and p != 0:
-            z_from_gamma.append((q * dp, p * dq))
+        q, (pn, pd) = alive[v.id], masses[v.id]
+        if q > 0 and pn != 0:
+            z_from_gamma.append((q * pd, pn * dq))
         else:
             z = dm.Z.at(v.id)
             z_from_gamma.append((z.numerator, z.denominator))

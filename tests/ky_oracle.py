@@ -11,8 +11,10 @@ helpers are the recursive hitting walk and the per-leaf ancestor scan of
 `StoppingTime`.
 
 `doob_decomposition`, `alive_masses` and `dead_masses` are the backward
-passes as they ran in `Fraction` arithmetic, before production moved them
-to int numerators over one common denominator per call.
+passes as they ran in `Fraction` arithmetic.  Production now sums Q's
+points as int numerators over one common denominator per call, and
+computes the compensator steps atom by atom from the reduced int pairs of
+`filtered_space._mass_pairs`, with no martingale part.
 """
 
 from __future__ import annotations

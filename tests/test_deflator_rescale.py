@@ -1,4 +1,4 @@
-"""A `Deflator` is its density alone: rescaling runs no Doob decomposition,
+"""A `Deflator` is its density alone: rescaling computes no compensator,
 and the dominating measure derives the compensator from Z either way."""
 
 import importlib
@@ -40,10 +40,10 @@ def test_deflator_and_its_density_give_the_same_measure():
 
 
 @pytest.fixture()
-def doob_calls(monkeypatch):
-    """Counts calls of doob_decomposition under every name it is bound to."""
+def compensator_calls(monkeypatch):
+    """Counts calls of the compensator under every name it is bound to."""
     calls = []
-    original = filtered_space.doob_decomposition
+    original = filtered_space._compensator
 
     def counted(*args, **kwargs):
         calls.append(args)
@@ -52,17 +52,17 @@ def doob_calls(monkeypatch):
     for module in (importlib.import_module(f"deflator_lab.{name}") for name in
                    ("filtered_space", "arbitrage", "deflator", "kunita_yoeurp",
                     "enlargement")):
-        if getattr(module, "doob_decomposition", None) is original:
-            monkeypatch.setattr(module, "doob_decomposition", counted)
+        if getattr(module, "_compensator", None) is original:
+            monkeypatch.setattr(module, "_compensator", counted)
     return calls
 
 
-def test_construct_and_normalize_run_no_doob_decomposition(doob_calls):
+def test_construct_and_normalize_run_no_doob_decomposition(compensator_calls):
     problem = binomial_problem(steps=3)
     deflator = construct_deflator(problem)
     assert deflator.Z.at(problem.tree.root) != 1
     normalized = deflator.normalized(problem.tree)
     assert normalized.Z.at(problem.tree.root) == 1
-    assert doob_calls == []
+    assert compensator_calls == []
     build_dominating_measure(problem.tree, problem.P, normalized)
-    assert len(doob_calls) == 1
+    assert len(compensator_calls) == 1

@@ -12,6 +12,7 @@ from deflator_lab.filtered_space import (
     conditional_expectation, doob_decomposition, expectation, martingale_closure,
     stochastic_integral,
 )
+from deflator_lab.enlargement import EnlargementSpec
 from treegen import random_measure, random_tree
 
 
@@ -43,6 +44,40 @@ def test_measure_validation():
     assert not P.strictly_positive
     P.validate_for(tree)
     assert P.node_masses(tree)[0] == 1
+
+
+def leaf_sums(tree, mass):
+    """The Fraction sum of `mass` over the leaves below each node."""
+    return {v.id: sum((mass[leaf] for leaf in tree.leaves_below(v.id)), F(0))
+            for v in tree.nodes}
+
+
+def test_node_and_slice_masses_are_leaf_sums():
+    """Both public mass tables are views of one int-pair table; each must
+    equal the plain leaf sum, zero-mass leaves and atoms included."""
+    rng = random.Random(20_261_019)
+    zero_atoms = 0
+    for _ in range(150):
+        tree = random_tree(rng, max_steps=4)
+        weights = {leaf: rng.choice((0, 0, 1, 2, 3)) for leaf in tree.leaves}
+        weights[rng.choice(tree.leaves)] += 1
+        total = sum(weights.values())
+        P = ProbMeasure({leaf: F(w, total) for leaf, w in weights.items()})
+        masses = P.node_masses(tree)
+        assert masses == leaf_sums(tree, P.leaf_mass)
+        assert all(type(m) is F for m in masses.values())
+        zero_atoms += any(m == 0 for m in masses.values())
+
+        positive = random_measure(rng, tree)
+        labels = {leaf: rng.choice("ab") for leaf in tree.leaves}
+        spec = EnlargementSpec(tree, positive, labels)
+        for lab in spec.label_set:
+            want = leaf_sums(tree, {leaf: positive.mass(leaf) if labels[leaf] == lab
+                                    else F(0) for leaf in tree.leaves})
+            slices = spec.slice_masses(lab)
+            assert slices == want
+            assert all(type(m) is F for m in slices.values())
+    assert zero_atoms > 50
 
 
 def test_conditional_expectation_two_leaves():

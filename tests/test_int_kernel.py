@@ -23,9 +23,8 @@ from deflator_lab.arbitrage import (Na1FailsOnAtom, WealthProblem,
 from deflator_lab.deflator import construct_deflator, verify_deflation
 from deflator_lab.enlargement import (EnlargementSpec, multiply,
                                       universal_density)
-from deflator_lab.filtered_space import (AdaptedProcess, EventTree,
-                                         ProbMeasure)
-from treegen import random_problem, straddling_prices
+from deflator_lab.filtered_space import AdaptedProcess, ProbMeasure
+from treegen import coprime_problem, random_problem
 
 SEED = 20_261_017           # the corpus of test_backward_verdicts
 N_PROBLEMS = 402
@@ -107,27 +106,6 @@ def test_backward_corpus_matches_the_fraction_oracle():
         assert_same_programs(problem, z)
     assert seen["values"] > 100 and seen["unbounded"] > 60
     assert seen["violations"] > 100
-
-
-def first_primes(n, after):
-    out, k = [], after
-    while len(out) < n:
-        k += 1
-        if all(k % p for p in range(2, int(k ** 0.5) + 1)):
-            out.append(k)
-    return out
-
-
-def coprime_problem(horizon, seed):
-    """A binary tree whose leaf masses are 1/p for distinct primes p, except
-    the last leaf, which takes the rest."""
-    tree = EventTree.uniform(horizon, 2)
-    leaves = tree.leaves
-    masses = {leaf: F(1, p) for leaf, p in
-              zip(leaves, first_primes(len(leaves) - 1, 4 * len(leaves)))}
-    masses[leaves[-1]] = 1 - sum(masses.values())
-    return WealthProblem(tree, ProbMeasure(masses),
-                         straddling_prices(random.Random(seed), tree))
 
 
 def test_pairwise_coprime_trees_match_the_fraction_oracle():

@@ -4,9 +4,11 @@ dominating measures.  Equality is exact: same gamma dicts, same failure
 lists in the same order, same stopped-price violations and verdicts.  The
 stopped identities of hitting times are property 3 on their stop nodes, so
 production does not check them apart; the oracle does, and may name only
-atoms where production's property 3 fails.  The
-int numerators over one common denominator are also held to the Fraction
-recurrences they replaced, value and type alike."""
+atoms where production's property 3 fails.  Q's
+tables of int numerators over one common denominator, the per-atom
+compensator the build stores and `doob_decomposition` are also held to the
+Fraction recurrences they replaced, value and type alike, on pairwise-coprime
+trees too."""
 
 import math
 import random
@@ -16,13 +18,13 @@ from fractions import Fraction as F
 import pytest
 
 import ky_oracle
-from deflator_lab.arbitrage import Na1FailsOnAtom, WealthProblem
+from deflator_lab.arbitrage import Na1FailsOnAtom
 from deflator_lab.deflator import construct_deflator
-from deflator_lab.filtered_space import (AdaptedProcess, EventTree, ProbMeasure,
-                                         StoppingTime, doob_decomposition)
+from deflator_lab.filtered_space import (AdaptedProcess, StoppingTime,
+                                         doob_decomposition)
 from deflator_lab.kunita_yoeurp import (DominatingMeasure, build_dominating_measure,
                                         check_stopped_price, verify_ky)
-from treegen import random_problem, straddling_prices
+from treegen import coprime_problem, random_problem
 
 SEED = 20_261_018
 N_PROBLEMS = 200
@@ -172,6 +174,7 @@ def assert_matches_fraction_recurrences(dm):
     M_want, dA_want = ky_oracle.doob_decomposition(tree, P, dm.Z)
     assert_same(M.values, M_want.values)
     assert_same(dA.steps, dA_want.steps)
+    assert_same(dm.dA.steps, dA_want.steps)
     assert_same(dm.alive_masses(), ky_oracle.alive_masses(dm))
     assert_same(dm.dead_masses(), ky_oracle.dead_masses(dm))
     assert_same(dm.gamma(), ky_oracle.gamma(dm))
@@ -187,30 +190,10 @@ def test_integer_masses_match_fraction_recurrences():
     assert measures > 2 * N_PROBLEMS
 
 
-def first_primes(count, start):
-    out, k = [], start
-    while len(out) < count:
-        if all(k % d for d in range(2, math.isqrt(k) + 1)):
-            out.append(k)
-        k += 1
-    return out
-
-
-def coprime_problem(horizon=4, seed=7):
-    """A binary tree whose leaf masses are 1/p for distinct primes p, except
-    the last leaf, which takes the rest: P's common denominator is the
-    product of all the primes."""
-    tree = EventTree.uniform(horizon, 2)
-    leaves = tree.leaves
-    masses = {leaf: F(1, p) for leaf, p in
-              zip(leaves, first_primes(len(leaves) - 1, 4 * len(leaves)))}
-    masses[leaves[-1]] = 1 - sum(masses.values())
-    S = straddling_prices(random.Random(seed), tree)
-    return WealthProblem(tree, ProbMeasure(masses), S)
-
-
-def test_pairwise_coprime_leaf_denominators():
-    problem = coprime_problem()
+def assert_coprime_problem_matches(problem):
+    """The constructed deflator and a random supermartingale of `problem`,
+    built, corrupted and held to both oracles; P's and Q's common
+    denominators exceed 80 bits."""
     tree, P = problem.tree, problem.P
     assert math.lcm(*(m.denominator for m in P.leaf_mass.values())).bit_length() > 80
     rng = random.Random(SEED)
@@ -226,3 +209,15 @@ def test_pairwise_coprime_leaf_denominators():
         assert assert_matches_oracle(dm, problem.S, taus).passed
         report = assert_matches_oracle(broken, problem.S, taus)
         assert any(f.startswith("property 3") for f in report.failures)
+
+
+def test_pairwise_coprime_leaf_denominators():
+    assert_coprime_problem_matches(coprime_problem(horizon=4, seed=7))
+
+
+def test_pairwise_coprime_tree_of_255_nodes():
+    """The size at which the global-lcm Doob decomposition grew cubically:
+    the per-atom compensator must still agree with both oracles."""
+    problem = coprime_problem(horizon=7, seed=1)
+    assert len(problem.tree.nodes) == 255
+    assert_coprime_problem_matches(problem)

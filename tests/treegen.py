@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -124,3 +125,27 @@ def two_leaf_problem(s_up, s_down, p_up=Fraction(1, 2), s0=Fraction(1)) -> Wealt
     P = ProbMeasure({1: p_up, 2: 1 - p_up})
     S = AdaptedProcess.of_scalars({0: s0, 1: s_up, 2: s_down})
     return WealthProblem(tree, P, S)
+
+
+def first_primes(count: int, after: int) -> list[int]:
+    """The first `count` primes greater than `after`."""
+    out, k = [], after
+    while len(out) < count:
+        k += 1
+        if all(k % d for d in range(2, math.isqrt(k) + 1)):
+            out.append(k)
+    return out
+
+
+def coprime_problem(horizon: int, seed: int) -> WealthProblem:
+    """A binary tree whose leaf masses are 1/p for distinct primes p, except
+    the last leaf, which takes the rest: P's common denominator is the
+    product of all the primes, and every node mass has its own large
+    denominator.  Prices straddle."""
+    tree = EventTree.uniform(horizon, 2)
+    leaves = tree.leaves
+    masses = {leaf: Fraction(1, p) for leaf, p in
+              zip(leaves, first_primes(len(leaves) - 1, 4 * len(leaves)))}
+    masses[leaves[-1]] = 1 - sum(masses.values())
+    return WealthProblem(tree, ProbMeasure(masses),
+                         straddling_prices(random.Random(seed), tree))
