@@ -191,11 +191,11 @@ def _dominating_measure(args, tf):
 def cmd_foellmer(args) -> int:
     started = time.perf_counter()
     tf = load_tree(args.tree)
-    dm = _dominating_measure(args, tf)
-    treeio.write_atomic(args.out, treeio.dumps_points(dm.Q))
+    points = _dominating_measure(args, tf)._points
+    treeio.write_atomic(args.out, treeio.dumps_points(points))
     report = make_report(args, "kunita_yoeurp.build", started,
                          {"built": True},
-                         {"points": len(dm.Q), "written": args.out})
+                         {"points": len(points), "written": args.out})
     emit_report(report, args.report)
     return 0
 

@@ -104,13 +104,15 @@ def verify_deflation(problem: WealthProblem, Z: "AdaptedProcess | Deflator"
     values = Z.values
     return _certify_pairs(problem, [
         (x.numerator, x.denominator)
-        for x in (values[v.id][0] for v in problem.tree.nodes)])
+        for x in (values[v.id][0] for v in problem.tree.nodes)],
+        _mass_pairs(problem.tree, problem.P.leaf_mass))
 
 
-def _certify_pairs(problem: WealthProblem, z: list[tuple[int, int]]
-                   ) -> DeflationReport:
+def _certify_pairs(problem: WealthProblem, z: list[tuple[int, int]],
+                   m: list[tuple[int, int]]) -> DeflationReport:
     """`verify_deflation` with Z as (numerator, denominator) pairs by node
-    id, each denominator positive.
+    id, each denominator positive, and m the atom masses of P by
+    `_mass_pairs`.
 
     At one asset the program at atom v, weighted by P(c) Z_c, is
     `_atom_program`'s num/den, P(v) times the conditional optimum, so the
@@ -118,10 +120,10 @@ def _certify_pairs(problem: WealthProblem, z: list[tuple[int, int]]
     P_num(v), and a Fraction is built only for an excess.  With more assets
     each atom goes to the simplex.
     """
-    tree, P, S = problem.tree, problem.P, problem.S
+    tree, S = problem.tree, problem.S
     violations: list[tuple[int, Fraction]] = []
     if S.dim != 1:
-        masses = P.node_masses(tree)
+        masses = {v: Fraction(n, d) for v, (n, d) in enumerate(m)}
         for v in tree.non_leaf_nodes():
             if masses[v.id] == 0:
                 continue
@@ -135,7 +137,6 @@ def _certify_pairs(problem: WealthProblem, z: list[tuple[int, int]]
                 violations.append((v.id, value - Fraction(*z[v.id])))
         return DeflationReport(certified=not violations, violations=violations)
     s = _price_pairs(tree, S)
-    m = _mass_pairs(tree, P.leaf_mass)
     for v in tree.non_leaf_nodes():
         mn, md = m[v.id]
         if mn == 0:

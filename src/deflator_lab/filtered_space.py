@@ -462,22 +462,6 @@ def stochastic_integral(tree: EventTree, S: AdaptedProcess, H: Strategy
     return AdaptedProcess.of_scalars(out)
 
 
-def _over_lcm(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(D, numerators): D is the lcm of the values' denominators, and each
-    value is its numerator over D, so sums and comparisons of the values are
-    int sums and comparisons of the numerators."""
-    dens = {x.denominator for x in values}
-    # merged 16 at a time, then the partial lcms likewise: folding all the
-    # denominators into one growing lcm costs a gcd against that whole lcm
-    # per denominator, quadratic when they are large and nearly coprime
-    level = list(dens)
-    while len(level) > 1:
-        level = [math.lcm(*level[i:i + 16]) for i in range(0, len(level), 16)]
-    d = level[0] if level else 1
-    scale = {q: d // q for q in dens}
-    return d, [x.numerator * scale[x.denominator] for x in values]
-
-
 def _mass_pairs(tree: EventTree, leaf_mass: Mapping[int, Fraction]
                 ) -> list[tuple[int, int]]:
     """Reduced (numerator, denominator) of every atom's mass, by id, from

@@ -22,21 +22,29 @@ here.  The pre-death price S^{T-} freezes S at its last value before death,
 and its Q-drift on each still-alive atom is E_P[Z_{k+1} dS | atom] up to
 positive normalization, which is what `check_stopped_price` reports.
 
-Q stays a public dict of Fractions, and every check reads the current Q.
-Inside each call Q's point masses are lifted onto one common denominator,
-the lcm of theirs, so its tables are lists of int numerators.  P's atom
-masses are the reduced int pairs of `filtered_space._mass_pairs`, and the
-build computes the compensator from them atom by atom, never M.  Fractions
-are built only for returned values and failure messages.
+Each measure keeps its point masses in one private table of reduced
+(numerator, denominator) int pairs, converted once when it is made.  It sums
+that table once, bottom up, into the alive and dying mass of every atom;
+each atom lifts its children's pairs onto the lcm of those children's
+denominators only, and the points that die on one atom, like the atoms of
+one layer, are summed as a product tree of runs of 16 (Bernstein, "Fast
+multiplication and its applications", 2008), so no sum runs over one
+common denominator of all of Q.  Every check reads these tables: a check verifies the measure as it was
+made, and `Q` is a read-only Fraction view of the table.  P's atom masses
+are the reduced pairs of `filtered_space._mass_pairs`, and the build
+computes the compensator from them atom by atom, never M.  Fractions are
+built only for returned values and failure messages.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Optional
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
 from .filtered_space import (AdaptedProcess, EventTree, ProbMeasure,
-                             Strategy, _compensator, _mass_pairs, _over_lcm)
+                             Strategy, _compensator, _mass_pairs)
 
 # The deflation certificate loads with `check_stopped_price`, its only user,
 # so building and verifying a measure never compiles the arbitrage layer.
@@ -47,6 +55,31 @@ ZERO = Fraction(0)
 
 # A death index is 1..n, or None for "never dies" (the embedded original world).
 Death = Optional[int]
+# A rational as a reduced (numerator, denominator) pair, denominator > 0.
+Pair = tuple[int, int]
+ZERO_PAIR: Pair = (0, 1)
+
+
+def _lift_sum(pairs: list[Pair]) -> Pair:
+    """The reduced sum of reduced pairs, lifted onto the lcm of their own
+    denominators only; one gcd of that lcm's size reduces it."""
+    d = math.lcm(*[q for _, q in pairs])
+    t = 0
+    for n, q in pairs:
+        t += n * (d // q)
+    g = math.gcd(t, d)
+    return (t, d) if g == 1 else (t // g, d // g)
+
+
+def _sum_pairs(pairs: list[Pair]) -> Pair:
+    """The reduced sum of any number of pairs as a product tree: each run of
+    16 is lifted onto its own lcm, then the runs' sums likewise, so no lcm
+    spans more than 16 terms."""
+    while len(pairs) > 16:
+        pairs = [_lift_sum(pairs[i:i + 16]) for i in range(0, len(pairs), 16)]
+    if len(pairs) == 1:
+        return pairs[0]
+    return _lift_sum(pairs) if pairs else ZERO_PAIR
 
 
 class EnlargedSpace:
@@ -86,94 +119,143 @@ class KyError(ValueError):
 
 
 class DominatingMeasure:
-    def __init__(self, space: EnlargedSpace, Q: dict[tuple[int, Death], Fraction],
+    """Q on the points of `space`, with the Z and dA it was built from.
+
+    The point masses are converted once, into a private table of reduced
+    int pairs, and summed once into the alive and dying tables below;
+    every check reads those, so it verifies the measure as it was made.
+    `Q` is a read-only mapping of Fractions over the same table."""
+
+    def __init__(self, space: EnlargedSpace, Q: Mapping[tuple[int, Death], Fraction],
                  Z: AdaptedProcess, dA: Strategy):
+        points = {key: (x.numerator, x.denominator) for key, x in Q.items()}
+        self._setup(space, points, Z, dA, frozenset(
+            key for key in points if not space.is_point(*key)))
+
+    @classmethod
+    def _of_pairs(cls, space: EnlargedSpace, points: dict[tuple[int, Death], Pair],
+                  Z: AdaptedProcess, dA: Strategy) -> "DominatingMeasure":
+        """The measure of a table of reduced pairs keyed by points of
+        `space` only, taken as it is."""
+        dm = cls.__new__(cls)
+        dm._setup(space, points, Z, dA, frozenset())
+        return dm
+
+    def _setup(self, space: EnlargedSpace, points: dict[tuple[int, Death], Pair],
+               Z: AdaptedProcess, dA: Strategy,
+               outside: frozenset[tuple[int, Death]]) -> None:
         self.space = space
-        self.Q = Q
         self.Z = Z
         self.dA = dA
-        d, nums = _over_lcm(list(Q.values()))
-        total = sum(nums)
-        if total != d:
-            raise KyError(f"enlarged masses sum to {Fraction(total, d)}, not 1")
+        # `outside` holds the keys that are no point of the space: they count
+        # in the total and enter no atom
+        self._points = points
+        self._outside = outside
+        self._Q: Optional[Mapping[tuple[int, Death], Fraction]] = None
+        self._dead: Optional[list[dict[int, Pair]]] = None
+        self._alive, self._dying = self._sum()
+        total = _sum_pairs([self._alive[self.tree.root],
+                            *(points[key] for key in outside)])
+        if total != (1, 1):
+            raise KyError(f"enlarged masses sum to {Fraction(*total)}, not 1")
 
     @property
     def tree(self) -> EventTree:
         return self.space.tree
 
-    def _points(self) -> tuple[list[tuple[int, Death]], int, list[int]]:
-        """(keys, D, nums): the keys of the current Q that are points of the
-        space, and their masses as numerators over one common denominator D,
-        the lcm of theirs."""
-        keys = [key for key in self.Q if self.space.is_point(*key)]
-        d, nums = _over_lcm([self.Q[key] for key in keys])
-        return keys, d, nums
+    @property
+    def Q(self) -> Mapping[tuple[int, Death], Fraction]:
+        """The point masses as Fractions, read-only; built on first access."""
+        if self._Q is None:
+            self._Q = MappingProxyType(
+                {key: Fraction(n, d) for key, (n, d) in self._points.items()})
+        return self._Q
 
-    def _alive(self, keys: list[tuple[int, Death]], nums: list[int]) -> list[int]:
-        """Q(atom(v) x {zeta > time(v)}) for every node v, by id, as a
-        numerator over the D of `_points`: each point's mass lands on the
-        leaf (zeta None) or on the node where it dies, and alive(v) sums
-        alive + dying over v's children in one backward pass."""
+    def _point_items(self) -> Iterable[tuple[tuple[int, Death], Pair]]:
+        if not self._outside:
+            return self._points.items()
+        return [(key, x) for key, x in self._points.items()
+                if key not in self._outside]
+
+    def _sum(self) -> tuple[list[Pair], list[Pair]]:
+        """(alive, dying) by node id: alive(v) = Q(atom(v) x {zeta >
+        time(v)}), and dying(v) the mass of the points below v with zeta =
+        time(v), which die on v.  A point with zeta None is its leaf's alive
+        mass; one walk up its leaf's path finds where the others die.  Then
+        alive(v) sums alive + dying over v's children, in one backward
+        pass."""
         tree = self.tree
-        alive = [0] * len(tree.nodes)
-        dying = [0] * len(tree.nodes)
-        paths: dict[int, list[int]] = {}
-        for (leaf, zeta), mass in zip(keys, nums):
+        alive = [ZERO_PAIR] * len(tree.nodes)
+        dying = [ZERO_PAIR] * len(tree.nodes)
+        groups: list[Optional[list[Pair]]] = [None] * len(tree.nodes)
+        leaf, path = None, []
+        for (at, zeta), x in self._point_items():
             if zeta is None:
-                alive[leaf] += mass
+                alive[at] = x
+                continue
+            if at != leaf:
+                leaf, path = at, tree.path(at)
+            group = groups[path[zeta]]
+            if group is None:
+                groups[path[zeta]] = [x]
             else:
-                if leaf not in paths:
-                    paths[leaf] = tree.path(leaf)
-                dying[paths[leaf][zeta]] += mass
+                group.append(x)
         for v in reversed(tree.nodes):
             if v.children:
-                alive[v.id] = sum(alive[c] + dying[c] for c in v.children)
-        return alive
-
-    def _dead(self, keys: list[tuple[int, Death]], nums: list[int]
-              ) -> list[dict[int, int]]:
-        """{j: Q(atom(v) x {j})} for every node v and 1 <= j <= time(v), by
-        id, as numerators over the D of `_points`: the leaves' death slices,
-        merged upward over the children in one backward pass.  Slices without
-        a point of Q are absent.  Its size is the number of dead atoms, so
-        only `gamma` and `dead_masses` build it."""
-        tree = self.tree
-        dead: list[dict[int, int]] = [{} for _ in tree.nodes]
-        for (leaf, zeta), mass in zip(keys, nums):
-            if zeta is not None:
-                dead[leaf][zeta] = mass
-        for v in reversed(tree.nodes):
-            if v.children:
-                merged: dict[int, int] = {}
+                terms = []
                 for c in v.children:
-                    for j, mass in dead[c].items():
-                        if j <= v.time:
-                            merged[j] = merged.get(j, 0) + mass
-                dead[v.id] = merged
-        return dead
+                    terms.append(alive[c])
+                    if dying[c][0]:
+                        terms.append(dying[c])
+                alive[v.id] = _sum_pairs(terms)
+            group = groups[v.id]
+            if group is not None:
+                dying[v.id] = _sum_pairs(group)
+                groups[v.id] = None
+        return alive, dying
+
+    def _dead_pairs(self) -> list[dict[int, Pair]]:
+        """{j: Q(atom(v) x {j})} for every node v and 1 <= j <= time(v), by
+        id: the leaves' death slices, merged upward over the children.
+        Slices without a point of Q are absent.  Its size is the number of
+        dead atoms, so it is summed on the first call of `gamma`,
+        `dead_masses` or `dead_mass`, and kept."""
+        if self._dead is None:
+            tree = self.tree
+            dead: list[dict[int, Pair]] = [{} for _ in tree.nodes]
+            for (leaf, zeta), x in self._point_items():
+                if zeta is not None:
+                    dead[leaf][zeta] = x
+            for v in reversed(tree.nodes):
+                if v.children:
+                    merged: dict[int, list[Pair]] = {}
+                    for c in v.children:
+                        for j, x in dead[c].items():
+                            if j <= v.time:
+                                merged.setdefault(j, []).append(x)
+                    dead[v.id] = {j: _sum_pairs(xs) for j, xs in merged.items()}
+            self._dead = dead
+        return self._dead
 
     def alive_masses(self) -> list[Fraction]:
-        """Q(atom(v) x {zeta > time(v)}) for every node v, by id, from the
-        current Q."""
-        keys, d, nums = self._points()
-        return [Fraction(a, d) for a in self._alive(keys, nums)]
+        """Q(atom(v) x {zeta > time(v)}) for every node v, by id."""
+        return [Fraction(n, d) for n, d in self._alive]
 
     def dead_masses(self) -> list[dict[int, Fraction]]:
         """{j: Q(atom(v) x {j})} for every node v and 1 <= j <= time(v), by
-        id, from the current Q; slices without a point of Q are absent."""
-        keys, d, nums = self._points()
-        return [{j: Fraction(x, d) for j, x in slices.items()}
-                for slices in self._dead(keys, nums)]
+        id; slices without a point of Q are absent."""
+        return [{j: Fraction(n, d) for j, (n, d) in slices.items()}
+                for slices in self._dead_pairs()]
 
     def alive_mass(self, node: int) -> Fraction:
         """Q(atom(node) x {zeta > time(node)})."""
-        return self.alive_masses()[node]
+        return Fraction(*self._alive[node])
 
     def dead_mass(self, node: int, j: int) -> Fraction:
         """Q(atom(node) x {j}), on the dead atoms 1 <= j <= time(node)."""
         if not 1 <= j <= self.tree.time_of(node):
             raise ValueError(f"({node}, {j}) is not a dead atom")
-        return self.dead_masses()[node].get(j, ZERO)
+        return Fraction(*self._dead_pairs()[node].get(j, ZERO_PAIR))
 
     def gamma(self) -> dict[tuple[int, Death], Fraction]:
         """Density dP_bar/dQ on the F_bar_k atoms of positive Q mass; atoms Q
@@ -181,15 +263,15 @@ class DominatingMeasure:
         not charge a dead atom, so gamma is 0 there."""
         out: dict[tuple[int, Death], Fraction] = {}
         masses = _mass_pairs(self.tree, self.space.P.leaf_mass)
-        keys, dq, nums = self._points()
-        alive, dead = self._alive(keys, nums), self._dead(keys, nums)
+        alive, dead = self._alive, self._dead_pairs()
         for k in range(self.tree.horizon + 1):
             for v, j in self.space.atoms_at(k):
                 if j is None:
-                    if alive[v] > 0:
+                    an, ad = alive[v]
+                    if an > 0:
                         pn, pd = masses[v]
-                        out[(v, j)] = Fraction(pn * dq, pd * alive[v])
-                elif dead[v].get(j, 0) > 0:
+                        out[(v, j)] = Fraction(pn * ad, pd * an)
+                elif dead[v].get(j, ZERO_PAIR)[0] > 0:
                     out[(v, j)] = ZERO
         return out
 
@@ -208,30 +290,39 @@ def build_dominating_measure(tree: EventTree, P: ProbMeasure,
         raise KyError(
             f"normalization error: E[Z_0] = {Zp.at(tree.root)}, expected 1 "
             "(rescale by the root value first)")
-    if any(Zp.at(v.id) <= 0 for v in tree.nodes):
+    values = Zp.values
+    if any(values[v.id][0].numerator <= 0 for v in tree.nodes):
         raise KyError("density must be strictly positive")
     dA = _compensator(tree, P, Zp)
+    # P(w) dA and P(w) Z_n as reduced pairs: the product of two reduced
+    # fractions reduces by two cross gcds, as Fraction.__mul__ does.  P(w) >
+    # 0, so a point has mass exactly when its step does.
+    steps: dict[int, Pair] = {}
     for v, step in dA.items():
-        if step < 0:
+        if step.numerator < 0:
             raise KyError(f"not a supermartingale: compensator step at node "
                           f"{v} is {step}")
-    # P(w) dA and P(w) Z_n from numerators and denominators: one Fraction
-    # per point, and P(w) > 0, so a point has mass exactly when its step does
-    steps = {u: (x.numerator, x.denominator)
-             for u, x in dA.items() if x != 0}
-    Q: dict[tuple[int, Death], Fraction] = {}
+        if step.numerator:
+            steps[v] = (step.numerator, step.denominator)
+    gcd = math.gcd
+    points: dict[tuple[int, Death], Pair] = {}
     for leaf in tree.leaves:
-        p = P.mass(leaf)
+        p = P.leaf_mass[leaf]
         pn, pd = p.numerator, p.denominator
         path = tree.path(leaf)
         for j in range(1, tree.horizon + 1):
             step = steps.get(path[j - 1])
             if step is not None:
-                Q[(leaf, j)] = Fraction(pn * step[0], pd * step[1])
-        z = Zp.at(leaf)
-        Q[(leaf, None)] = Fraction(pn * z.numerator, pd * z.denominator)
-    return DominatingMeasure(EnlargedSpace(tree, P), Q, Zp,
-                             Strategy.of_scalars(dA))
+                sn, sd = step
+                g, h = gcd(pn, sd), gcd(sn, pd)
+                points[(leaf, j)] = (pn // g * (sn // h), pd // h * (sd // g))
+        z = values[leaf][0]
+        zn, zd = z.numerator, z.denominator
+        g, h = gcd(pn, zd), gcd(zn, pd)
+        points[(leaf, None)] = (pn // g * (zn // h), pd // h * (zd // g))
+    return DominatingMeasure._of_pairs(
+        EnlargedSpace(tree, P), points, Zp,
+        Strategy.of_vectors({v: (step,) for v, step in dA.items()}, 1))
 
 
 class KyReport:
@@ -241,18 +332,16 @@ class KyReport:
 
 
 def verify_ky(dm: DominatingMeasure) -> KyReport:
-    """Exact check of the three decomposition properties.  Q's point masses
-    are summed as numerators over their lcm, and P's atom masses are the
-    reduced pairs of `_mass_pairs`; Fractions are built only for failure
-    messages.
+    """Exact check of the three decomposition properties, on the measure's
+    alive and dying tables and the reduced pairs of `_mass_pairs`;
+    Fractions are built only for failure messages.
 
     The stopped identity Q(A n {T > tau}) = E_P[1_{A, tau < inf} Z_tau] of a
     stopping time tau is property 3 read on tau's stop nodes, so it needs no
     check of its own."""
     tree = dm.tree
     masses = _mass_pairs(tree, dm.space.P.leaf_mass)
-    keys, dq, nums = dm._points()
-    alive = dm._alive(keys, nums)
+    alive, dying = dm._alive, dm._dying
     failures: list[str] = []
 
     # (1) the embedded measure never dies: P_bar(T = infinity) = P(root)
@@ -264,29 +353,27 @@ def verify_ky(dm: DominatingMeasure) -> KyReport:
     # construction of the embedding), and the dead mass of Q all sits on
     # those atoms.  Every leaf lies below exactly one time-t atom, so the dead
     # mass of layer t is Q's total minus that layer's alive masses; it must
-    # equal the running total of the death slices 1..t summed point by point.
-    slices = [0] * (tree.horizon + 1)
-    for (_, zeta), mass in zip(keys, nums):
-        if zeta is not None:
-            slices[zeta] += mass
-    total = sum(nums)
-    direct = 0
+    # equal the running total of the death slices 1..t, slice t being the
+    # dying mass of layer t.  Each layer is summed as a product tree.
+    total = alive[tree.root]
+    direct = ZERO_PAIR
     for t in range(tree.horizon + 1):
-        direct += slices[t]
-        dead_q = total - sum(alive[v] for v in tree.nodes_at(t))
-        if dead_q != direct:
+        layer = tree.nodes_at(t)
+        if t > 0:
+            direct = _lift_sum([direct, _sum_pairs([dying[v] for v in layer])])
+        n, d = _sum_pairs([alive[v] for v in layer])
+        if _lift_sum([total, (-n, d)]) != direct:
             failures.append(f"property 2: dead mass mismatch at t = {t}")
 
     # (3) the density relation Q(alive) = P(A) Z_t on every atom and layer,
-    # cross-multiplied: alive/dq = (pn/pd) (Z's numerator/denominator)
+    # cross-multiplied: an/ad = (pn/pd) (Z's numerator/denominator)
     for v in tree.nodes:
         z = dm.Z.at(v.id)
-        pn, pd = masses[v.id]
-        if alive[v.id] * pd * z.denominator != pn * z.numerator * dq:
+        (an, ad), (pn, pd) = alive[v.id], masses[v.id]
+        if an * pd * z.denominator != pn * z.numerator * ad:
             failures.append(
                 f"property 3: atom {v.id} at t = {v.time}: Q(alive) = "
-                f"{Fraction(alive[v.id], dq)}, E[1_A Z_t] = "
-                f"{Fraction(pn, pd) * z}")
+                f"{Fraction(an, ad)}, E[1_A Z_t] = {Fraction(pn, pd) * z}")
     return KyReport(passed=not failures, failures=failures)
 
 
@@ -359,51 +446,54 @@ def check_stopped_price(dm: DominatingMeasure, S: AdaptedProcess
     gamma = dP_bar/dQ on the alive atoms must deflate every 1-admissible
     wealth, certified per atom.  Where property 3 holds that density is Z,
     and certifying Z would repeat `deflate`'s certificate; but the round trip
-    reads Q's own density, so it is the only check that sees a Q edited
-    after its build whose density fails to deflate.  Over certifying Z it
-    adds only P's node masses and one Fraction per node.
+    reads Q's own density, so it is the only check that sees a measure made
+    from points whose density fails to deflate.  Over certifying Z it adds
+    one pair per node.
     """
+    from .arbitrage import WealthProblem, _increments
+    from .deflator import _certify_pairs
+
     tree = dm.tree
-    keys, dq, nums = dm._points()
-    alive = dm._alive(keys, nums)
-    # S over one denominator ds too, s[v] the numerators of S_v: the drift
-    # sum_c alive_c (s_c - s_v) is an int over dq ds, and divided by the
-    # alive mass it is a Fraction over alive_v ds
-    ds, flat = _over_lcm([x for v in tree.nodes for x in S[v.id]])
-    s = [flat[i:i + S.dim] for i in range(0, len(flat), S.dim)]
+    alive = dm._alive
+    # each atom lifts its children's alive masses onto the lcm of their
+    # denominators, and each component of their price increments onto the
+    # lcm of the atom's own price denominators (`_increments`): the drift
+    # sum_c alive_c (s_c - s_v) is an int over that lcm times the price's
+    # scale, and divided by the alive mass it is one Fraction
+    prices = [[(x.numerator, x.denominator)
+               for x in (S.values[v.id][k] for v in tree.nodes)]
+              for k in range(S.dim)]
     violations: list[tuple[int, tuple[Fraction, ...]]] = []
     for v in tree.non_leaf_nodes():
-        q_here = alive[v.id]
-        if q_here == 0:
+        vn, vd = alive[v.id]
+        if vn == 0:
             continue
-        drift = [0] * S.dim
-        for c in v.children:
-            q_c = alive[c]
-            if q_c != 0:
-                for k, (a, b) in enumerate(zip(s[c], s[v.id])):
-                    drift[k] += q_c * (a - b)
-        if any(drift):
-            violations.append(
-                (v.id, tuple(Fraction(x, q_here * ds) for x in drift)))
+        kids = [alive[c] for c in v.children]
+        d = math.lcm(*[q for _, q in kids])
+        weights = [n * (d // q) for n, q in kids]
+        drift = []
+        for s in prices:
+            scale, e = _increments(s, v.id, v.children)
+            drift.append((sum([w * x for w, x in zip(weights, e)]), scale))
+        if any(x for x, _ in drift):
+            violations.append((v.id, tuple(Fraction(x * vd, d * scale * vn)
+                                           for x, scale in drift)))
 
     # gamma = masses / alive on the alive atoms of positive mass inverts back
     # to alive / masses = Z; feed it through the exact deflation certificate
     # as the converse-direction check, as (numerator, denominator) pairs, so
     # no Fraction is built per node.  Only alive atoms enter, so the dead
-    # table is never built here.
-    from .arbitrage import WealthProblem
-    from .deflator import _certify_pairs
-
+    # table is never built here, and the certificate reuses P's mass pairs.
     masses = _mass_pairs(tree, dm.space.P.leaf_mass)
     z_from_gamma = []
     for v in tree.nodes:
-        q, (pn, pd) = alive[v.id], masses[v.id]
-        if q > 0 and pn != 0:
-            z_from_gamma.append((q * pd, pn * dq))
+        (an, ad), (pn, pd) = alive[v.id], masses[v.id]
+        if an > 0 and pn != 0:
+            z_from_gamma.append((an * pd, ad * pn))
         else:
             z = dm.Z.at(v.id)
             z_from_gamma.append((z.numerator, z.denominator))
     problem = WealthProblem(tree, dm.space.P, S)
-    return StoppedPriceReport(is_martingale=not violations,
-                              violations=violations,
-                              deflation=_certify_pairs(problem, z_from_gamma))
+    return StoppedPriceReport(
+        is_martingale=not violations, violations=violations,
+        deflation=_certify_pairs(problem, z_from_gamma, masses))

@@ -220,17 +220,27 @@ def dumps(tf: TreeFile) -> str:
     return _object(fields, "") + "\n"
 
 
-_POINT = '{\n      "leaf": %d,\n      "mass": "%s",\n      "zeta": %s\n    }'
+# one point record, its mass an integer or a reduced "p/q"
+_POINT_INT = '{\n      "leaf": %d,\n      "mass": "%d",\n      "zeta": %s\n    }'
+_POINT = '{\n      "leaf": %d,\n      "mass": "%d/%d",\n      "zeta": %s\n    }'
 
 
-def dumps_points(Q: Mapping[tuple[int, Optional[int]], Fraction]) -> str:
+def dumps_points(points: Mapping[tuple[int, Optional[int]], tuple[int, int]]
+                 ) -> str:
     """The canonical text of a dominating measure's points file: an object
     whose "points" list holds {"leaf", "mass", "zeta"} by leaf, then by death
-    time, with "inf" for a point that never dies (zeta None)."""
-    points = sorted(Q.items(), key=lambda kv: (kv[0][0], kv[0][1] or 10 ** 9))
-    return _object({"points": _array([
-        _POINT % (leaf, mass, '"inf"' if zeta is None else "%d" % zeta)
-        for (leaf, zeta), mass in points], "  ")}, "") + "\n"
+    time, with "inf" for a point that never dies (zeta None).  Each mass is
+    a reduced (numerator, denominator) pair, written as `str` writes its
+    Fraction, and the text is one join of the records."""
+    if not points:
+        return '{\n  "points": []\n}\n'
+    items = [_POINT_INT % (leaf, n, '"inf"' if zeta is None else zeta) if d == 1
+             else _POINT % (leaf, n, d, '"inf"' if zeta is None else zeta)
+             for (leaf, zeta), (n, d) in sorted(
+                 points.items(), key=lambda kv: (kv[0][0], kv[0][1] or 10 ** 9))]
+    items[0] = '{\n  "points": [\n    ' + items[0]
+    items[-1] += "\n  ]\n}\n"
+    return ",\n    ".join(items)
 
 
 def canonical_dumps(obj: dict) -> str:

@@ -11,10 +11,11 @@ helpers are the recursive hitting walk and the per-leaf ancestor scan of
 `StoppingTime`.
 
 `doob_decomposition`, `alive_masses` and `dead_masses` are the backward
-passes as they ran in `Fraction` arithmetic.  Production now sums Q's
-points as int numerators over one common denominator per call, and
-computes the compensator steps atom by atom from the reduced int pairs of
-`filtered_space._mass_pairs`, with no martingale part.
+passes as they ran in `Fraction` arithmetic.  Production now keeps Q's
+points as reduced int pairs and sums them once per measure, each atom over
+the lcm of its own terms' denominators, and computes the compensator steps
+atom by atom from the reduced int pairs of `filtered_space._mass_pairs`,
+with no martingale part.
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ from deflator_lab.filtered_space import (
     conditional_expectation, martingale_closure,
 )
 from deflator_lab.kunita_yoeurp import (
-    KyError, build_dominating_measure, check_stopped_price, verify_ky,
-    yoeurp_expectation,
+    DominatingMeasure, KyError, build_dominating_measure, check_stopped_price,
+    verify_ky, yoeurp_expectation,
 )
 import ky_oracle
 from treegen import binomial_problem, random_measure, random_problem, random_tree
@@ -101,10 +101,14 @@ def test_verify_ky_passes_on_construction_and_catches_corruption():
     report = verify_ky(dm)
     assert report.passed, report.failures
     assert ky_oracle.verify_ky_failures(dm, taus) == []
+    # a measure is checked as it was made, so Q is read-only
+    with pytest.raises(TypeError):
+        dm.Q[(2, 1)] = F(0)
     # move mass between death slices: property 3 must name the touched atom
-    dm.Q[(2, 1)] -= F(1, 8)
-    dm.Q[(2, 2)] += F(1, 8)
-    broken = verify_ky(dm)
+    Q2 = dict(dm.Q)
+    Q2[(2, 1)] -= F(1, 8)
+    Q2[(2, 2)] += F(1, 8)
+    broken = verify_ky(DominatingMeasure(dm.space, Q2, dm.Z, dm.dA))
     assert not broken.passed
     assert any("property 3" in f for f in broken.failures)
 

@@ -5,11 +5,11 @@ lists in the same order, same stopped-price violations and verdicts.  The
 stopped identities of hitting times are property 3 on their stop nodes, so
 production does not check them apart; the oracle does, and may name only
 atoms where production's property 3 fails.  Q's
-tables of int numerators over one common denominator, the per-atom
-compensator the build stores and `doob_decomposition` are also held to the
-Fraction recurrences they replaced, value and type alike, on pairwise-coprime
-trees too."""
+tables of reduced int pairs, the per-atom compensator the build stores and
+`doob_decomposition` are also held to the Fraction recurrences they
+replaced, value and type alike, on pairwise-coprime trees too."""
 
+import importlib
 import math
 import random
 import re
@@ -221,3 +221,50 @@ def test_pairwise_coprime_tree_of_255_nodes():
     problem = coprime_problem(horizon=7, seed=1)
     assert len(problem.tree.nodes) == 255
     assert_coprime_problem_matches(problem)
+
+
+@pytest.fixture()
+def lcm_calls(monkeypatch):
+    """The bit length of every lcm taken through `math.lcm`, and the calls
+    of `_over_lcm` (the lift of Q's points onto the lcm of all their
+    denominators) under every name it is bound to, where it still exists."""
+    calls = {"bits": [], "over_lcm": 0}
+    lcm = math.lcm
+
+    def recorded(*args):
+        out = lcm(*args)
+        calls["bits"].append(out.bit_length())
+        return out
+
+    monkeypatch.setattr(math, "lcm", recorded)
+    for name in ("filtered_space", "arbitrage", "deflator", "kunita_yoeurp"):
+        module = importlib.import_module(f"deflator_lab.{name}")
+        original = getattr(module, "_over_lcm", None)
+        if original is not None:
+            def counted(*args, _original=original):
+                calls["over_lcm"] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(module, "_over_lcm", counted)
+    return calls
+
+
+def test_no_sum_over_one_lcm_of_all_points(lcm_calls):
+    """The build, both checks and every mass table lift each sum onto the
+    lcm of its own terms only: on a pairwise-coprime tree of 127 nodes no
+    lcm they take has half the bits of the lcm of all of Q's denominators
+    (about a third here, and the share falls as the tree grows)."""
+    problem = coprime_problem(horizon=6, seed=1)
+    tree, P = problem.tree, problem.P
+    Z = construct_deflator(problem).normalized(tree)
+    lcm_calls["bits"].clear()
+    dm = build_dominating_measure(tree, P, Z)
+    assert verify_ky(dm).passed
+    check_stopped_price(dm, problem.S)
+    dm.gamma()
+    dm.alive_masses()
+    dm.dead_masses()
+    assert lcm_calls["over_lcm"] == 0
+    taken = max(lcm_calls["bits"])
+    whole = math.lcm(*{q.denominator for q in dm.Q.values()}).bit_length()
+    assert 2 * taken < whole

@@ -10,7 +10,7 @@ import pytest
 from deflator_lab import treeio
 from deflator_lab.filtered_space import AdaptedProcess, EventTree, ProbMeasure, Strategy
 from deflator_lab.treeio import TreeFile, TreeFileError, parse_rational
-from treegen import random_measure, random_prices, random_tree
+from treegen import coprime_problem, random_measure, random_prices, random_tree
 import treeio_oracle
 from treeio_oracle import to_obj
 
@@ -166,19 +166,28 @@ def test_dumps_matches_the_json_encoder():
 
 
 def test_points_file_matches_the_json_encoder():
+    """The points text written from each measure's reduced pairs, on the
+    seeded corpus and on a tree whose masses have pairwise-coprime
+    denominators of hundreds of digits."""
+    from deflator_lab.deflator import construct_deflator
+    from deflator_lab.kunita_yoeurp import build_dominating_measure
     from test_ky_single_pass import corpus
 
-    measures = immortal = 0
+    problem = coprime_problem(horizon=5, seed=1)
+    coprime = build_dominating_measure(
+        problem.tree, problem.P,
+        construct_deflator(problem).normalized(problem.tree))
+    assert max(len(str(q)) for q in coprime.Q.values()) > 200
+    measures = [coprime]
     for n, (_, _, _, pairs) in enumerate(corpus()):
         if n == 40:
             break
-        for built, corrupted in pairs:
-            for dm in (built, corrupted):
-                assert treeio.dumps_points(dm.Q) == treeio_oracle.dumps_points(dm.Q)
-                measures += 1
-                immortal += any(zeta is None for _, zeta in dm.Q)
+        measures += [dm for pair in pairs for dm in pair]
+    for dm in measures:
+        assert treeio.dumps_points(dm._points) == treeio_oracle.dumps_points(dm.Q)
+        assert any(zeta is None for _, zeta in dm.Q)
     assert treeio.dumps_points({}) == treeio_oracle.dumps_points({})
-    assert measures > 80 and immortal == measures
+    assert len(measures) > 80
 
 
 def outcome(reader, obj):
