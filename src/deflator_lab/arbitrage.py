@@ -17,13 +17,10 @@ one linear inequality per node, so on a finite tree with strictly positive P:
 
 At one asset the one-step program is closed form and its ray is the box
 program's maximizer; with more assets the exact simplex of `linprog` solves
-both.  The one-asset closed form runs on reduced (numerator, denominator)
-int pairs: `_atom_program` is the one kernel of `one_step_program`, of the
-backward pass and of `deflator.verify_deflation`.  The atoms' masses are
-`filtered_space._mass_pairs`, the one bottom-up sum of leaf masses.  Each
-atom lifts only its children's pairs onto the lcm of their denominators and
-reduces its own value with one gcd, so no common denominator of the whole
-tree is formed, and a Fraction is built only for a returned value.
+both.  The one-asset closed form runs on the reduced int pairs of
+`filtered_space`'s pair section: `_atom_program` is the one kernel of
+`one_step_program`, of the backward pass and of `deflator.verify_deflation`,
+and a Fraction is built only for a returned value.
 
 The utility builder turns a tail-probability envelope F into a concave,
 unbounded U = integral of a step function g with diverging sum(g_k) but
@@ -36,10 +33,11 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
-from .filtered_space import (AdaptedProcess, EventTree, ProbMeasure, Strategy,
-                             _mass_pairs, as_fraction)
+from .filtered_space import (AdaptedProcess, EventTree, Pair, ProbMeasure,
+                             Strategy, _increments, _lift_pairs,
+                             _process_pairs, as_fraction)
 
 # `linprog` is imported by the three programs that run the simplex (two or
 # more assets, and `finite_utility_check`), so a one-asset command never
@@ -141,11 +139,10 @@ def one_step_program(tree: EventTree, P_masses: dict[int, Fraction],
         return _one_step_simplex(tree, P_masses, S, node, weights)
     children = tree.children_of(node)
     masses = [P_masses[c] for c in children]
-    x = ([(m.numerator, m.denominator) for m in masses] if weights is None
+    x = ([m.as_integer_ratio() for m in masses] if weights is None
          else [(m.numerator * w.numerator, m.denominator * w.denominator)
                for m, w in zip(masses, (weights[c] for c in children))])
-    s = [(x.numerator, x.denominator)
-         for x in (S[v][0] for v in (node, *children))]
+    s = [S[v][0].as_integer_ratio() for v in (node, *children)]
     scale, e = _increments(s, 0, range(1, len(s)))
     num, den, bound = _atom_program(node, x, e)
     h = Fraction(-scale, bound) if bound else ZERO
@@ -156,7 +153,7 @@ def one_step_program(tree: EventTree, P_masses: dict[int, Fraction],
 # -- the one-asset kernel on reduced (numerator, denominator) int pairs -------
 
 
-def _atom_program(node: int, x: list[tuple[int, int]], e: list[int]
+def _atom_program(node: int, x: list[Pair], e: list[int]
                   ) -> tuple[int, int, int]:
     """The one-asset one-step program at `node`, in ints.
 
@@ -173,20 +170,12 @@ def _atom_program(node: int, x: list[tuple[int, int]], e: list[int]
     where the optimum is T.  At an endpoint it is T - G/e, so L cancels.
     Returns (num, den, e) with the optimum num/den, den > 0 and e = 0 for
     h = 0; the pair is not reduced.  A missing endpoint is the unbounded ray
-    (1,) or (-1,), raised as Na1FailsOnAtom.
-
-    The children's pairs are lifted onto the lcm of their denominators only,
-    so a large denominator elsewhere in the tree costs nothing here.
+    (1,) or (-1,), raised as Na1FailsOnAtom.  The children's pairs are
+    lifted onto the lcm of their own denominators.
     """
-    d = x[0][1]
-    for _, q in x:
-        if q != d:
-            d = math.lcm(*[q for _, q in x])
-            break
+    d, lifted = _lift_pairs(x)
     total = gain = e_min = e_max = 0
-    for (n, q), ds in zip(x, e):
-        if q != d:
-            n *= d // q
+    for n, ds in zip(lifted, e):
         total += n
         if ds:
             gain += n * ds
@@ -205,32 +194,7 @@ def _atom_program(node: int, x: list[tuple[int, int]], e: list[int]
     return total, d, 0
 
 
-def _increments(s: Sequence[tuple[int, int]], node: int,
-                children: Sequence[int]) -> tuple[int, list[int]]:
-    """(L, e): the increments S_c - S_node of the children as ints e_c over
-    one positive scale L, the lcm of the prices' denominators, from the
-    (numerator, denominator) pairs s[v]."""
-    a, b = s[node]
-    scale = b
-    for c in children:
-        q = s[c][1]
-        if scale % q:
-            scale = math.lcm(scale, q)
-    if scale != b:
-        a *= scale // b
-    return scale, [n - a if q == scale else n * (scale // q) - a
-                   for n, q in [s[c] for c in children]]
-
-
-def _price_pairs(tree: EventTree, S: AdaptedProcess) -> list[tuple[int, int]]:
-    """(numerator, denominator) of the scalar price at every node, by id."""
-    values = S.values
-    return [(x.numerator, x.denominator)
-            for x in (values[v.id][0] for v in tree.nodes)]
-
-
-def _backward_pairs(problem: WealthProblem
-                    ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+def _backward_pairs(problem: WealthProblem) -> tuple[list[Pair], list[Pair]]:
     """(y, m) of the one-asset backward pass: m[v] is the mass of atom v
     and y[v] = m[v] z[v] its mass-weighted value, both reduced pairs.
 
@@ -239,8 +203,8 @@ def _backward_pairs(problem: WealthProblem
     each atom costs one `_atom_program` and one gcd.
     """
     tree = problem.tree
-    s = _price_pairs(tree, problem.S)
-    m = _mass_pairs(tree, problem.P.leaf_mass)
+    s = _process_pairs(tree, problem.S)
+    m = problem.P._atom_pairs(tree)
     y = list(m)
     for v in reversed(tree.nodes):
         if v.children:
@@ -251,7 +215,7 @@ def _backward_pairs(problem: WealthProblem
     return y, m
 
 
-def _ratio(y: tuple[int, int], m: tuple[int, int]) -> Fraction:
+def _ratio(y: Pair, m: Pair) -> Fraction:
     """The value z = y/m of two reduced pairs of `_backward_pairs`: once
     their cross gcds cancel z is in lowest terms, so Fraction's own gcd runs
     at z's size only."""

@@ -252,10 +252,7 @@ def load_labels(path: str) -> dict[int, str]:
                        f"id to label, got {type(raw).__name__}")
     labels: dict[int, str] = {}
     for key, value in raw.items():
-        try:
-            leaf = treeio._node_key(key, f"--label-map {path}")
-        except treeio.TreeFileError as exc:
-            raise CliError(str(exc)) from exc
+        leaf = treeio._node_key(key, f"--label-map {path}")
         if not isinstance(value, str):
             raise CliError(f"--label-map {path}: the label of leaf {key} must "
                            f"be a JSON string, got {json.dumps(value)}")
@@ -599,7 +596,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, treeio.TreeFileError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except OSError as exc:

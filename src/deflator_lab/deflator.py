@@ -13,9 +13,10 @@ Deflation means: Z * (1 + (H.S)) is a supermartingale for every 1-admissible
 H.  Scaling wealth to 1 on an atom shows it is enough to bound the one-step
 programs by Z, which is an exact, certifiable condition; `verify_deflation`
 checks it with one exact one-step program per atom of positive mass.  At one
-asset both the construction and the certificate run on the int pairs of
-`arbitrage._atom_program`: the certificate compares each atom's optimum with
-Z by one cross-multiplication and builds a Fraction only for an excess.
+asset both the construction and the certificate run `arbitrage._atom_program`
+on the reduced int pairs of `filtered_space`'s pair section: the certificate
+compares each atom's optimum with Z by one cross-multiplication and builds a
+Fraction only for an excess.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arbitrage import (Na1FailsOnAtom, WealthProblem, _atom_program,
-                        _increments, _price_pairs, backward_pass,
-                        one_step_program)
-from .filtered_space import AdaptedProcess, EventTree, ProbMeasure, _mass_pairs
+                        backward_pass, one_step_program)
+from .filtered_space import (AdaptedProcess, EventTree, Pair, ProbMeasure,
+                             _increments, _process_pairs)
 
 
 class Deflator:
@@ -101,18 +102,12 @@ def verify_deflation(problem: WealthProblem, Z: "AdaptedProcess | Deflator"
         Z = Z.Z
     if Z.dim != 1:
         raise ValueError("scalar access on a vector-valued process")
-    values = Z.values
-    return _certify_pairs(problem, [
-        (x.numerator, x.denominator)
-        for x in (values[v.id][0] for v in problem.tree.nodes)],
-        _mass_pairs(problem.tree, problem.P.leaf_mass))
+    return _certify_pairs(problem, _process_pairs(problem.tree, Z))
 
 
-def _certify_pairs(problem: WealthProblem, z: list[tuple[int, int]],
-                   m: list[tuple[int, int]]) -> DeflationReport:
+def _certify_pairs(problem: WealthProblem, z: list[Pair]) -> DeflationReport:
     """`verify_deflation` with Z as (numerator, denominator) pairs by node
-    id, each denominator positive, and m the atom masses of P by
-    `_mass_pairs`.
+    id, each denominator positive.
 
     At one asset the program at atom v, weighted by P(c) Z_c, is
     `_atom_program`'s num/den, P(v) times the conditional optimum, so the
@@ -121,9 +116,10 @@ def _certify_pairs(problem: WealthProblem, z: list[tuple[int, int]],
     each atom goes to the simplex.
     """
     tree, S = problem.tree, problem.S
+    m = problem.P._atom_pairs(tree)
     violations: list[tuple[int, Fraction]] = []
     if S.dim != 1:
-        masses = {v: Fraction(n, d) for v, (n, d) in enumerate(m)}
+        masses = problem.P.node_masses(tree)
         for v in tree.non_leaf_nodes():
             if masses[v.id] == 0:
                 continue
@@ -136,7 +132,7 @@ def _certify_pairs(problem: WealthProblem, z: list[tuple[int, int]],
             if value > Fraction(*z[v.id]):
                 violations.append((v.id, value - Fraction(*z[v.id])))
         return DeflationReport(certified=not violations, violations=violations)
-    s = _price_pairs(tree, S)
+    s = _process_pairs(tree, S)
     for v in tree.non_leaf_nodes():
         mn, md = m[v.id]
         if mn == 0:

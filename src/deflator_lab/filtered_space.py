@@ -6,6 +6,8 @@ elementary outcome.  Adapted processes assign one rational vector per node,
 strategies assign the holding for the next step to the node where it is
 decided, so measurability and predictability are structural rather than
 checked.  Everything in this module is exact; no floats enter or leave.
+Its section on reduced int pairs is the one home of the exact layers' pair
+arithmetic, and the only place in the package that takes an lcm.
 """
 
 from __future__ import annotations
@@ -217,22 +219,29 @@ class ProbMeasure:
         self.leaf_mass: dict[int, Fraction] = {
             int(k): as_fraction(v) for k, v in leaf_mass.items()
         }
-        if any(m < 0 for m in self.leaf_mass.values()):
+        if any(m.numerator < 0 for m in self.leaf_mass.values()):
             raise ValueError("negative leaf mass")
         if sum(self.leaf_mass.values()) != 1:
             raise ValueError("leaf masses must sum to exactly 1")
+        self._pairs: Optional[tuple[EventTree, list[Pair]]] = None
 
     @property
     def strictly_positive(self) -> bool:
-        return all(m > 0 for m in self.leaf_mass.values())
+        return all(m.numerator > 0 for m in self.leaf_mass.values())
 
     def mass(self, leaf: int) -> Fraction:
         return self.leaf_mass[leaf]
 
     def node_masses(self, tree: EventTree) -> dict[int, Fraction]:
-        """Mass of every atom, as Fractions of `_mass_pairs`."""
+        """Mass of every atom, as Fractions of `_atom_pairs`."""
         return {v: Fraction(n, d)
-                for v, (n, d) in enumerate(_mass_pairs(tree, self.leaf_mass))}
+                for v, (n, d) in enumerate(self._atom_pairs(tree))}
+
+    def _atom_pairs(self, tree: EventTree) -> list[Pair]:
+        """`_mass_pairs` on `tree`, read-only, kept for the last tree."""
+        if self._pairs is None or self._pairs[0] is not tree:
+            self._pairs = (tree, _mass_pairs(tree, self.leaf_mass))
+        return self._pairs[1]
 
     def validate_for(self, tree: EventTree) -> None:
         if set(self.leaf_mass) != set(tree.leaves):
@@ -462,54 +471,103 @@ def stochastic_integral(tree: EventTree, S: AdaptedProcess, H: Strategy
     return AdaptedProcess.of_scalars(out)
 
 
+# -- reduced int pairs -----------------------------------------------------------
+# A lift puts a few pairs over the lcm of their own denominators, never over
+# one of the whole tree, and only this section takes an lcm.
+
+Pair = tuple[int, int]      # reduced, with a positive denominator
+ZERO_PAIR: Pair = (0, 1)
+
+
+def _process_pairs(tree: EventTree, X: AdaptedProcess, k: int = 0
+                   ) -> list[Pair]:
+    """Component k of X at every node, as reduced pairs by id."""
+    values = X.values
+    return [values[v.id][k].as_integer_ratio() for v in tree.nodes]
+
+
+def _lift_pairs(pairs: Sequence[Pair]) -> tuple[int, list[int]]:
+    """(d, n): the pairs as ints n over d, the lcm of their own
+    denominators, which need not be reduced.  One pair is its own lift."""
+    if len(pairs) == 1:
+        (n, d), = pairs
+        return d, [n]
+    d = math.lcm(*[q for _, q in pairs])
+    return d, [n * (d // q) for n, q in pairs]
+
+
+def _sum_pairs(pairs: Sequence[Pair]) -> Pair:
+    """The reduced sum of reduced pairs.  Two add over their lcm and reduce
+    by a gcd with their denominators' gcd alone (Knuth, TAOCP 4.5.1).  More
+    add as a product tree (Bernstein, "Fast multiplication and its
+    applications", 2008): each run of 16 lifted and reduced by one gcd, then
+    the runs' sums likewise, so no lcm spans more than 16 terms."""
+    size = len(pairs)
+    if size > 2:
+        if size > 16:
+            return _sum_pairs([_sum_pairs(pairs[i:i + 16])
+                               for i in range(0, size, 16)])
+        d, nums = _lift_pairs(pairs)
+        t = sum(nums)
+        g = math.gcd(t, d)
+        return (t, d) if g == 1 else (t // g, d // g)
+    if size == 2:
+        (num, den), (n, q) = pairs
+        g = math.gcd(den, q)
+        if g == 1:
+            return num * q + n * den, den * q
+        s = den // g
+        t = num * (q // g) + n * s
+        g = math.gcd(t, g)
+        return t // g, s * (q // g)
+    return pairs[0] if size else ZERO_PAIR
+
+
+def _increments(s: Sequence[Pair], node: int, children: Sequence[int]
+                ) -> tuple[int, list[int]]:
+    """(L, e): the children's increments S_c - S_node as ints e_c over L,
+    the lcm of their price pairs' denominators, grown one at a time."""
+    a, b = s[node]
+    scale = b
+    for c in children:
+        q = s[c][1]
+        if scale % q:
+            scale = math.lcm(scale, q)
+    if scale != b:
+        a *= scale // b
+    return scale, [n - a if q == scale else n * (scale // q) - a
+                   for n, q in [s[c] for c in children]]
+
+
 def _mass_pairs(tree: EventTree, leaf_mass: Mapping[int, Fraction]
-                ) -> list[tuple[int, int]]:
-    """Reduced (numerator, denominator) of every atom's mass, by id, from
-    the mass of every leaf: each atom adds its children's pairs one at a
-    time.  Two reduced pairs over denominators with gcd g add over their
-    lcm, and their sum reduces by a gcd with g alone (Knuth, TAOCP 4.5.1),
-    never one of the lcm's size.  Every table of atom masses reads it."""
-    m: list[tuple[int, int]] = [(0, 1)] * len(tree.nodes)
-    for leaf in tree.leaves:
-        x = leaf_mass[leaf]
-        m[leaf] = (x.numerator, x.denominator)
-    for v in reversed(tree.nodes):
+                ) -> list[Pair]:
+    """Reduced pair of every atom's mass, by id, from the mass of every
+    leaf: each atom sums its children's pairs, and a one-child atom copies
+    its child's.  Every table of atom masses reads it."""
+    nodes, leaves = tree.nodes, tree.leaves
+    m: list[Pair] = [ZERO_PAIR] * len(nodes)
+    for leaf in leaves:
+        m[leaf] = leaf_mass[leaf].as_integer_ratio()
+    # the leaves are the last layer, so every node before them has children
+    for v in reversed(nodes[:len(nodes) - len(leaves)]):
         kids = v.children
-        if not kids:
-            continue
-        num, den = m[kids[0]]
-        for c in kids[1:]:
-            n, q = m[c]
-            g = math.gcd(den, q)
-            if g == 1:
-                num, den = num * q + n * den, den * q
-            else:
-                s = den // g
-                t = num * (q // g) + n * s
-                g = math.gcd(t, g)
-                num, den = t // g, s * (q // g)
-        m[v.id] = (num, den)
+        m[v.id] = (m[kids[0]] if len(kids) == 1
+                   else _sum_pairs([m[c] for c in kids]))
     return m
 
 
 def _compensator(tree: EventTree, P: ProbMeasure, Z: AdaptedProcess
                  ) -> dict[int, Fraction]:
     """The steps Z_v - E[Z_next | v] of Z's compensator, by non-leaf node id
-    in id order.  Each atom lifts its children's m_c z_c, from the mass
-    pairs of `_mass_pairs`, onto the lcm of those children's denominators
-    only, as `arbitrage._atom_program` does, so a step is one int sum over
-    the children and one Fraction.  P must charge every atom."""
-    m = _mass_pairs(tree, P.leaf_mass)
-    values = Z.values
-    z = [(x.numerator, x.denominator)
-         for x in (values[v.id][0] for v in tree.nodes)]
+    in id order: each atom lifts its children's m_c z_c and builds one
+    Fraction.  P must charge every atom."""
+    m = P._atom_pairs(tree)
+    z = _process_pairs(tree, Z)
     dA: dict[int, Fraction] = {}
-    for v in tree.nodes:
-        if not v.children:
-            continue
-        x = [(m[c][0] * z[c][0], m[c][1] * z[c][1]) for c in v.children]
-        d = math.lcm(*[q for _, q in x])
-        total = sum(n * (d // q) for n, q in x)
+    for v in tree.nodes[:len(tree.nodes) - len(tree.leaves)]:   # has children
+        d, x = _lift_pairs([(m[c][0] * z[c][0], m[c][1] * z[c][1])
+                            for c in v.children])
+        total = sum(x)
         # Z_v - total / (d m_v), with m_v = a / b
         (a, b), (zn, zd) = m[v.id], z[v.id]
         dA[v.id] = Fraction(zn * d * a - total * b * zd, zd * d * a)

@@ -22,18 +22,13 @@ here.  The pre-death price S^{T-} freezes S at its last value before death,
 and its Q-drift on each still-alive atom is E_P[Z_{k+1} dS | atom] up to
 positive normalization, which is what `check_stopped_price` reports.
 
-Each measure keeps its point masses in one private table of reduced
-(numerator, denominator) int pairs, converted once when it is made.  It sums
-that table once, bottom up, into the alive and dying mass of every atom;
-each atom lifts its children's pairs onto the lcm of those children's
-denominators only, and the points that die on one atom, like the atoms of
-one layer, are summed as a product tree of runs of 16 (Bernstein, "Fast
-multiplication and its applications", 2008), so no sum runs over one
-common denominator of all of Q.  Every check reads these tables: a check verifies the measure as it was
-made, and `Q` is a read-only Fraction view of the table.  P's atom masses
-are the reduced pairs of `filtered_space._mass_pairs`, and the build
-computes the compensator from them atom by atom, never M.  Fractions are
-built only for returned values and failure messages.
+Each measure keeps its point masses in one private table of reduced int
+pairs and sums it once, bottom up, into the alive and dying mass of every
+atom, with the arithmetic of `filtered_space`'s pair section, so no sum
+runs over one common denominator of all of Q.  Every check reads these
+tables, so it verifies the measure as it was made.  The build computes the
+compensator atom by atom, never M, and Fractions are built only for
+returned values and failure messages.
 """
 
 from __future__ import annotations
@@ -43,8 +38,9 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
-from .filtered_space import (AdaptedProcess, EventTree, ProbMeasure,
-                             Strategy, _compensator, _mass_pairs)
+from .filtered_space import (ZERO_PAIR, AdaptedProcess, EventTree, Pair,
+                             ProbMeasure, Strategy, _compensator, _increments,
+                             _lift_pairs, _process_pairs, _sum_pairs)
 
 # The deflation certificate loads with `check_stopped_price`, its only user,
 # so building and verifying a measure never compiles the arbitrage layer.
@@ -55,31 +51,6 @@ ZERO = Fraction(0)
 
 # A death index is 1..n, or None for "never dies" (the embedded original world).
 Death = Optional[int]
-# A rational as a reduced (numerator, denominator) pair, denominator > 0.
-Pair = tuple[int, int]
-ZERO_PAIR: Pair = (0, 1)
-
-
-def _lift_sum(pairs: list[Pair]) -> Pair:
-    """The reduced sum of reduced pairs, lifted onto the lcm of their own
-    denominators only; one gcd of that lcm's size reduces it."""
-    d = math.lcm(*[q for _, q in pairs])
-    t = 0
-    for n, q in pairs:
-        t += n * (d // q)
-    g = math.gcd(t, d)
-    return (t, d) if g == 1 else (t // g, d // g)
-
-
-def _sum_pairs(pairs: list[Pair]) -> Pair:
-    """The reduced sum of any number of pairs as a product tree: each run of
-    16 is lifted onto its own lcm, then the runs' sums likewise, so no lcm
-    spans more than 16 terms."""
-    while len(pairs) > 16:
-        pairs = [_lift_sum(pairs[i:i + 16]) for i in range(0, len(pairs), 16)]
-    if len(pairs) == 1:
-        return pairs[0]
-    return _lift_sum(pairs) if pairs else ZERO_PAIR
 
 
 class EnlargedSpace:
@@ -120,15 +91,12 @@ class KyError(ValueError):
 
 class DominatingMeasure:
     """Q on the points of `space`, with the Z and dA it was built from.
-
-    The point masses are converted once, into a private table of reduced
-    int pairs, and summed once into the alive and dying tables below;
-    every check reads those, so it verifies the measure as it was made.
-    `Q` is a read-only mapping of Fractions over the same table."""
+    Its point masses are converted once into a table of pairs, which every
+    check reads; `Q` is a read-only mapping of Fractions over it."""
 
     def __init__(self, space: EnlargedSpace, Q: Mapping[tuple[int, Death], Fraction],
                  Z: AdaptedProcess, dA: Strategy):
-        points = {key: (x.numerator, x.denominator) for key, x in Q.items()}
+        points = {key: x.as_integer_ratio() for key, x in Q.items()}
         self._setup(space, points, Z, dA, frozenset(
             key for key in points if not space.is_point(*key)))
 
@@ -262,7 +230,7 @@ class DominatingMeasure:
         does not charge are omitted (0/0 stays undefined, not 0).  P_bar does
         not charge a dead atom, so gamma is 0 there."""
         out: dict[tuple[int, Death], Fraction] = {}
-        masses = _mass_pairs(self.tree, self.space.P.leaf_mass)
+        masses = self.space.P._atom_pairs(self.tree)
         alive, dead = self._alive, self._dead_pairs()
         for k in range(self.tree.horizon + 1):
             for v, j in self.space.atoms_at(k):
@@ -303,12 +271,11 @@ def build_dominating_measure(tree: EventTree, P: ProbMeasure,
             raise KyError(f"not a supermartingale: compensator step at node "
                           f"{v} is {step}")
         if step.numerator:
-            steps[v] = (step.numerator, step.denominator)
+            steps[v] = step.as_integer_ratio()
     gcd = math.gcd
     points: dict[tuple[int, Death], Pair] = {}
     for leaf in tree.leaves:
-        p = P.leaf_mass[leaf]
-        pn, pd = p.numerator, p.denominator
+        pn, pd = P.leaf_mass[leaf].as_integer_ratio()
         path = tree.path(leaf)
         for j in range(1, tree.horizon + 1):
             step = steps.get(path[j - 1])
@@ -316,8 +283,7 @@ def build_dominating_measure(tree: EventTree, P: ProbMeasure,
                 sn, sd = step
                 g, h = gcd(pn, sd), gcd(sn, pd)
                 points[(leaf, j)] = (pn // g * (sn // h), pd // h * (sd // g))
-        z = values[leaf][0]
-        zn, zd = z.numerator, z.denominator
+        zn, zd = values[leaf][0].as_integer_ratio()
         g, h = gcd(pn, zd), gcd(zn, pd)
         points[(leaf, None)] = (pn // g * (zn // h), pd // h * (zd // g))
     return DominatingMeasure._of_pairs(
@@ -340,7 +306,7 @@ def verify_ky(dm: DominatingMeasure) -> KyReport:
     stopping time tau is property 3 read on tau's stop nodes, so it needs no
     check of its own."""
     tree = dm.tree
-    masses = _mass_pairs(tree, dm.space.P.leaf_mass)
+    masses = dm.space.P._atom_pairs(tree)
     alive, dying = dm._alive, dm._dying
     failures: list[str] = []
 
@@ -360,9 +326,9 @@ def verify_ky(dm: DominatingMeasure) -> KyReport:
     for t in range(tree.horizon + 1):
         layer = tree.nodes_at(t)
         if t > 0:
-            direct = _lift_sum([direct, _sum_pairs([dying[v] for v in layer])])
+            direct = _sum_pairs([direct, _sum_pairs([dying[v] for v in layer])])
         n, d = _sum_pairs([alive[v] for v in layer])
-        if _lift_sum([total, (-n, d)]) != direct:
+        if _sum_pairs([total, (-n, d)]) != direct:
             failures.append(f"property 2: dead mass mismatch at t = {t}")
 
     # (3) the density relation Q(alive) = P(A) Z_t on every atom and layer,
@@ -450,27 +416,21 @@ def check_stopped_price(dm: DominatingMeasure, S: AdaptedProcess
     from points whose density fails to deflate.  Over certifying Z it adds
     one pair per node.
     """
-    from .arbitrage import WealthProblem, _increments
+    from .arbitrage import WealthProblem
     from .deflator import _certify_pairs
 
     tree = dm.tree
     alive = dm._alive
-    # each atom lifts its children's alive masses onto the lcm of their
-    # denominators, and each component of their price increments onto the
-    # lcm of the atom's own price denominators (`_increments`): the drift
-    # sum_c alive_c (s_c - s_v) is an int over that lcm times the price's
-    # scale, and divided by the alive mass it is one Fraction
-    prices = [[(x.numerator, x.denominator)
-               for x in (S.values[v.id][k] for v in tree.nodes)]
-              for k in range(S.dim)]
+    # the drift sum_c alive_c (s_c - s_v) is an int over the lift of the
+    # children's alive masses times the scale of `_increments`; divided by
+    # the alive mass it is one Fraction
+    prices = [_process_pairs(tree, S, k) for k in range(S.dim)]
     violations: list[tuple[int, tuple[Fraction, ...]]] = []
     for v in tree.non_leaf_nodes():
         vn, vd = alive[v.id]
         if vn == 0:
             continue
-        kids = [alive[c] for c in v.children]
-        d = math.lcm(*[q for _, q in kids])
-        weights = [n * (d // q) for n, q in kids]
+        d, weights = _lift_pairs([alive[c] for c in v.children])
         drift = []
         for s in prices:
             scale, e = _increments(s, v.id, v.children)
@@ -480,20 +440,14 @@ def check_stopped_price(dm: DominatingMeasure, S: AdaptedProcess
                                            for x, scale in drift)))
 
     # gamma = masses / alive on the alive atoms of positive mass inverts back
-    # to alive / masses = Z; feed it through the exact deflation certificate
-    # as the converse-direction check, as (numerator, denominator) pairs, so
-    # no Fraction is built per node.  Only alive atoms enter, so the dead
-    # table is never built here, and the certificate reuses P's mass pairs.
-    masses = _mass_pairs(tree, dm.space.P.leaf_mass)
-    z_from_gamma = []
-    for v in tree.nodes:
-        (an, ad), (pn, pd) = alive[v.id], masses[v.id]
-        if an > 0 and pn != 0:
-            z_from_gamma.append((an * pd, ad * pn))
-        else:
-            z = dm.Z.at(v.id)
-            z_from_gamma.append((z.numerator, z.denominator))
+    # to alive / masses = Z; feed it as pairs through the exact deflation
+    # certificate as the converse-direction check.  Only alive atoms enter,
+    # so the dead table is never built here.
+    masses = dm.space.P._atom_pairs(tree)
+    z_from_gamma = [(an * pd, ad * pn) if an > 0 and pn != 0
+                    else dm.Z.at(v).as_integer_ratio()
+                    for v, ((an, ad), (pn, pd)) in enumerate(zip(alive, masses))]
     problem = WealthProblem(tree, dm.space.P, S)
     return StoppedPriceReport(
         is_martingale=not violations, violations=violations,
-        deflation=_certify_pairs(problem, z_from_gamma, masses))
+        deflation=_certify_pairs(problem, z_from_gamma))

@@ -13,7 +13,8 @@ sort_keys=True) + "\n"` gives for the file's JSON object, that is a 2-space
 indent, keys sorted as strings (so "10" comes before "2"), non-ASCII
 characters escaped and a trailing newline.  `dumps` and `dumps_points` write
 that text from templates, with no intermediate dict and no `json` encoder;
-`from_obj` parses each distinct rational string once per call.
+`from_obj` parses each distinct rational string once per call.  A writer
+refuses what the reader would: an int too long for `str` is a TreeFileError.
 """
 
 from __future__ import annotations
@@ -196,6 +197,22 @@ def _vectors(values: Mapping[int, tuple]) -> str:
                     for node, vec in values.items()}, "    ")
 
 
+def _too_long(named: Mapping[str, tuple]) -> TreeFileError:
+    """The reader's refusal of the first value of `named`, {field: vector},
+    with more digits than Python converts to text."""
+    for where, vec in named.items():
+        try:
+            [str(x) for x in vec]
+        except ValueError:
+            break
+    else:
+        where = "a value"
+    return TreeFileError(f"{where}: cannot be written: a numerator or "
+                         "denominator has more digits than Python converts "
+                         "to text, so the reader would refuse it "
+                         "(PYTHONINTMAXSTRDIGITS raises the limit)")
+
+
 def dumps(tf: TreeFile) -> str:
     """The canonical text of a tree file (see the module docstring)."""
     tree = tf.tree
@@ -206,17 +223,25 @@ def dumps(tf: TreeFile) -> str:
                                   else "%d" % v.parent, v.time)
                          for v in tree.nodes], "  "),
     }
-    if tf.P is not None:
-        fields["P"] = _object({str(leaf): f'"{m}"'
-                               for leaf, m in tf.P.leaf_mass.items()}, "  ")
-    if tf.processes:
-        fields["processes"] = _object(
-            {name: _vectors(proc.values)
-             for name, proc in tf.processes.items()}, "  ")
-    if tf.strategies:
-        fields["strategies"] = _object(
-            {name: _vectors(strat.steps)
-             for name, strat in tf.strategies.items()}, "  ")
+    try:
+        if tf.P is not None:
+            fields["P"] = _object({str(leaf): f'"{m}"'
+                                   for leaf, m in tf.P.leaf_mass.items()}, "  ")
+        if tf.processes:
+            fields["processes"] = _object(
+                {name: _vectors(proc.values)
+                 for name, proc in tf.processes.items()}, "  ")
+        if tf.strategies:
+            fields["strategies"] = _object(
+                {name: _vectors(strat.steps)
+                 for name, strat in tf.strategies.items()}, "  ")
+    except ValueError as exc:       # an int longer than str() converts
+        named = {} if tf.P is None else {
+            f"P[{leaf}]": (m,) for leaf, m in tf.P.leaf_mass.items()}
+        named.update((f"processes[{name}][{node}]", vec)
+                     for name, proc in tf.processes.items()
+                     for node, vec in proc.values.items())
+        raise _too_long(named) from exc
     return _object(fields, "") + "\n"
 
 
@@ -234,10 +259,15 @@ def dumps_points(points: Mapping[tuple[int, Optional[int]], tuple[int, int]]
     Fraction, and the text is one join of the records."""
     if not points:
         return '{\n  "points": []\n}\n'
-    items = [_POINT_INT % (leaf, n, '"inf"' if zeta is None else zeta) if d == 1
-             else _POINT % (leaf, n, d, '"inf"' if zeta is None else zeta)
-             for (leaf, zeta), (n, d) in sorted(
-                 points.items(), key=lambda kv: (kv[0][0], kv[0][1] or 10 ** 9))]
+    try:
+        items = [_POINT_INT % (leaf, n, '"inf"' if zeta is None else zeta) if d == 1
+                 else _POINT % (leaf, n, d, '"inf"' if zeta is None else zeta)
+                 for (leaf, zeta), (n, d) in sorted(
+                     points.items(), key=lambda kv: (kv[0][0], kv[0][1] or 10 ** 9))]
+    except ValueError as exc:       # an int longer than str() converts
+        raise _too_long({
+            f"points[leaf {leaf}, zeta {'inf' if zeta is None else zeta}]": x
+            for (leaf, zeta), x in points.items()}) from exc
     items[0] = '{\n  "points": [\n    ' + items[0]
     items[-1] += "\n  ]\n}\n"
     return ",\n    ".join(items)

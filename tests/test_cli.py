@@ -960,3 +960,30 @@ def test_enlarge_reports_do_not_depend_on_the_hash_seed(fixtures, tmp_path):
         results.append(json.loads(proc.stdout))
     assert results[0] == results[1]
     assert sum(code == 0 for code, _ in results[0]) >= len(argvs) // 2
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python writes ints of any length as text")
+def test_deflate_refuses_a_density_too_long_to_write(tmp_path):
+    """On the 2047-node tree whose leaf masses are 1/p for distinct primes,
+    some values of the normalized density have more digits than Python's
+    default int-to-str limit.  The reader would refuse them, so `deflate`
+    exits 2 naming the process and the node, writes nothing, and prints no
+    traceback."""
+    from treegen import coprime_problem
+
+    problem = coprime_problem(horizon=10, seed=1)
+    assert len(problem.tree.nodes) == 2047
+    tree, out = str(tmp_path / "tree.json"), str(tmp_path / "deflated.json")
+    treeio.save(treeio.TreeFile(problem.tree, problem.P, {"S": problem.S}),
+                tree)
+    proc = subprocess.run(
+        [sys.executable, "-m", "deflator_lab.cli", "deflate", "--tree", tree,
+         "--price", "S", "--name", "Z", "--normalize", "--out", out],
+        env=subprocess_env() | {"PYTHONINTMAXSTRDIGITS": "4300"},
+        capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert re.search(r"processes\[Z\]\[\d+\]: .*PYTHONINTMAXSTRDIGITS",
+                     proc.stderr), proc.stderr
+    assert not os.path.exists(out)

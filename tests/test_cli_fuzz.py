@@ -42,8 +42,10 @@ def json_paths(doc, prefix=()):
 
 
 DELETE = object()
+# rationals with more digits than Python's default int-to-str limit (4300)
+TOO_LONG = ["1/1" + "0" * 4300, "-" + "7" * 4301]
 JUNK = st.one_of(
-    st.sampled_from([DELETE, None, True, "1/0", "0", "-1"]),
+    st.sampled_from([DELETE, None, True, "1/0", "0", "-1", *TOO_LONG]),
     st.floats(), st.integers(2 ** 63, 2 ** 200),
     st.lists(st.sampled_from([None, "1", 0.5, []]), max_size=3),
     st.dictionaries(st.sampled_from(["0", "1", "2", "x"]),
@@ -142,17 +144,40 @@ def test_tree_side_commands_never_raise(tree_edits, tree_keys, label_edits):
         bad_key = rekeyed(doc, tree_keys)
         write_json(tree, doc)
         write_json(labels, mutated(LABELS, label_edits))
-        commands = [
-            ["check", "--tree", tree, "--out", out],
-            ["deflate", "--tree", tree, "--out", written, "--report", out],
-            ["foellmer", "--tree", tree, "--out", written, "--report", out],
-            ["ky-verify", "--tree", tree, "--price", "S", "--out", out],
-            ["stopped-check", "--tree", tree, "--out", out],
-        ] + [["enlarge", action, "--tree", tree, "--label-map", labels,
-              "--event", "u", "--out", out]
-             for action in ("jacod", "universal-z", "insider", "logutility")]
-        for argv in commands:
+        for argv in tree_side_commands(tree, labels, out, written):
             assert run(argv) in ((2,) if bad_key else (0, 1, 2)), argv
+
+
+def tree_side_commands(tree, labels, out, written):
+    return [
+        ["check", "--tree", tree, "--out", out],
+        ["deflate", "--tree", tree, "--out", written, "--report", out],
+        ["foellmer", "--tree", tree, "--out", written, "--report", out],
+        ["ky-verify", "--tree", tree, "--price", "S", "--out", out],
+        ["stopped-check", "--tree", tree, "--out", out],
+    ] + [["enlarge", action, "--tree", tree, "--label-map", labels,
+          "--event", "u", "--out", out]
+         for action in ("jacod", "universal-z", "insider", "logutility")]
+
+
+@pytest.mark.parametrize("table", ["P", "S", "Z"])
+@pytest.mark.parametrize("text", TOO_LONG)
+def test_rationals_over_the_digit_limit_exit_2(table, text, tmp_path,
+                                               int_str_limit):
+    """The reader refuses a rational with more digits than int-to-str
+    conversion allows, in P or in a process, so every tree-side command
+    exits 2."""
+    doc = json.loads(json.dumps(TREE))
+    if table == "P":
+        doc["P"][next(iter(doc["P"]))] = text
+    else:
+        doc["processes"][table]["0"] = [text]
+    paths = [str(tmp_path / name) for name in
+             ("tree.json", "labels.json", "report.json", "written.json")]
+    write_json(paths[0], doc)
+    write_json(paths[1], LABELS)
+    for argv in tree_side_commands(*paths):
+        assert run(argv) == 2, argv
 
 
 # Bounded junk: with --paths and --steps fixed on the command line, no value

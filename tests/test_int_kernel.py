@@ -12,19 +12,30 @@ violations with the same excesses, on:
   node mass has its own large denominator;
 * the insider's slice laws, which vanish off a label's leaves while every
   child keeps its admissibility bound.
+
+The pair section of `filtered_space` that these kernels share (process
+pairs, the lift, the reduced sum and price increments) is held to
+`Fraction` on seeded lists, and `math.lcm` may be called only there.
 """
 
+import ast
+import math
+import pathlib
 import random
 from fractions import Fraction as F
 
 import closed_form_oracle as oracle
+import deflator_lab
 from deflator_lab.arbitrage import (Na1FailsOnAtom, WealthProblem,
                                     backward_pass, check_na1, one_step_program)
 from deflator_lab.deflator import construct_deflator, verify_deflation
 from deflator_lab.enlargement import (EnlargementSpec, multiply,
                                       universal_density)
-from deflator_lab.filtered_space import AdaptedProcess, ProbMeasure
-from treegen import coprime_problem, random_problem
+from deflator_lab.filtered_space import (AdaptedProcess, ProbMeasure,
+                                         _increments, _lift_pairs,
+                                         _process_pairs, _sum_pairs)
+from treegen import (coprime_problem, first_primes, random_prices,
+                     random_problem, random_tree)
 
 SEED = 20_261_017           # the corpus of test_backward_verdicts
 N_PROBLEMS = 402
@@ -168,3 +179,88 @@ def test_slice_laws_match_the_fraction_oracle():
             assert_same_programs(sliced, {v: x for v, (x,)
                                           in column.values.items()})
     assert dead > 100 and passed > 100 and failed > 100
+
+
+# -- the shared pair arithmetic against Fraction ------------------------------
+
+LENGTHS = (0, 1, 2, 3, 16, 17, 256, 257)
+PRIMES = first_primes(300, 1000)
+
+
+def denominators(rng, kind, size):
+    """`size` denominators that are all equal, that divide one another (all
+    powers of one base), or that are pairwise coprime (distinct primes)."""
+    if kind == "equal":
+        return [rng.choice([1, 12, 3 ** 40])] * size
+    if kind == "dividing":
+        base = rng.randint(2, 7)
+        return [base ** rng.randint(0, 30) for _ in range(size)]
+    return rng.sample(PRIMES, size)
+
+
+def pairs_over(rng, dens, reduced):
+    """A pair over each denominator, zero and negative numerators among
+    them; when `reduced`, each numerator is coprime to its denominator and
+    a zero is (0, 1)."""
+    out = []
+    for q in dens:
+        n = rng.choice([0, rng.randint(-10 ** 12, 10 ** 12)])
+        if reduced and n == 0:
+            q = 1
+        while reduced and math.gcd(n, q) != 1:
+            n = rng.randint(-10 ** 12, 10 ** 12)
+        out.append((n, q))
+    return out
+
+
+def is_reduced(pair):
+    n, d = pair
+    return d > 0 and math.gcd(n, d) == 1
+
+
+def test_pair_lift_and_sum_match_fractions():
+    rng = random.Random(SEED)
+    for size in LENGTHS:
+        for kind in ("equal", "dividing", "coprime"):
+            for reduced in (False, True):
+                pairs = pairs_over(rng, denominators(rng, kind, size), reduced)
+                d, nums = _lift_pairs(pairs)
+                assert d == math.lcm(*[q for _, q in pairs])
+                assert [F(n, d) for n in nums] == [F(n, q) for n, q in pairs]
+                if reduced:
+                    total = _sum_pairs(pairs)
+                    assert is_reduced(total), (size, kind)
+                    assert F(*total) == sum((F(*x) for x in pairs), F(0))
+                    # `verify_ky` subtracts through the sum
+                    n, d = total
+                    assert _sum_pairs([total, (-n, d)]) == (0, 1)
+
+
+def test_process_pairs_and_increments_match_fractions():
+    rng = random.Random(SEED + 3)
+    for _ in range(50):
+        tree = random_tree(rng, max_steps=3, max_branch=4)
+        S = random_prices(rng, tree, den=rng.choice([4, 30, 77]))
+        s = _process_pairs(tree, S)
+        assert s == [(S.at(v.id).numerator, S.at(v.id).denominator)
+                     for v in tree.nodes]
+        for v in tree.non_leaf_nodes():
+            scale, e = _increments(s, v.id, v.children)
+            assert scale == math.lcm(*[s[u][1] for u in (v.id, *v.children)])
+            assert [F(x, scale) for x in e] == [S.at(c) - S.at(v.id)
+                                                for c in v.children]
+
+
+def test_math_lcm_is_called_only_in_filtered_space():
+    """Every lcm of the package is taken in `filtered_space`'s pair section,
+    through the `math` module, so a patched `math.lcm` sees each one."""
+    callers = set()
+    for path in sorted(pathlib.Path(deflator_lab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "math":
+                assert "lcm" not in {a.name for a in node.names}, path.name
+            elif isinstance(node, ast.Attribute) and node.attr == "lcm":
+                assert isinstance(node.value, ast.Name), path.name
+                assert node.value.id == "math", path.name
+                callers.add(path.stem)
+    assert callers == {"filtered_space"}

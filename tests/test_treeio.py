@@ -243,3 +243,27 @@ def test_reader_matches_the_reference_on_mutated_files():
         assert outcome(treeio.from_obj, obj) == want
         errors += want.startswith("error: ")
     assert 100 < errors < 400
+
+
+def test_writers_refuse_what_the_reader_refuses(int_str_limit):
+    """A value with more digits than int-to-str conversion allows raises
+    TreeFileError naming its field as the reader would, and the reader
+    refuses the text such a value would have."""
+    huge = F(1, 10 ** 5000)
+    tf = sample_tree_file()
+    node = tf.tree.leaves[-1]
+    tf.processes["Z"] = AdaptedProcess.of_scalars(
+        {v.id: huge if v.id == node else F(1) for v in tf.tree.nodes})
+    with pytest.raises(TreeFileError, match=rf"^processes\[Z\]\[{node}\]: "):
+        treeio.dumps(tf)
+    del tf.processes["Z"]
+    first, *rest = tf.tree.leaves
+    tf.P = ProbMeasure({leaf: huge if leaf == first else (1 - huge) / len(rest)
+                        for leaf in tf.tree.leaves})
+    with pytest.raises(TreeFileError, match=r"^P\[\d+\]: "):
+        treeio.dumps(tf)
+    points = {(3, 1): (0, 1), (3, None): (huge.numerator, huge.denominator)}
+    with pytest.raises(TreeFileError, match=r"^points\[leaf 3, zeta inf\]: "):
+        treeio.dumps_points(points)
+    with pytest.raises(TreeFileError, match="too long to parse"):
+        parse_rational("1/1" + "0" * 5000)
