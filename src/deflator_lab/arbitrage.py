@@ -15,12 +15,10 @@ one linear inequality per node, so on a finite tree with strictly positive P:
   one-step program, so the two verdicts coincide.  A sup-norm box |h| <= 1
   keeps the failing atom's arbitrage program bounded.
 
-At one asset the one-step program is closed form and its ray is the box
-program's maximizer; with more assets the exact simplex of `linprog` solves
-both.  The one-asset closed form runs on the reduced int pairs of
-`filtered_space`'s pair section: `_atom_program` is the one kernel of
-`one_step_program`, of the backward pass and of `deflator.verify_deflation`,
-and a Fraction is built only for a returned value.
+Every one-step program is solved by one kernel, `_atom_program`, on the
+reduced int pairs of `filtered_space`'s pair section: it serves
+`one_step_program`, the backward pass and `deflator.verify_deflation`, and
+its docstring says how it solves a program at each number of assets.
 
 The utility builder turns a tail-probability envelope F into a concave,
 unbounded U = integral of a step function g with diverging sum(g_k) but
@@ -33,10 +31,10 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
-from .filtered_space import (AdaptedProcess, EventTree, Pair, ProbMeasure,
-                             Strategy, _increments, _lift_pairs,
+from .filtered_space import (ZERO_PAIR, AdaptedProcess, EventTree, Pair,
+                             ProbMeasure, Strategy, _increments, _lift_pairs,
                              _process_pairs, as_fraction)
 
 # `linprog` is imported by the three programs that run the simplex (two or
@@ -125,54 +123,63 @@ def one_step_program(tree: EventTree, P_masses: dict[int, Fraction],
     """sup over one-step admissible h of E[w * (1 + h.dS) | node].
 
     `weights` carries the later density values (default 1).  Returns the
-    optimum and a maximizing h; which vertex comes back when the maximizer is
-    not unique is an artifact of pivoting order and not part of the contract.
-    Raises Na1FailsOnAtom with the improving ray when unbounded.
-
-    At one asset the program is closed form (`_atom_program`); with more
-    assets the simplex solves it.
+    optimum and a maximizing h, as `_atom_program` solves them; which
+    vertex comes back when the maximizer is not unique is an artifact of
+    pivoting order and not part of the contract.  Raises Na1FailsOnAtom
+    with the improving ray when unbounded.
     """
     atom_mass = P_masses[node]
     if atom_mass == 0:
         raise ValueError(f"one-step program on null atom {node}")
-    if S.dim != 1:
-        return _one_step_simplex(tree, P_masses, S, node, weights)
     children = tree.children_of(node)
     masses = [P_masses[c] for c in children]
     x = ([m.as_integer_ratio() for m in masses] if weights is None
          else [(m.numerator * w.numerator, m.denominator * w.denominator)
                for m, w in zip(masses, (weights[c] for c in children))])
-    s = [S[v][0].as_integer_ratio() for v in (node, *children)]
-    scale, e = _increments(s, 0, range(1, len(s)))
-    num, den, bound = _atom_program(node, x, e)
-    h = Fraction(-scale, bound) if bound else ZERO
+    s = [{v: S[v][k].as_integer_ratio() for v in (node, *children)}
+         for k in range(S.dim)]
+    num, den, h = _atom_program(node, children, x, s)
     return (Fraction(num * atom_mass.denominator, den * atom_mass.numerator),
-            (h,))
+            tuple(Fraction(a, b) for a, b in h))
 
 
-# -- the one-asset kernel on reduced (numerator, denominator) int pairs -------
+# -- the one-step kernel on reduced (numerator, denominator) int pairs --------
 
 
-def _atom_program(node: int, x: list[Pair], e: list[int]
-                  ) -> tuple[int, int, int]:
-    """The one-asset one-step program at `node`, in ints.
+def _atom_program(node: int, children: Sequence[int], x: list[Pair],
+                  s: Sequence[Sequence[Pair]]
+                  ) -> tuple[int, int, tuple[Pair, ...]]:
+    """The one-step program at `node`, in ints, at any number of assets.
 
-    x holds (numerator, denominator) of P(c) w_c for each child c, and e its
-    price increment S_c - S_node as an int over one positive scale L shared
-    by the children.  The program maximizes
+    x holds (numerator, denominator) of P(c) w_c for each child c, and s[k]
+    the pairs of price component k by node id.  The program maximizes
 
-        sum_c P(c) w_c (1 + h ds_c) = T + G h / L,   T = sum_c P(c) w_c,
+        sum_c P(c) w_c (1 + h.dS_c)
 
-    over the interval max(-L/e_c : e_c > 0) <= h <= min(-L/e_c : e_c < 0)
-    that keeps 1 + h ds_c >= 0 on every child, whatever its weight or mass.
-    The sign of G picks the endpoint: h = -L/e with e the most negative
-    increment when G > 0, the most positive when G < 0, and h = 0 when G = 0,
-    where the optimum is T.  At an endpoint it is T - G/e, so L cancels.
-    Returns (num, den, e) with the optimum num/den, den > 0 and e = 0 for
-    h = 0; the pair is not reduced.  A missing endpoint is the unbounded ray
-    (1,) or (-1,), raised as Na1FailsOnAtom.  The children's pairs are
-    lifted onto the lcm of their own denominators.
+    over the h that keep 1 + h.dS_c >= 0 on every child, whatever its
+    weight or mass.  Returns (num, den, h): the optimum num/den with
+    den > 0, P(node) times the conditional optimum and not reduced, and a
+    maximizing h as one unreduced int pair per asset.  An unbounded program
+    raises Na1FailsOnAtom with its improving ray.  This is the one place
+    that picks the method by the number of assets:
+
+    * At one asset the program is closed form, one pass over the children
+      with no tableau.  The increments dS_c are ints e_c over one scale L
+      (`_increments`) and the children's pairs lift onto the lcm D of their
+      own denominators, so the objective is (T + G h / L) / D with T and G
+      the lifted sums of P(c) w_c and P(c) w_c e_c.  h ranges over
+      max(-L/e_c : e_c > 0) <= h <= min(-L/e_c : e_c < 0), and the sign of
+      G picks the endpoint: the most negative e when G > 0, the most
+      positive when G < 0, and h = 0 when G = 0, where the optimum is T/D.
+      At an endpoint it is (T - G/e)/D, so L cancels.  A missing endpoint is
+      the ray (1,) or (-1,).  These are the vertex and ray the simplex
+      returns.
+    * With more assets the exact simplex of `linprog` solves it
+      (`_one_step_simplex`).
     """
+    if len(s) != 1:
+        return _one_step_simplex(node, children, x, s)
+    scale, e = _increments(s[0], node, children)
     d, lifted = _lift_pairs(x)
     total = gain = e_min = e_max = 0
     for n, ds in zip(lifted, e):
@@ -186,30 +193,59 @@ def _atom_program(node: int, x: list[Pair], e: list[int]
     if gain > 0:
         if not e_min:
             raise Na1FailsOnAtom(node, (ONE,))
-        return gain - total * e_min, -d * e_min, e_min
+        return gain - total * e_min, -d * e_min, ((scale, -e_min),)
     if gain < 0:
         if not e_max:
             raise Na1FailsOnAtom(node, (-ONE,))
-        return total * e_max - gain, d * e_max, e_max
-    return total, d, 0
+        return total * e_max - gain, d * e_max, ((-scale, e_max),)
+    return total, d, (ZERO_PAIR,)
+
+
+def _one_step_simplex(node: int, children: Sequence[int], x: list[Pair],
+                      s: Sequence[Sequence[Pair]]
+                      ) -> tuple[int, int, tuple[Pair, ...]]:
+    """`_atom_program` by the Bland simplex, at any number of assets.
+
+    Each child with dS_c != 0 adds the row -dS_c.h <= 1.  The objective is
+    the lifted sum_c x_c dS_c, which is D P(node) > 0 times the conditional
+    program's: Bland's rule then picks the same entering columns and ratio
+    tests, so the vertex and the ray are the conditional program's."""
+    from .linprog import OPTIMAL, UNBOUNDED, LinearProgram
+
+    d, n = _lift_pairs(x)
+    incs = [_increments(sk, node, children) for sk in s]
+    lp = LinearProgram(len(s))
+    for c in range(len(n)):
+        row = {k: Fraction(-e[c], scale)
+               for k, (scale, e) in enumerate(incs) if e[c]}
+        if row:
+            lp.add_le(row, ONE)
+    lp.set_objective({k: Fraction(sum(map(operator.mul, n, e)), scale)
+                      for k, (scale, e) in enumerate(incs)})
+    res = lp.solve()
+    if res.status == UNBOUNDED:
+        raise Na1FailsOnAtom(node, tuple(res.ray))
+    assert res.status == OPTIMAL
+    a, b = res.value.as_integer_ratio()
+    return sum(n) * b + a, d * b, tuple(h.as_integer_ratio() for h in res.x)
 
 
 def _backward_pairs(problem: WealthProblem) -> tuple[list[Pair], list[Pair]]:
-    """(y, m) of the one-asset backward pass: m[v] is the mass of atom v
-    and y[v] = m[v] z[v] its mass-weighted value, both reduced pairs.
+    """(y, m) of the backward pass: m[v] is the mass of atom v and
+    y[v] = m[v] z[v] its mass-weighted value, both reduced pairs.
 
-    With weights z_c the program at v maximizes sum_c m_c z_c (1 + h ds_c),
+    With weights z_c the program at v maximizes sum_c m_c z_c (1 + h.dS_c),
     which is y_v and needs the children's y only: leaves have y = m, and
     each atom costs one `_atom_program` and one gcd.
     """
-    tree = problem.tree
-    s = _process_pairs(tree, problem.S)
+    tree, S = problem.tree, problem.S
+    s = [_process_pairs(tree, S, k) for k in range(S.dim)]
     m = problem.P._atom_pairs(tree)
     y = list(m)
     for v in reversed(tree.nodes):
-        if v.children:
-            _, e = _increments(s, v.id, v.children)
-            num, den, _ = _atom_program(v.id, [y[c] for c in v.children], e)
+        kids = v.children
+        if kids:
+            num, den, _ = _atom_program(v.id, kids, [y[c] for c in kids], s)
             g = math.gcd(num, den)
             y[v.id] = (num // g, den // g)
     return y, m
@@ -224,37 +260,6 @@ def _ratio(y: Pair, m: Pair) -> Fraction:
     return Fraction(yn // g * (md // h), yd // h * (mn // g))
 
 
-def _one_step_simplex(tree: EventTree, P_masses: dict[int, Fraction],
-                      S: AdaptedProcess, node: int,
-                      weights: Optional[dict[int, Fraction]] = None
-                      ) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """`one_step_program` by the simplex, at any number of assets."""
-    from .linprog import OPTIMAL, UNBOUNDED, LinearProgram
-
-    d = S.dim
-    atom_mass = P_masses[node]
-    lp = LinearProgram(d)
-    objective: dict[int, Fraction] = {}
-    const = ZERO
-    for c in tree.children_of(node):
-        w = ONE if weights is None else weights[c]
-        pw = P_masses[c] / atom_mass * w
-        const += pw
-        ds = tuple(a - b for a, b in zip(S[c], S[node]))
-        for i in range(d):
-            if ds[i] != 0:
-                objective[i] = objective.get(i, ZERO) + pw * ds[i]
-        row = {i: -ds[i] for i in range(d) if ds[i] != 0}
-        if row:
-            lp.add_le(row, ONE)            # 1 + h.dS >= 0 on this child
-    lp.set_objective(objective)
-    res = lp.solve()
-    if res.status == UNBOUNDED:
-        raise Na1FailsOnAtom(node, tuple(res.ray))
-    assert res.status == OPTIMAL
-    return const + res.value, tuple(res.x)
-
-
 def backward_pass(problem: WealthProblem) -> dict[int, Fraction]:
     """Optimal value of every atom, bottom-up.
 
@@ -262,25 +267,13 @@ def backward_pass(problem: WealthProblem) -> dict[int, Fraction]:
     before its parent.  Each non-leaf atom solves the one-step program
     weighted by its children's values, leaves are worth 1, and the first
     unbounded atom raises Na1FailsOnAtom.  The root value is
-    sup E[1 + (H.S)_n] over 1-admissible H.  At one asset the pass runs on
-    int pairs (`_backward_pairs`), and each value z = y/m is the one
-    Fraction built per node.
+    sup E[1 + (H.S)_n] over 1-admissible H.  The pass runs on int pairs
+    (`_backward_pairs`), and each value z = y/m is the one Fraction built
+    per node.
     """
     problem.require_positive()
-    tree, S = problem.tree, problem.S
-    z: dict[int, Fraction] = {}
-    if S.dim == 1:
-        y, m = _backward_pairs(problem)
-        for v in range(len(tree.nodes) - 1, -1, -1):
-            z[v] = _ratio(y[v], m[v])
-        return z
-    masses = problem.P.node_masses(tree)
-    for v in reversed(tree.nodes):
-        if v.children:
-            z[v.id], _ = one_step_program(tree, masses, S, v.id, z)
-        else:
-            z[v.id] = ONE
-    return z
+    y, m = _backward_pairs(problem)
+    return {v: _ratio(y[v], m[v]) for v in range(len(y) - 1, -1, -1)}
 
 
 def _box_simplex(tree: EventTree, S: AdaptedProcess, node: int
@@ -338,17 +331,12 @@ def check_na1(problem: WealthProblem) -> ArbitrageReport:
     At one asset the pass's ray is that maximizer: the one-step program is
     unbounded with ray (1,) or (-1,) exactly when every nonzero dS_c has the
     ray's sign, and then h = ray gives the largest sum of h dS_c over
-    |h| <= 1.  With more assets the box program goes to the simplex.  At
-    one asset only the root value becomes a Fraction.
+    |h| <= 1.  With more assets the box program goes to the simplex.
     """
     root = problem.tree.root
     try:
-        if problem.S.dim == 1:
-            problem.require_positive()
-            y, m = _backward_pairs(problem)
-            optimum = _ratio(y[root], m[root])
-        else:
-            optimum = backward_pass(problem)[root]
+        problem.require_positive()
+        y, m = _backward_pairs(problem)
     except Na1FailsOnAtom as exc:
         tree, S = problem.tree, problem.S
         if S.dim == 1:
@@ -361,7 +349,8 @@ def check_na1(problem: WealthProblem) -> ArbitrageReport:
                                witness=_lift(tree, exc.atom, h),
                                na_optimum=value)
     return ArbitrageReport(na_holds=True, na1_holds=True,
-                           optimal_value=optimum, na_optimum=ZERO)
+                           optimal_value=_ratio(y[root], m[root]),
+                           na_optimum=ZERO)
 
 
 # -- de la Vallee-Poussin style utility construction ----------------------------

@@ -3,18 +3,18 @@
 The one-period construction realizes the optimal-value measure: on each atom,
 the density value is the supremum of E[one-step wealth | atom] over one-step
 1-admissible holdings, a linear program whose optimum is reached at a
-vertex: closed form at one asset, the exact simplex with more.  The
-multi-period density runs the same program backward in time with the
-already-built later values as weights, terminal value 1.  Unboundedness of
-any per-atom program is precisely a one-step unbounded-profit ray, so (NA1)
-failures surface as the offending atom rather than as a silent wrong number.
+vertex (`arbitrage._atom_program`).  The multi-period density runs the same
+program backward in time with the already-built later values as weights,
+terminal value 1.  Unboundedness of any per-atom program is precisely a
+one-step unbounded-profit ray, so (NA1) failures surface as the offending
+atom rather than as a silent wrong number.
 
 Deflation means: Z * (1 + (H.S)) is a supermartingale for every 1-admissible
 H.  Scaling wealth to 1 on an atom shows it is enough to bound the one-step
 programs by Z, which is an exact, certifiable condition; `verify_deflation`
-checks it with one exact one-step program per atom of positive mass.  At one
-asset both the construction and the certificate run `arbitrage._atom_program`
-on the reduced int pairs of `filtered_space`'s pair section: the certificate
+checks it with one exact one-step program per atom of positive mass.  Both
+the construction and the certificate run `arbitrage._atom_program` on the
+reduced int pairs of `filtered_space`'s pair section: the certificate
 compares each atom's optimum with Z by one cross-multiplication and builds a
 Fraction only for an excess.
 """
@@ -26,7 +26,7 @@ from fractions import Fraction
 from .arbitrage import (Na1FailsOnAtom, WealthProblem, _atom_program,
                         backward_pass, one_step_program)
 from .filtered_space import (AdaptedProcess, EventTree, Pair, ProbMeasure,
-                             _increments, _process_pairs)
+                             _process_pairs)
 
 
 class Deflator:
@@ -91,12 +91,12 @@ def verify_deflation(problem: WealthProblem, Z: "AdaptedProcess | Deflator"
                      ) -> DeflationReport:
     """Certify the deflation property of Z exactly.
 
-    One exact one-step program per atom of positive mass (closed form at one
-    asset, the simplex with more) checks sup_h E[Z_next (1 + h.dS) | atom]
-    <= Z there, which bounds every 1-admissible wealth at once.  Every child
-    keeps its admissibility constraint, charged or not.  An unbounded program
-    is a violation with excess -1.  Atoms of zero mass carry no conditional
-    law and are skipped, so P may vanish off a slice of the tree.
+    One exact one-step program per atom of positive mass checks
+    sup_h E[Z_next (1 + h.dS) | atom] <= Z there, which bounds every
+    1-admissible wealth at once.  Every child keeps its admissibility
+    constraint, charged or not.  An unbounded program is a violation with
+    excess -1.  Atoms of zero mass carry no conditional law and are
+    skipped, so P may vanish off a slice of the tree.
     """
     if isinstance(Z, Deflator):
         Z = Z.Z
@@ -109,38 +109,23 @@ def _certify_pairs(problem: WealthProblem, z: list[Pair]) -> DeflationReport:
     """`verify_deflation` with Z as (numerator, denominator) pairs by node
     id, each denominator positive.
 
-    At one asset the program at atom v, weighted by P(c) Z_c, is
-    `_atom_program`'s num/den, P(v) times the conditional optimum, so the
-    check is the int comparison num P_den(v) Z_den(v) <= Z_num(v) den
-    P_num(v), and a Fraction is built only for an excess.  With more assets
-    each atom goes to the simplex.
+    The program at atom v, weighted by P(c) Z_c, is `_atom_program`'s
+    num/den, P(v) times the conditional optimum, so the check is the int
+    comparison num P_den(v) Z_den(v) <= Z_num(v) den P_num(v), and a
+    Fraction is built only for an excess.
     """
     tree, S = problem.tree, problem.S
     m = problem.P._atom_pairs(tree)
+    s = [_process_pairs(tree, S, k) for k in range(S.dim)]
     violations: list[tuple[int, Fraction]] = []
-    if S.dim != 1:
-        masses = problem.P.node_masses(tree)
-        for v in tree.non_leaf_nodes():
-            if masses[v.id] == 0:
-                continue
-            weights = {c: Fraction(*z[c]) for c in v.children}
-            try:
-                value, _ = one_step_program(tree, masses, S, v.id, weights)
-            except Na1FailsOnAtom:
-                violations.append((v.id, Fraction(-1)))
-                continue
-            if value > Fraction(*z[v.id]):
-                violations.append((v.id, value - Fraction(*z[v.id])))
-        return DeflationReport(certified=not violations, violations=violations)
-    s = _process_pairs(tree, S)
     for v in tree.non_leaf_nodes():
         mn, md = m[v.id]
         if mn == 0:
             continue
-        x = [(m[c][0] * z[c][0], m[c][1] * z[c][1]) for c in v.children]
-        _, e = _increments(s, v.id, v.children)
+        kids = v.children
+        x = [(m[c][0] * z[c][0], m[c][1] * z[c][1]) for c in kids]
         try:
-            num, den, _ = _atom_program(v.id, x, e)
+            num, den, _ = _atom_program(v.id, kids, x, s)
         except Na1FailsOnAtom:
             violations.append((v.id, Fraction(-1)))
             continue

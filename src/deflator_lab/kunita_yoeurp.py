@@ -58,6 +58,7 @@ class EnlargedSpace:
     still alive).  The embedding w -> (w, infinity) carries P to P_bar."""
 
     def __init__(self, tree: EventTree, P: ProbMeasure):
+        P.validate_for(tree)
         self.tree = tree
         self.P = P
 
@@ -298,41 +299,31 @@ class KyReport:
 
 
 def verify_ky(dm: DominatingMeasure) -> KyReport:
-    """Exact check of the three decomposition properties, on the measure's
-    alive and dying tables and the reduced pairs of `_mass_pairs`;
-    Fractions are built only for failure messages.
+    """Exact check of the decomposition properties, on the measure's alive
+    table and the reduced pairs of `_mass_pairs`; Fractions are built only
+    for failure messages.
+
+    Of the three properties, the construction guarantees the first two, so
+    only the third is checked:
+
+    1. P_bar(T = infinity) = P(root) = 1: `ProbMeasure` forces its leaf
+       masses to sum to 1, and `EnlargedSpace` ties them to the tree's
+       leaves.
+    2. Each layer's dead mass, Q's total minus the layer's alive masses,
+       equals the death slices 1..t: `DominatingMeasure._sum` builds each
+       alive mass from its children's alive and dying masses, so both sides
+       are the same additions.
+    3. The density relation Q(alive) = P(A) Z_t on every atom and layer.
 
     The stopped identity Q(A n {T > tau}) = E_P[1_{A, tau < inf} Z_tau] of a
     stopping time tau is property 3 read on tau's stop nodes, so it needs no
     check of its own."""
     tree = dm.tree
     masses = dm.space.P._atom_pairs(tree)
-    alive, dying = dm._alive, dm._dying
+    alive = dm._alive
     failures: list[str] = []
 
-    # (1) the embedded measure never dies: P_bar(T = infinity) = P(root)
-    pn, pd = masses[tree.root]
-    if pn != pd:
-        failures.append(f"property 1: P_bar(T = infinity) = {Fraction(pn, pd)}")
-
-    # (2) mutual singularity on each layer: every dead atom is P_bar-null (by
-    # construction of the embedding), and the dead mass of Q all sits on
-    # those atoms.  Every leaf lies below exactly one time-t atom, so the dead
-    # mass of layer t is Q's total minus that layer's alive masses; it must
-    # equal the running total of the death slices 1..t, slice t being the
-    # dying mass of layer t.  Each layer is summed as a product tree.
-    total = alive[tree.root]
-    direct = ZERO_PAIR
-    for t in range(tree.horizon + 1):
-        layer = tree.nodes_at(t)
-        if t > 0:
-            direct = _sum_pairs([direct, _sum_pairs([dying[v] for v in layer])])
-        n, d = _sum_pairs([alive[v] for v in layer])
-        if _sum_pairs([total, (-n, d)]) != direct:
-            failures.append(f"property 2: dead mass mismatch at t = {t}")
-
-    # (3) the density relation Q(alive) = P(A) Z_t on every atom and layer,
-    # cross-multiplied: an/ad = (pn/pd) (Z's numerator/denominator)
+    # property 3, cross-multiplied: an/ad = (pn/pd) (Z's numerator/denominator)
     for v in tree.nodes:
         z = dm.Z.at(v.id)
         (an, ad), (pn, pd) = alive[v.id], masses[v.id]

@@ -13,9 +13,9 @@ data, not verdicts at a tolerance.
 Unbounded problems return the improving ray that witnesses unboundedness: a
 direction d with a.d <= 0 on every row and c.d > 0.
 
-The one-step and box programs of `arbitrage` are closed form at one asset,
-so the callers left are those programs with two or more assets and the
-whole-tree program of `arbitrage.finite_utility_check`.
+Its callers are the one-step and box programs of `arbitrage` that are not
+closed form (`arbitrage._atom_program` says which) and the whole-tree
+program of `arbitrage.finite_utility_check`.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 import tempfile
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode
@@ -199,10 +200,15 @@ def _vectors(values: Mapping[int, tuple]) -> str:
 
 def _too_long(named: Mapping[str, tuple]) -> TreeFileError:
     """The reader's refusal of the first value of `named`, {field: vector},
-    with more digits than Python converts to text."""
+    with more digits than Python converts to text.  An int of b bits has at
+    most floor(b log10 2) + 1 digits, and 0.30103 > log10 2, so only the
+    values that may pass the limit are converted to find the field."""
+    limit = sys.get_int_max_str_digits()
     for where, vec in named.items():
         try:
-            [str(x) for x in vec]
+            [str(x) for x in vec
+             if max(map(int.bit_length, x.as_integer_ratio())) * 30103
+             // 100000 >= limit]
         except ValueError:
             break
     else:

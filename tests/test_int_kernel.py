@@ -1,12 +1,13 @@
-"""The one-asset int kernel against the `Fraction` closed form it replaced.
+"""The int kernel against the `Fraction` programs it replaced.
 
-`backward_pass`, `verify_deflation` and `one_step_program` run one-asset
-atoms on reduced (numerator, denominator) int pairs; `closed_form_oracle`
-keeps their `Fraction` code.  Both must give the same values (as Fractions,
-in the same key order), the same first failing atom and ray, and the same
-violations with the same excesses, on:
+`backward_pass`, `verify_deflation` and `one_step_program` run every atom on
+reduced (numerator, denominator) int pairs; `closed_form_oracle` keeps their
+`Fraction` code, closed form at one asset and the simplex with more.  Both
+must give the same values (as Fractions, in the same key order), the same
+first failing atom and ray, and the same violations with the same excesses,
+on:
 
-* the 402-problem backward-verdict corpus (its one-asset problems), with the
+* the 402-problem backward-verdict corpus, a third of it two-asset, with the
   constructed density, a perturbed copy and the constant density 1;
 * binary trees whose leaf masses are 1/p for distinct primes, where every
   node mass has its own large denominator;
@@ -95,8 +96,6 @@ def test_backward_corpus_matches_the_fraction_oracle():
     for n in range(N_PROBLEMS):
         problem = random_problem(rng, max_steps=3,
                                  asset_dim=2 if n % 3 == 0 else 1)
-        if problem.S.dim != 1:
-            continue
         got = outcome(backward_pass, problem)
         assert got == outcome(oracle.backward_pass, problem), n
         seen[got[0]] += 1
@@ -231,7 +230,7 @@ def test_pair_lift_and_sum_match_fractions():
                     total = _sum_pairs(pairs)
                     assert is_reduced(total), (size, kind)
                     assert F(*total) == sum((F(*x) for x in pairs), F(0))
-                    # `verify_ky` subtracts through the sum
+                    # a sum that cancels reduces to zero over 1
                     n, d = total
                     assert _sum_pairs([total, (-n, d)]) == (0, 1)
 

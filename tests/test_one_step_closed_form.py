@@ -1,7 +1,8 @@
 """The closed-form one-step programs at one asset against the simplex.
 
 `one_step_program` solves one-asset atoms without a tableau, and
-`_one_step_simplex` is the same program on the Bland simplex.  Both must
+`_one_step_simplex`, the kernel's method with more assets, is the same
+program on the Bland simplex.  Both must
 agree on the value, on boundedness, on the maximizer h and on the ray, since
 reports print all four.  At one asset `check_na1` takes the ray as the box
 program's maximizer, so on every unbounded program `(sum of ray.dS_c, ray)`
@@ -73,6 +74,17 @@ def random_program(rng: random.Random, pattern: str):
     return star(n), masses, S, weights
 
 
+def simplex_program(tree, masses, S, node, weights=None):
+    """(value, h) of `_one_step_simplex` on the pairs that
+    `one_step_program` hands the kernel."""
+    children = tree.children_of(node)
+    x = [(masses[c] * (1 if weights is None else weights[c]))
+         .as_integer_ratio() for c in children]
+    s = [{v: S[v][0].as_integer_ratio() for v in (node, *children)}]
+    num, den, h = _one_step_simplex(node, children, x, s)
+    return F(num, den) / masses[node], tuple(F(a, b) for a, b in h)
+
+
 def box_from_ray(tree, S, ray, node=0):
     """(value, h) of the box program as `check_na1` reads it off the ray."""
     return sum((ray[0] * (S[c][0] - S[node][0])
@@ -96,7 +108,7 @@ def test_closed_form_matches_simplex(pattern):
     for _ in range(N_PROGRAMS):
         tree, masses, S, weights = random_program(rng, pattern)
         closed = solve(lambda v: one_step_program(tree, masses, S, v, weights))
-        simplex = solve(lambda v: _one_step_simplex(tree, masses, S, v, weights))
+        simplex = solve(lambda v: simplex_program(tree, masses, S, v, weights))
         assert closed == simplex, (S.values, masses, weights)
         assert all(type(x) is F for x in closed[2] or closed[3])
         if closed[0] == "unbounded":
@@ -120,7 +132,7 @@ def test_closed_form_on_a_single_child():
         for w in (None, {1: weight}):
             closed = solve(lambda v: one_step_program(tree, masses, S, v, w))
             assert closed == solve(
-                lambda v: _one_step_simplex(tree, masses, S, v, w))
+                lambda v: simplex_program(tree, masses, S, v, w))
             if closed[0] == "unbounded":
                 assert box_from_ray(tree, S, closed[3]) == _box_simplex(
                     tree, S, 0)
@@ -143,7 +155,7 @@ def test_zero_mass_children_keep_their_bounds():
     S = AdaptedProcess({0: (F(2),), 1: (F(3),), 2: (F(1, 2),)})
     # a = 1 > 0, and the null child's ds = -3/2 gives h <= 2/3
     assert one_step_program(tree, masses, S, 0) == (F(5, 3), (F(2, 3),))
-    assert _one_step_simplex(tree, masses, S, 0) == (F(5, 3), (F(2, 3),))
+    assert simplex_program(tree, masses, S, 0) == (F(5, 3), (F(2, 3),))
 
 
 def test_null_atom_is_rejected():

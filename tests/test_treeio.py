@@ -256,6 +256,16 @@ def test_writers_refuse_what_the_reader_refuses(int_str_limit):
         {v.id: huge if v.id == node else F(1) for v in tf.tree.nodes})
     with pytest.raises(TreeFileError, match=rf"^processes\[Z\]\[{node}\]: "):
         treeio.dumps(tf)
+    # at the limit: 4300 digits are written, and the refusal names the first
+    # value of 4301 digits, not one just under the limit before it
+    at, past = F(10 ** 4300 - 1), F(-10 ** 4300, 3)
+    a, b = tf.tree.leaves[:2]
+    tf.processes["Z"] = AdaptedProcess.of_scalars(
+        {v.id: at if v.id == a else F(1) for v in tf.tree.nodes})
+    assert treeio.loads(treeio.dumps(tf)).processes["Z"].at(a) == at
+    tf.processes["Z"].values[b] = (past,)
+    with pytest.raises(TreeFileError, match=rf"^processes\[Z\]\[{b}\]: "):
+        treeio.dumps(tf)
     del tf.processes["Z"]
     first, *rest = tf.tree.leaves
     tf.P = ProbMeasure({leaf: huge if leaf == first else (1 - huge) / len(rest)
