@@ -102,21 +102,28 @@ def verify_deflation(problem: WealthProblem, Z: "AdaptedProcess | Deflator"
         Z = Z.Z
     if Z.dim != 1:
         raise ValueError("scalar access on a vector-valued process")
-    return _certify_pairs(problem, _process_pairs(problem.tree, Z))
-
-
-def _certify_pairs(problem: WealthProblem, z: list[Pair]) -> DeflationReport:
-    """`verify_deflation` with Z as (numerator, denominator) pairs by node
-    id, each denominator positive.
-
-    The program at atom v, weighted by P(c) Z_c, is `_atom_program`'s
-    num/den, P(v) times the conditional optimum, so the check is the int
-    comparison num P_den(v) Z_den(v) <= Z_num(v) den P_num(v), and a
-    Fraction is built only for an excess.
-    """
     tree, S = problem.tree, problem.S
-    m = problem.P._atom_pairs(tree)
-    s = [_process_pairs(tree, S, k) for k in range(S.dim)]
+    return _certify_pairs(tree, problem.P._atom_pairs(tree),
+                          [_process_pairs(tree, S, k) for k in range(S.dim)],
+                          _process_pairs(tree, Z))
+
+
+def _certify_pairs(tree: EventTree, m: list[Pair], s: list[list[Pair]],
+                   z: list[Pair]) -> DeflationReport:
+    """`verify_deflation` on pair tables by node id: atom masses m, one
+    table per price component s, and the density z, each denominator
+    positive.
+
+    The program at atom v, weighted by m(c) Z_c, is `_atom_program`'s
+    num/den, m(v) times the conditional optimum, so the check is the int
+    comparison num m_den(v) Z_den(v) <= Z_num(v) den m_num(v), and a
+    Fraction is built only for an excess.  The optimum and m(v) are both
+    homogeneous of degree one in the masses, so the conditional optimum,
+    the comparison and the excess are unchanged when every mass is scaled
+    by one positive factor: m need not sum to one, and an insider's slice
+    table P( . n {L = l}) gives the verdicts of the slice law
+    P( . | L = l).
+    """
     violations: list[tuple[int, Fraction]] = []
     for v in tree.non_leaf_nodes():
         mn, md = m[v.id]

@@ -2,10 +2,12 @@
 
 An insider observes a leaf-measurable label L from time 0 on.  The enlarged
 filtration is carried by label slices: the G-atoms are pairs (tree atom,
-label value).  All conditional structure lives in the kernel P_t(atom, l) =
-P(L = l | atom) and the marginal P_L; the density Y_t = P_t / P_L always
-exists here because L takes finitely many values, and its reciprocal on the
-realized label,
+label value).  All conditional structure lives in one table per label, the
+slice masses P(atom n {L = l}) as reduced int pairs: the kernel
+P_t(atom, l) = P(L = l | atom) is a slice mass over the atom's mass and the
+marginal P_L(l) is the slice mass at the root.  The density Y_t = P_t / P_L
+always exists here because L takes finitely many values, and its reciprocal
+on the realized label,
 
     Z_t = 1 / Y_t(atom, l)    on the slice where Y_t > 0,
 
@@ -33,8 +35,9 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from .filtered_space import (AdaptedProcess, EventTree, ProbMeasure,
-                             Strategy, _mass_pairs, stochastic_integral)
+from .filtered_space import (AdaptedProcess, EventTree, Pair, ProbMeasure,
+                             Strategy, _mass_pairs, _process_pairs,
+                             as_fraction, stochastic_integral)
 
 # The arbitrage layer and the deflator load with the two functions that run
 # them, so `enlarge jacod` and `enlarge universal-z` compile neither.
@@ -65,44 +68,30 @@ class EnlargementSpec:
         if not P.strictly_positive:
             raise ValueError("enlargement analysis needs a strictly positive base")
         self.label_set: tuple[str, ...] = tuple(sorted(set(labels.values())))
-        self._slices: dict[str, dict[int, Fraction]] = {}
+        self._pairs: dict[str, list[Pair]] = {}
 
-    def slice_masses(self, label: str) -> dict[int, Fraction]:
-        """P(atom(v) n {L = label}) for every node v, by `_mass_pairs`."""
-        if label not in self._slices:
+    def _slice_pairs(self, label: str) -> list[Pair]:
+        """Reduced pair of P(atom(v) n {L = label}) for every node v, by
+        id: `_mass_pairs` once per label.  Every label names a leaf of
+        positive mass, so the root's pair, P_L(label), is positive."""
+        if label not in self._pairs:
             mass, labels = self.P.leaf_mass, self.labels
-            pairs = _mass_pairs(self.tree, {
+            self._pairs[label] = _mass_pairs(self.tree, {
                 leaf: mass[leaf] if labels[leaf] == label else ZERO
                 for leaf in self.tree.leaves})
-            self._slices[label] = {v: Fraction(n, d)
-                                   for v, (n, d) in enumerate(pairs)}
-        return self._slices[label]
+        return self._pairs[label]
+
+    def slice_masses(self, label: str) -> dict[int, Fraction]:
+        """P(atom(v) n {L = label}) for every node v, as Fractions of
+        `_slice_pairs`."""
+        return {v: Fraction(n, d)
+                for v, (n, d) in enumerate(self._slice_pairs(label))}
 
 
 def _first_of(nodes: list[int]) -> str:
     """The first node of a sorted list, and how many follow it."""
     more = len(nodes) - 1
     return f"{nodes[0]}" + (f" (and {more} more)" if more else "")
-
-
-class ConditionalKernel:
-    """Rows P_t(atom, label) of the conditional label law, plus the marginal."""
-
-    def __init__(self, P_t: dict[tuple[int, str], Fraction],
-                 P_L: dict[str, Fraction]):
-        self.P_t = P_t
-        self.P_L = P_L
-
-
-def kernel(spec: EnlargementSpec) -> ConditionalKernel:
-    masses = spec.P.node_masses(spec.tree)
-    p_t: dict[tuple[int, str], Fraction] = {}
-    slices = {lab: spec.slice_masses(lab) for lab in spec.label_set}
-    for v in spec.tree.nodes:
-        for lab in spec.label_set:
-            p_t[(v.id, lab)] = slices[lab][v.id] / masses[v.id]
-    p_l = {lab: slices[lab][spec.tree.root] for lab in spec.label_set}
-    return ConditionalKernel(p_t, p_l)
 
 
 class JacodReport:
@@ -119,22 +108,28 @@ class JacodReport:
 def jacod_check(spec: EnlargementSpec) -> JacodReport:
     """Verify the density criterion and emit Y_t = dP_t/dP_L (0/0 = 0).
 
-    With finitely many label values the criterion cannot fail: a label the
-    kernel charges is charged by the marginal.  The reverse direction (the
+    Y(v, l) = slice_l(v) / (P(v) P_L(l)), one Fraction from three pairs.
+    With finitely many label values the criterion cannot fail: every label
+    names a leaf of positive mass, so P_L > 0.  The reverse direction (the
     kernel still charges every label the marginal charges, i.e. no label has
     been ruled out yet) is informative and reported per time layer: for a
     leaf-measurable label it must fail by the terminal time unless the label
     is constant.
     """
-    ker = kernel(spec)
+    tree = spec.tree
+    m = spec.P._atom_pairs(tree)
+    tables = [(lab, spec._slice_pairs(lab)) for lab in spec.label_set]
     y: dict[tuple[int, str], Fraction] = {}
-    reverse_by_time = {t: True for t in range(spec.tree.horizon + 1)}
-    for (v, lab), p in ker.P_t.items():
-        pl = ker.P_L[lab]
-        assert pl > 0 or p == 0, "label charged by the kernel but not the marginal"
-        y[(v, lab)] = p / pl if pl > 0 else ZERO
-        if p == 0 and pl > 0:
-            reverse_by_time[spec.tree.time_of(v)] = False
+    reverse_by_time = {t: True for t in range(tree.horizon + 1)}
+    for v, (mn, md) in enumerate(m):
+        for lab, s in tables:
+            sn, sd = s[v]
+            if sn:
+                ln, ld = s[tree.root]
+                y[(v, lab)] = Fraction(sn * md * ld, sd * mn * ln)
+            else:
+                y[(v, lab)] = ZERO
+                reverse_by_time[tree.time_of(v)] = False
     reverse = all(reverse_by_time.values())
     return JacodReport(holds=True, reverse_holds=reverse, equivalent=reverse,
                        reverse_by_time=reverse_by_time, Y=y)
@@ -151,21 +146,11 @@ class GProcess:
 
 
 def universal_density(spec: EnlargementSpec) -> GProcess:
-    """The reciprocal-density process on realized slices, zero on dead ones.
-
-    Every slice of positive mass gets a finite strictly positive value; this
-    is checked, since it is exactly where conditioning is meaningful.
-    """
-    report = jacod_check(spec)
-    values: dict[tuple[int, str], Fraction] = {}
-    for (v, lab), y in report.Y.items():
-        values[(v, lab)] = ONE / y if y > 0 else ZERO
-    for v in spec.tree.nodes:
-        for lab in spec.label_set:
-            if spec.slice_masses(lab)[v.id] > 0:
-                assert values[(v.id, lab)] > 0, \
-                    f"universal density vanished on charged slice ({v.id}, {lab})"
-    return GProcess(values)
+    """The reciprocal-density process 1 / Y on realized slices, zero on dead
+    ones.  A slice of positive mass has Y > 0, so its value is finite and
+    strictly positive: exactly where conditioning is meaningful."""
+    return GProcess({key: ONE / y if y else ZERO
+                     for key, y in jacod_check(spec).Y.items()})
 
 
 def g_supermartingale_check(spec: EnlargementSpec, Zg: GProcess,
@@ -193,25 +178,26 @@ def g_deflation_certificate(spec: EnlargementSpec, S: AdaptedProcess,
                             Zg: GProcess) -> list[tuple[int, str, Fraction]]:
     """Exact insider-deflation certificate for a slice process Zg.
 
-    Each label is one `verify_deflation` call under the slice-conditional law
-    P( . | L = label), which vanishes off the slice, with that label's column
-    of Zg as the density.  Atoms the slice does not charge are skipped, while
-    every structural child keeps its admissibility constraint (dead slices
-    still constrain the insider); the optimum must not exceed Zg on the
-    slice.  Returns the violations (node, label, excess).
+    Each label is one `deflator._certify_pairs` run on that label's slice
+    table, with that label's column of Zg as the density.  The table is the
+    slice law P( . | L = label) times P_L(label), which gives the same
+    verdicts and excesses (see `_certify_pairs`).  Atoms the slice does not
+    charge are skipped, while every structural child keeps its
+    admissibility constraint (dead slices still constrain the insider); the
+    optimum must not exceed Zg on the slice.  Returns the violations (node,
+    label, excess).
     """
     from .arbitrage import WealthProblem
-    from .deflator import verify_deflation
+    from .deflator import _certify_pairs
 
     tree = spec.tree
+    WealthProblem(tree, spec.P, S)          # validates S against the tree
+    prices = [_process_pairs(tree, S, k) for k in range(S.dim)]
     violations = []
     for lab in spec.label_set:
-        slices = spec.slice_masses(lab)
-        law = ProbMeasure({leaf: slices[leaf] / slices[tree.root]
-                           for leaf in tree.leaves})
-        column = AdaptedProcess.of_scalars({v.id: Zg.at(v.id, lab)
-                                            for v in tree.nodes})
-        report = verify_deflation(WealthProblem(tree, law, S), column)
+        column = [as_fraction(Zg.at(v.id, lab)).as_integer_ratio()
+                  for v in tree.nodes]
+        report = _certify_pairs(tree, spec._slice_pairs(lab), prices, column)
         violations += [(v, lab, excess) for v, excess in report.violations]
     return violations
 
@@ -250,6 +236,7 @@ def generalized_jacod_check(tree: EventTree, P: ProbMeasure,
     under a later atom on the same path -- the verdict reports those
     separately with the offending (t, u, atom, cell).
     """
+    P.validate_for(tree)
     n = tree.horizon
     layers = [list(cells) for cells in g_layers]
     if len(layers) != n + 1:
@@ -279,19 +266,19 @@ def generalized_jacod_check(tree: EventTree, P: ProbMeasure,
     def mass(leaves: Iterable[int]) -> Fraction:
         return sum((P.mass(x) for x in leaves), ZERO)
 
+    atom_mass = P.node_masses(tree)
     failures = []
     reverse_failures = []
     for t in range(n + 1):
         for cell in layers[t]:
             anchor = tree.ancestor_at(next(iter(cell)), t)
+            m_cell_atom = mass(cell)
             for u in range(t + 1, n + 1):
                 for b in {tree.ancestor_at(leaf, u) for leaf in
                           tree.leaves_below(anchor)}:
-                    below = set(tree.leaves_below(b))
-                    if mass(below) == 0:
+                    if atom_mass[b] == 0:
                         continue
-                    m_cell_atom = mass(cell)
-                    m_cell_b = mass(cell & below)
+                    m_cell_b = mass(cell.intersection(tree.leaves_below(b)))
                     if m_cell_atom == 0 and m_cell_b > 0:
                         failures.append((t, u, b, cell))
                     if m_cell_atom > 0 and m_cell_b == 0:
@@ -349,15 +336,11 @@ def complete_market_measure(tree: EventTree, S: AdaptedProcess) -> CompleteMarke
                 f"atom {v.id}: pricing weights are not strictly positive")
         for j, ch in enumerate(children):
             q_step[ch] = q[j]
-    q_leaf: dict[int, Fraction] = {}
-    for leaf in tree.leaves:
-        q = ONE
-        w = leaf
-        while tree.parent_of(w) is not None:
-            q *= q_step[w]
-            w = tree.parent_of(w)
-        q_leaf[leaf] = q
-    return CompleteMarket(q_leaf, q_step)
+    # node ids are breadth first, so every parent comes before its children
+    q_node = {tree.root: ONE}
+    for v in tree.nodes[1:]:
+        q_node[v.id] = q_node[v.parent] * q_step[v.id]
+    return CompleteMarket({leaf: q_node[leaf] for leaf in tree.leaves}, q_step)
 
 
 def replicate(tree: EventTree, S: AdaptedProcess, market: CompleteMarket,
@@ -538,11 +521,8 @@ def log_utility_identity(spec: EnlargementSpec, S: AdaptedProcess
                                   _log_fraction(market.q_leaf[leaf]))
     u_insider = 0.0
     information = 0.0
-    p_l = {lab: spec.slice_masses(lab)[tree.root] for lab in spec.label_set}
     for lab in spec.label_set:
-        pl = p_l[lab]
-        if pl == 0:
-            continue
+        pl = Fraction(*spec._slice_pairs(lab)[tree.root])
         for leaf in tree.leaves:
             if spec.labels[leaf] != lab:
                 continue

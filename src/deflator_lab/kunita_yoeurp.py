@@ -411,6 +411,7 @@ def check_stopped_price(dm: DominatingMeasure, S: AdaptedProcess
     from .deflator import _certify_pairs
 
     tree = dm.tree
+    WealthProblem(tree, dm.space.P, S)      # validates S against the tree
     alive = dm._alive
     # the drift sum_c alive_c (s_c - s_v) is an int over the lift of the
     # children's alive masses times the scale of `_increments`; divided by
@@ -438,7 +439,6 @@ def check_stopped_price(dm: DominatingMeasure, S: AdaptedProcess
     z_from_gamma = [(an * pd, ad * pn) if an > 0 and pn != 0
                     else dm.Z.at(v).as_integer_ratio()
                     for v, ((an, ad), (pn, pd)) in enumerate(zip(alive, masses))]
-    problem = WealthProblem(tree, dm.space.P, S)
     return StoppedPriceReport(
         is_martingale=not violations, violations=violations,
-        deflation=_certify_pairs(problem, z_from_gamma))
+        deflation=_certify_pairs(tree, masses, prices, z_from_gamma))

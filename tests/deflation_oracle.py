@@ -1,7 +1,8 @@
 """Second copies of the deflation certificate: oracles for the tests.
 
-The library certifies deflation one way, `deflator.verify_deflation`: one
-exact LP per atom of positive mass.  This module keeps the two other answers
+The library certifies deflation one way, `deflator._certify_pairs` behind
+`verify_deflation`: one exact program per atom of positive mass.  This
+module keeps the two other answers
 it used to give, verbatim:
 
 * `verify_deflation(problem, Z, trials, seed)` also draws `trials` seeded
@@ -9,8 +10,9 @@ it used to give, verbatim:
   supermartingale inequality of Z * wealth on every atom, reporting the
   worst slack;
 * `g_deflation_certificate(spec, S, Zg)` runs the insider's slice programs
-  in one loop over labels and atoms, weighted by the unnormalized slice
-  masses, where the library makes one `verify_deflation` call per label.
+  in one `Fraction` loop over labels and atoms, weighted by the
+  unnormalized slice masses, where the library runs `_certify_pairs` once
+  per label on that label's slice pair table.
 """
 
 from __future__ import annotations

@@ -1,15 +1,21 @@
-"""The label product tree: a differential oracle for the insider's (NA1).
+"""The label product tree: a differential oracle for the insider's (NA1);
+and the `Fraction` conditional label law.
 
 The library decides (NA1) in the initially enlarged filtration on the base
 tree itself: under the decoupled measure P x P_L every label copy replays the
 base market's one-step programs with the base's conditional weights, behind a
 root step whose prices are frozen.  This module builds that product market as
 an ordinary event tree, so the backward pass can run on it independently.
+
+`kernel(spec)` is the conditional label law P_t(atom, l) = P(L = l | atom)
+and the marginal P_L as `Fraction` divisions of the slice masses, which the
+library's `jacod_check` and `universal_density` read as int pairs instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from deflator_lab.arbitrage import WealthProblem
@@ -71,3 +77,22 @@ def product_market(spec: EnlargementSpec, S: AdaptedProcess) -> ProductMarket:
         values[idx] = S[v]
     S_bar = AdaptedProcess(values, d)
     return ProductMarket(spec, product, Q, S_bar, node_of, base_of)
+
+
+@dataclass
+class ConditionalKernel:
+    """Rows P_t(atom, label) of the conditional label law, plus the marginal."""
+
+    P_t: dict[tuple[int, str], Fraction]
+    P_L: dict[str, Fraction]
+
+
+def kernel(spec: EnlargementSpec) -> ConditionalKernel:
+    masses = spec.P.node_masses(spec.tree)
+    p_t: dict[tuple[int, str], Fraction] = {}
+    slices = {lab: spec.slice_masses(lab) for lab in spec.label_set}
+    for v in spec.tree.nodes:
+        for lab in spec.label_set:
+            p_t[(v.id, lab)] = slices[lab][v.id] / masses[v.id]
+    p_l = {lab: slices[lab][spec.tree.root] for lab in spec.label_set}
+    return ConditionalKernel(p_t, p_l)

@@ -1,9 +1,10 @@
 """One deflation certificate: the insider's slice certificate and the plain
-one are both `verify_deflation`, checked here against the loops they replaced.
+one both run `deflator._certify_pairs`, checked here against the loops they
+replaced.
 
-`g_deflation_certificate` makes one `verify_deflation` call per label under
-the slice-conditional law; `deflation_oracle.g_deflation_certificate` is the
-old loop over labels and atoms with the unnormalized slice masses.  On a
+`g_deflation_certificate` runs it once per label on the label's unnormalized
+slice pair table; `deflation_oracle.g_deflation_certificate` is the old
+`Fraction` loop over labels and atoms with the same slice masses.  On a
 seeded corpus the two return the same violations, in the same order, for
 constructed slice densities (which pass), for copies of them perturbed on one
 slice atom (which fail), and for arbitrary slice processes.

@@ -8,14 +8,16 @@ from fractions import Fraction as F
 import pytest
 
 from deflator_lab.arbitrage import check_na1
+from deflator_lab.deflator import construct_deflator
 from deflator_lab.enlargement import (
-    EnlargementSpec, IncompleteMarketError, complete_market_measure,
-    g_supermartingale_check, generalized_jacod_check, insider_example,
-    jacod_check, kernel, log_utility_identity, replicate, universal_density,
+    EnlargementSpec, GProcess, IncompleteMarketError, complete_market_measure,
+    g_deflation_certificate, g_supermartingale_check, generalized_jacod_check,
+    insider_example, jacod_check, log_utility_identity, multiply, replicate,
+    universal_density,
 )
 from deflator_lab.filtered_space import (AdaptedProcess, EventTree, ProbMeasure,
                                          Strategy, martingale_closure)
-from product_oracle import product_market
+from product_oracle import kernel, product_market
 from treegen import (binomial_problem, random_measure, random_problem,
                      random_tree, straddling_prices)
 
@@ -107,6 +109,40 @@ def test_universal_density_halves_on_revealed_coin():
 def random_labels(rng, tree, n_labels=None):
     labs = "abc"[:n_labels or rng.randint(1, 3)]
     return {leaf: rng.choice(labs) for leaf in tree.leaves}
+
+
+def test_jacod_and_universal_density_match_the_kernel_oracle():
+    """`jacod_check` and `universal_density` read the slice pair tables; the
+    oracle divides `Fraction` slice masses: Y = P_t / P_L, the reverse
+    relation fails at a time where some P_t vanishes, and the universal
+    density is 1 / Y where Y > 0, else 0.  Random trees have one-child
+    atoms, and most labellings leave dead slices."""
+    rng = random.Random(SEED + 7)
+    dead = 0
+    for _ in range(60):
+        tree = random_tree(rng, max_steps=4)
+        P = random_measure(rng, tree)
+        spec = EnlargementSpec(tree, P, random_labels(rng, tree,
+                                                      rng.randint(2, 3)))
+        ker = kernel(spec)
+        want_y = {(v, lab): p / ker.P_L[lab]
+                  for (v, lab), p in ker.P_t.items()}
+        report = jacod_check(spec)
+        assert report.Y == want_y
+        assert list(report.Y) == list(want_y)
+        assert all(type(y) is F for y in report.Y.values())
+        assert report.reverse_by_time == {
+            t: all(ker.P_t[(v, lab)] > 0 for v in tree.nodes_at(t)
+                   for lab in spec.label_set)
+            for t in range(tree.horizon + 1)}
+        assert report.holds
+        assert report.reverse_holds == report.equivalent == all(
+            report.reverse_by_time.values())
+        Z = universal_density(spec)
+        assert Z.values == {key: 1 / y if y else F(0)
+                            for key, y in want_y.items()}
+        dead += any(y == 0 for y in want_y.values())
+    assert dead > 40
 
 
 def random_supermartingale(rng, tree, P):
@@ -211,6 +247,15 @@ def test_generalized_condition_reverse_fails_on_dying_cell():
     assert any(cell == frozenset({z}) for (_, _, _, cell) in report.reverse_failures)
 
 
+def test_generalized_condition_validates_the_measure():
+    tree = EventTree.uniform(2, 2)
+    P = ProbMeasure({3: F(1, 2), 4: F(1, 2)})
+    layers = [[frozenset(tree.leaves_below(v)) for v in tree.nodes_at(t)]
+              for t in range(3)]
+    with pytest.raises(ValueError, match="exactly the leaves"):
+        generalized_jacod_check(tree, P, layers)
+
+
 def test_generalized_condition_validates_nesting():
     tree = EventTree.uniform(1, 2)
     P = ProbMeasure({1: F(1, 2), 2: F(1, 2)})
@@ -225,6 +270,14 @@ def test_complete_market_measure_binomial():
     problem = binomial_problem(steps=1)
     market = complete_market_measure(problem.tree, problem.S)
     assert market.q_leaf == {1: F(1, 3), 2: F(2, 3)}
+    # deeper, each leaf's weight is the product of the steps on its path
+    problem = binomial_problem(steps=3)
+    tree = problem.tree
+    market = complete_market_measure(tree, problem.S)
+    assert market.q_leaf == {
+        leaf: math.prod((market.q_step[v] for v in tree.path(leaf)[1:]),
+                        start=F(1))
+        for leaf in tree.leaves}
 
 
 def test_incomplete_market_is_refused():
@@ -289,6 +342,17 @@ def test_insider_example_two_step_threshold_event():
         lab = labels[leaf]
         expected = F(0) if lab == "hi" else q_hi
         assert report.arbitrage_gain[(leaf, lab)] == expected
+
+
+def test_slice_certificate_refuses_a_float_density():
+    problem = binomial_problem(steps=1)
+    spec = EnlargementSpec(problem.tree, problem.P, {1: "u", 2: "d"})
+    Zg = multiply(spec, universal_density(spec),
+                  construct_deflator(problem).Z)
+    assert g_deflation_certificate(spec, problem.S, Zg) == []
+    Zg.values[(1, "u")] = float(Zg.at(1, "u"))
+    with pytest.raises(TypeError, match="not an exact rational"):
+        g_deflation_certificate(spec, problem.S, Zg)
 
 
 def test_equivalent_slice_measure_program_both_verdicts():

@@ -9,6 +9,8 @@ on:
 
 * the 402-problem backward-verdict corpus, a third of it two-asset, with the
   constructed density, a perturbed copy and the constant density 1;
+* ternary two-asset trees of horizon 1 to 4 that are arbitrage free at
+  every atom, so the two-asset pass builds values through every layer;
 * binary trees whose leaf masses are 1/p for distinct primes, where every
   node mass has its own large denominator;
 * the insider's slice laws, which vanish off a label's leaves while every
@@ -35,8 +37,8 @@ from deflator_lab.enlargement import (EnlargementSpec, multiply,
 from deflator_lab.filtered_space import (AdaptedProcess, ProbMeasure,
                                          _increments, _lift_pairs,
                                          _process_pairs, _sum_pairs)
-from treegen import (coprime_problem, first_primes, random_prices,
-                     random_problem, random_tree)
+from treegen import (arbitrage_free_two_asset_problem, coprime_problem,
+                     first_primes, random_prices, random_problem, random_tree)
 
 SEED = 20_261_017           # the corpus of test_backward_verdicts
 N_PROBLEMS = 402
@@ -116,6 +118,24 @@ def test_backward_corpus_matches_the_fraction_oracle():
         assert_same_programs(problem, z)
     assert seen["values"] > 100 and seen["unbounded"] > 60
     assert seen["violations"] > 100
+
+
+def test_arbitrage_free_two_asset_trees_match_the_fraction_oracle():
+    rng = random.Random(SEED + 2)
+    for horizon in (1, 2, 3, 4):
+        for _ in range(3):
+            problem = arbitrage_free_two_asset_problem(rng, horizon)
+            tree = problem.tree
+            got = outcome(backward_pass, problem)
+            assert got[0] == "values"
+            assert got == outcome(oracle.backward_pass, problem)
+            z = dict(got[1])
+            assert check_na1(problem).optimal_value == z[tree.root]
+            Z = AdaptedProcess.of_scalars(z)
+            assert assert_same_certificate(problem, Z) == []
+            assert assert_same_certificate(problem, perturbed(rng, tree, z))
+            assert_same_certificate(problem, AdaptedProcess.constant(tree, 1))
+            assert_same_programs(problem, z)
 
 
 def test_pairwise_coprime_trees_match_the_fraction_oracle():

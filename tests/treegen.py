@@ -88,6 +88,29 @@ def random_problem(rng: random.Random, max_steps: int = 4, max_branch: int = 3,
     return WealthProblem(tree, P, S)
 
 
+# 0 is a positive combination of these three increments, so no holding gains
+# on all three children of an atom that moves along them
+ARBITRAGE_FREE_MOVES = ((2, -1), (-1, 2), (-1, -1))
+
+
+def arbitrage_free_two_asset_problem(rng: random.Random,
+                                     horizon: int) -> WealthProblem:
+    """A ternary two-asset tree whose every atom is arbitrage free: each
+    atom's children move the prices by positive rational multiples of the
+    three `ARBITRAGE_FREE_MOVES`, so (NA1) holds and the backward pass
+    builds a density through every layer."""
+    tree = EventTree.uniform(horizon, 3, asset_dim=2)
+    values = {tree.root: tuple(Fraction(rng.randint(-4, 4), 4)
+                               for _ in range(2))}
+    for v in tree.non_leaf_nodes():
+        x, y = values[v.id]
+        for c, (dx, dy) in zip(v.children, ARBITRAGE_FREE_MOVES):
+            a = Fraction(rng.randint(1, 6), rng.randint(1, 4))
+            values[c] = (x + a * dx, y + a * dy)
+    return WealthProblem(tree, random_measure(rng, tree),
+                         AdaptedProcess(values, 2))
+
+
 def one_step_arbitrage_free(tree: EventTree, S: AdaptedProcess) -> bool:
     """Independent (NA1) oracle for scalar prices: a one-step market on an atom
     admits no arbitrage ray iff its increments are all zero or take both
