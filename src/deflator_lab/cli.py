@@ -2,9 +2,17 @@
 emit a machine-readable JSON report.
 
 Exit codes: 0 when every checked verdict passes, 1 when a verdict fails, 2 on
-usage, schema or I/O problems.  Tree-side subcommands are exact, so their exit
-codes never depend on floating point.  Reports are written atomically and echo
-the fully resolved configuration, a provenance stamp and wall-clock timing.
+usage, schema or I/O problems, a failed write or flush of a stdout report
+included.  Tree-side subcommands are exact, so their exit codes never depend
+on floating point.  Reports are written atomically and echo the fully
+resolved configuration, a provenance stamp and wall-clock timing.
+
+`run(argv)` is the in-process API: it returns the exit code and leaves the
+interpreter as it was.  `main()`, the console entry point, calls `run()`,
+flushes stdout and stderr and ends the process with `os._exit`, skipping the
+interpreter's teardown (module cleanup, a last garbage collection, freeing
+the heap), which changes nothing once every output is written and closed.
+So `main()` runs no `atexit` handler; embedders call `run()`.
 """
 
 from __future__ import annotations
@@ -12,18 +20,21 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
-from . import __version__, treeio
-from .filtered_space import AdaptedProcess
+from . import __version__
+from .fileio import TreeFileError, write_atomic
 
-# Each subcommand imports the analysis modules it runs, so a command compiles
-# and loads only those.
+# Each subcommand imports the modules it runs, the tree-file reader among
+# them, so a command compiles and loads only those.
 if TYPE_CHECKING:
+    from .filtered_space import AdaptedProcess
     from .montecarlo import MartingaleTest
+    from .treeio import TreeFile
 
 SCHEMA_VERSION = "1"
 
@@ -42,16 +53,18 @@ def test_json(t: MartingaleTest) -> dict:
             "target": t.target, "crit": t.crit, "verdict": t.verdict}
 
 
-def load_tree(path: str) -> treeio.TreeFile:
+def load_tree(path: str) -> TreeFile:
+    from .treeio import load
+
     try:
-        return treeio.load(path)
+        return load(path)
     except FileNotFoundError as exc:
         raise CliError(f"tree file not found: {path}") from exc
-    except treeio.TreeFileError as exc:
+    except TreeFileError as exc:
         raise CliError(f"malformed tree file {path}: {exc}") from exc
 
 
-def need_process(tf: treeio.TreeFile, name: str, path: str) -> AdaptedProcess:
+def need_process(tf: TreeFile, name: str, path: str) -> AdaptedProcess:
     if name not in tf.processes:
         raise CliError(f"{path}: no process named {name!r} "
                        f"(available: {sorted(tf.processes)})")
@@ -63,7 +76,7 @@ def need_process(tf: treeio.TreeFile, name: str, path: str) -> AdaptedProcess:
     return proc
 
 
-def need_measure(tf: treeio.TreeFile, path: str):
+def need_measure(tf: TreeFile, path: str):
     """The file's measure P; every analysis needs it to charge every leaf."""
     if tf.P is None:
         raise CliError(f"{path}: tree file carries no measure P")
@@ -74,7 +87,7 @@ def need_measure(tf: treeio.TreeFile, path: str):
     return tf.P
 
 
-def wealth_problem(tf: treeio.TreeFile, args):
+def wealth_problem(tf: TreeFile, args):
     """The priced tree: P and the --price process, whose dimension must be
     the tree's asset_dim."""
     from .arbitrage import WealthProblem
@@ -97,7 +110,7 @@ def _jsonable(value):
 def emit_report(report: dict, out: Optional[str]) -> None:
     text = json.dumps(report, indent=2, sort_keys=True, default=_jsonable) + "\n"
     if out:
-        treeio.write_atomic(out, text)
+        write_atomic(out, text)
     else:
         sys.stdout.write(text)
 
@@ -142,6 +155,7 @@ def cmd_check(args) -> int:
 
 def cmd_deflate(args) -> int:
     from .deflator import Na1FailsOnAtom, construct_deflator, verify_deflation
+    from .treeio import save
 
     if args.name == args.price:
         raise CliError(f"--name {args.name!r} is the --price process; writing "
@@ -162,7 +176,7 @@ def cmd_deflate(args) -> int:
         deflator = deflator.normalized(tf.tree)
     certificate = verify_deflation(problem, deflator)
     tf.processes[args.name] = deflator.Z
-    treeio.save(tf, args.out)
+    save(tf, args.out)
     report = make_report(
         args, "deflator.construct", started,
         {"na1": True, "constructed": True, "certified": certificate.certified},
@@ -189,10 +203,12 @@ def _dominating_measure(args, tf):
 
 
 def cmd_foellmer(args) -> int:
+    from .treeio import dumps_points
+
     started = time.perf_counter()
     tf = load_tree(args.tree)
     points = _dominating_measure(args, tf)._points
-    treeio.write_atomic(args.out, treeio.dumps_points(points))
+    write_atomic(args.out, dumps_points(points))
     report = make_report(args, "kunita_yoeurp.build", started,
                          {"built": True},
                          {"points": len(points), "written": args.out})
@@ -240,6 +256,8 @@ def cmd_stopped_check(args) -> int:
 
 
 def load_labels(path: str) -> dict[int, str]:
+    from .treeio import _node_key
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -252,7 +270,7 @@ def load_labels(path: str) -> dict[int, str]:
                        f"id to label, got {type(raw).__name__}")
     labels: dict[int, str] = {}
     for key, value in raw.items():
-        leaf = treeio._node_key(key, f"--label-map {path}")
+        leaf = _node_key(key, f"--label-map {path}")
         if not isinstance(value, str):
             raise CliError(f"--label-map {path}: the label of leaf {key} must "
                            f"be a JSON string, got {json.dumps(value)}")
@@ -463,7 +481,7 @@ def cmd_simulate(args) -> int:
         rows = ["name,mean,se,z,n_paths,verdict"]
         rows += [f"{name},{t.mean!r},{t.se!r},{t.z!r},{t.n_paths},{t.verdict}"
                  for name, t in tests.items()]
-        treeio.write_atomic(args.csv, "\n".join(rows) + "\n")
+        write_atomic(args.csv, "\n".join(rows) + "\n")
     if args.paths_csv and sampler is not None:
         batch = sampler(args.sample_paths)
         rows = batch.summary_rows()
@@ -471,7 +489,7 @@ def cmd_simulate(args) -> int:
         lines = [",".join(header)]
         lines += [",".join(repr(row[k]) if isinstance(row[k], float)
                            else str(row[k]) for k in header) for row in rows]
-        treeio.write_atomic(args.paths_csv, "\n".join(lines) + "\n")
+        write_atomic(args.paths_csv, "\n".join(lines) + "\n")
     return 0 if all(expectations.values()) else 1
 
 
@@ -596,7 +614,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (CliError, treeio.TreeFileError) as exc:
+    except (CliError, TreeFileError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except OSError as exc:
@@ -605,7 +623,24 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """Run the command line on sys.argv and end the process without
+    interpreter teardown (see the module docstring).  A stdout report still
+    in the buffer is flushed here; if that fails, as on a closed pipe, the
+    process exits 2 with one `i/o error` line."""
+    code = run()
+    try:
+        if sys.stdout is not None:      # None when started with fd 1 closed
+            sys.stdout.flush()
+    except OSError as exc:
+        if code != 2:                   # an exit 2 has written its error line
+            code = 2
+            sys.stderr.write(f"i/o error: {exc}\n")
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:                     # nowhere left to report it
+        pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -7,8 +7,9 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 
+from .fileio import write_atomic
 from .filtered_space import AdaptedProcess, EventTree, ProbMeasure
-from .treeio import TreeFile, canonical_dumps, dumps, write_atomic
+from .treeio import TreeFile, canonical_dumps, dumps
 
 
 def insider_binomial() -> tuple[TreeFile, dict[int, str]]:

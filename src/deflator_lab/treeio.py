@@ -20,22 +20,17 @@ refuses what the reader would: an int too long for `str` is a TreeFileError.
 from __future__ import annotations
 
 import json
-import os
 import re
 import sys
-import tempfile
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode
 from typing import Mapping, Optional
 
+from .fileio import TreeFileError, write_atomic
 from .filtered_space import AdaptedProcess, EventTree, ProbMeasure, Strategy
 
 _RATIONAL_RE = re.compile(r"-?\d+(/0*[1-9]\d*)?\Z")   # q > 0
 _NODE_KEY_RE = re.compile(r"(?:0|[1-9][0-9]*)\Z")
-
-
-class TreeFileError(ValueError):
-    """Malformed tree file; the message names the offending field."""
 
 
 def parse_rational(text: object, where: str = "value") -> Fraction:
@@ -305,29 +300,3 @@ def load(path: str) -> TreeFile:
 
 def save(tf: TreeFile, path: str) -> None:
     write_atomic(path, dumps(tf))
-
-
-def write_atomic(path: str, text: str) -> None:
-    """Write via a temp file in the same directory and rename over the target.
-
-    Non-regular targets (pipes, devices) cannot be replaced by rename, so
-    those are written through directly instead.  When the temp file cannot
-    be made, the error names the target, not the temp file.
-    """
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        return
-    directory = os.path.dirname(os.path.abspath(path))
-    try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, path) from exc
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise

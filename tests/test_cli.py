@@ -388,18 +388,15 @@ def run_probe(*argv):
     return f"from deflator_lab.cli import run\nrun({list(argv)!r})"
 
 
-ANALYSIS = {"arbitrage", "linprog", "deflator", "enlargement",
-            "kunita_yoeurp", "montecarlo"}
-
-
 def test_each_command_imports_only_what_it_runs(tmp_path, fixtures):
+    """`simulate` and `--version` read no tree file, so they load neither
+    `treeio` nor `filtered_space`: only `fileio`, the writer and file error
+    that `cli` shares with `treeio`."""
     out = str(tmp_path / "r.json")
     simulate = loaded_modules(run_probe("simulate", "--scenario", "levy",
                                         "--paths", "200", "--steps", "4",
                                         "--out", out))
-    assert "montecarlo" in simulate
-    assert not simulate & {"arbitrage", "linprog", "deflator", "enlargement",
-                           "kunita_yoeurp"}, simulate
+    assert simulate == {"cli", "fileio", "montecarlo"}, simulate
     check = loaded_modules(run_probe(
         "check", "--tree", str(fixtures["insider-binomial"] / "tree.json"),
         "--out", out))
@@ -407,11 +404,11 @@ def test_each_command_imports_only_what_it_runs(tmp_path, fixtures):
     assert not check & {"linprog", "kunita_yoeurp", "enlargement",
                         "montecarlo"}, check
     version = loaded_modules(run_probe("--version"))
-    assert not version & ANALYSIS, version
+    assert version == {"cli", "fileio"}, version
     # jacod and universal-z read the label law only; logutility prices with
     # the complete-market measure and needs no deflator
     labels = str(fixtures["insider-binomial"] / "labels.json")
-    enlarge = {"cli", "treeio", "filtered_space", "enlargement"}
+    enlarge = {"cli", "fileio", "treeio", "filtered_space", "enlargement"}
     extra = {"jacod": set(), "universal-z": set(), "logutility": {"arbitrage"},
              "insider": {"arbitrage", "deflator"}}
     for action, modules in extra.items():
@@ -433,9 +430,9 @@ def test_measure_commands_load_no_arbitrage_layer(tmp_path, fixtures):
     deflate = loaded_modules(run_probe("deflate", "--tree", tree,
                                        "--normalize", "--out", deflated,
                                        "--report", out))
-    assert deflate == {"cli", "treeio", "filtered_space", "arbitrage",
-                       "deflator"}, deflate
-    measure = {"cli", "treeio", "filtered_space", "kunita_yoeurp"}
+    assert deflate == {"cli", "fileio", "treeio", "filtered_space",
+                       "arbitrage", "deflator"}, deflate
+    measure = {"cli", "fileio", "treeio", "filtered_space", "kunita_yoeurp"}
     foellmer = loaded_modules(run_probe(
         "foellmer", "--tree", deflated, "--out", str(tmp_path / "q.json"),
         "--report", out))
@@ -528,6 +525,93 @@ def test_simulate_rejects_negative_seeds(tmp_path, capsys):
             "--out", str(tmp_path / "r.json")]
     assert run(argv + ["--seed", "-1"]) == 2
     assert "seed" in capsys.readouterr().err
+
+
+def console(*argv, stdout=subprocess.PIPE, unbuffered=False, **kwargs):
+    """The entry point `main` in a child, as `python -m deflator_lab.cli`
+    runs it.  Its stdout is block-buffered unless `unbuffered`, so a short
+    report is still in the buffer when `run()` returns."""
+    env = subprocess_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "deflator_lab.cli", *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, env=env,
+                          text=True, **kwargs)
+
+
+@pytest.fixture()
+def drifting_tree(tmp_path):
+    """A deflated 255-node binomial tree whose density is a strict
+    supermartingale: its stopped-check report to stdout lists a drift at
+    every atom and is longer than the 8 KB stdout buffer."""
+    from treegen import binomial_problem
+
+    problem = binomial_problem(steps=7)
+    tree, deflated = str(tmp_path / "b.json"), str(tmp_path / "bd.json")
+    treeio.save(treeio.TreeFile(problem.tree, problem.P, {"S": problem.S}),
+                tree)
+    assert run(["deflate", "--tree", tree, "--normalize", "--out", deflated,
+                "--report", str(tmp_path / "deflate.json")]) == 0
+    return deflated
+
+
+def test_reports_and_exit_codes_survive_the_hard_exit(fixtures, tmp_path,
+                                                      drifting_tree):
+    """`main` ends the process with `os._exit` once it has flushed the two
+    streams: what `run()` wrote arrives whole, with `run()`'s exit code."""
+    proc = console("stopped-check", "--tree", drifting_tree)
+    assert proc.returncode == 1, proc.stderr
+    assert len(proc.stdout) > 8192
+    report = json.loads(proc.stdout)
+    out = tmp_path / "stopped.json"
+    assert run(["stopped-check", "--tree", drifting_tree,
+                "--out", str(out)]) == 1
+    expected = read(out)
+    assert report["verdicts"] == expected["verdicts"] == {
+        "deflation": True, "martingale": False}
+    assert report["values"] == expected["values"]
+    assert len(report["values"]["violations"]) == 127
+
+    proc = console("check", "--tree",
+                   str(fixtures["insider-binomial"] / "tree.json"))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["verdicts"] == {"na": True, "na1": True}
+
+    proc = console("check")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.endswith(
+        "error: the following arguments are required: --tree\n"), proc.stderr
+
+    # started with fd 1 closed, the child has no sys.stdout to flush
+    out = tmp_path / "check.json"
+    proc = console("check", "--tree", drifting_tree, "--out", str(out),
+                   stdout=None, preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert read(out)["verdicts"] == {"na": True, "na1": True}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("size", ["short", "long"])
+def test_closed_stdout_exits_2_with_one_line(fixtures, drifting_tree, size,
+                                             unbuffered):
+    """A stdout report that cannot be written or flushed, here to a pipe
+    whose reader has closed it, exits 2 with one `i/o error` line and no
+    traceback.  A short buffered report fails only when `main` flushes it,
+    a long one already in `run()`."""
+    tree = (str(fixtures["insider-binomial"] / "tree.json") if size == "short"
+            else drifting_tree)
+    command = "check" if size == "short" else "stopped-check"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = console(command, "--tree", tree, stdout=write_end,
+                       unbuffered=unbuffered)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "i/o error: [Errno 32] Broken pipe\n"
 
 
 def test_simulate_zero_paths_exits_2_without_traceback(tmp_path):
