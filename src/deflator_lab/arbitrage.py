@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence
 
 from .filtered_space import (ZERO_PAIR, AdaptedProcess, EventTree, Pair,
                              ProbMeasure, Strategy, _increments, _lift_pairs,
-                             _process_pairs, as_fraction)
+                             _process_pairs, _sum_pairs, as_fraction)
 
 # `linprog` is imported by the three programs that run the simplex (two or
 # more assets, and `finite_utility_check`), so a one-asset command never
@@ -540,41 +540,30 @@ def build_utility(tail: Callable[[int], Fraction], K: int,
 
     # Every truncated slope is g_k = s_{n_k}, where s_N is the sum over
     # N <= n <= n_sum of 1/(n K_n).  Every block from n_top = n_K on has
-    # K_n >= K, so s_{n_top} is one balanced sum, the smaller s_N follow by a
+    # K_n >= K, so s_{n_top} is one reduced sum, the smaller s_N follow by a
     # backward pass, and those blocks add K s_{n_top} to sum_g and
     # prefix[K] s_{n_top} to sum_g_tail.
     n_top = n_k[-1]
-    suffix = {n_top: _pairwise([Fraction(1, n * K_n[n - 1])
-                                for n in range(n_top, n_sum + 1)])}
+    suffix = {n_top: Fraction(*_sum_pairs([(1, n * K_n[n - 1])
+                                           for n in range(n_top, n_sum + 1)]))}
     for n in range(n_top - 1, 0, -1):
         suffix[n] = suffix[n + 1] + Fraction(1, n * K_n[n - 1])
     slopes = {n: Slope(suffix[n]) for n in set(n_k)}
     g = [slopes[n] for n in n_k]
 
-    sum_g = (_pairwise([Fraction(1, n) for n in range(1, n_top)])
+    sum_g = (Fraction(*_sum_pairs([(1, n) for n in range(1, n_top)]))
              + K * suffix[n_top])
-    sum_g_tail = (_pairwise([prefix[K_n[n - 1]] / (n * K_n[n - 1])
-                             for n in range(1, n_top)])
-                  + prefix[K] * suffix[n_top])
-    harmonic = _pairwise([Fraction(1, n) for n in range(1, n_sum + 1)
-                          if K_n[n - 1] <= K] or [ZERO])
+    tail_terms = [(prefix[K_n[n - 1]] / (n * K_n[n - 1])).as_integer_ratio()
+                  for n in range(1, n_top)]
+    sum_g_tail = Fraction(*_sum_pairs(tail_terms)) + prefix[K] * suffix[n_top]
+    harmonic = Fraction(*_sum_pairs([(1, n) for n in range(1, n_sum + 1)
+                                     if K_n[n - 1] <= K]))
     return UtilityCurve(
         K=K, n_sum=n_sum, K_n=K_n, n_k=n_k, g=g,
         remainder_bound=Fraction(1, n_sum),
         sum_g=sum_g, sum_g_tail=sum_g_tail,
         harmonic_lower_bound=harmonic, tail=tail,
     )
-
-
-def _pairwise(terms: list[Fraction]) -> Fraction:
-    """Exact sum by a fixed balanced reduction; far cheaper than a running
-    accumulator when denominators grow."""
-    if not terms:
-        return ZERO
-    while len(terms) > 1:
-        terms = [terms[i] + terms[i + 1] if i + 1 < len(terms) else terms[i]
-                 for i in range(0, len(terms), 2)]
-    return terms[0]
 
 
 def finite_utility_check(problem: WealthProblem, U: UtilityCurve

@@ -2,10 +2,11 @@
 emit a machine-readable JSON report.
 
 Exit codes: 0 when every checked verdict passes, 1 when a verdict fails, 2 on
-usage, schema or I/O problems, a failed write or flush of a stdout report
-included.  Tree-side subcommands are exact, so their exit codes never depend
-on floating point.  Reports are written atomically and echo the fully
-resolved configuration, a provenance stamp and wall-clock timing.
+usage, schema or I/O problems, a missing stdout, a lost stdout text and a
+report value too long to write included.  Tree-side subcommands are exact,
+so their exit codes never depend on floating point.  Reports are written
+atomically and echo the fully resolved configuration, a provenance stamp
+and wall-clock timing.
 
 `run(argv)` is the in-process API: it returns the exit code and leaves the
 interpreter as it was.  `main()`, the console entry point, calls `run()`,
@@ -18,6 +19,7 @@ So `main()` runs no `atexit` handler; embedders call `run()`.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -44,8 +46,7 @@ class CliError(Exception):
 
 
 def strategy_json(strategy) -> dict:
-    return {str(node): [str(x) for x in vec]
-            for node, vec in sorted(strategy.steps.items())}
+    return {str(node): vec for node, vec in sorted(strategy.steps.items())}
 
 
 def test_json(t: MartingaleTest) -> dict:
@@ -100,19 +101,48 @@ def wealth_problem(tf: TreeFile, args):
 
 
 def _jsonable(value):
-    if isinstance(value, Fraction):
+    if isinstance(value, Fraction):     # the one conversion of a rational
         return str(value)
     if hasattr(value, "item"):          # numpy scalars
         return value.item()
     raise TypeError(f"not JSON serializable: {value!r}")
 
 
+def _rationals(value, field: str = ""):
+    """(field, (rational,)) for every rational in `value`, in report order,
+    each field named in the reader's style: `values.density[1,A]`."""
+    if isinstance(value, Fraction):
+        yield field, (value,)
+    elif isinstance(value, (dict, list, tuple)):
+        keys = sorted(value) if isinstance(value, dict) else range(len(value))
+        for key in keys:
+            name = (f"{field}.{key}" if str(key).isidentifier()
+                    else f"{field}[{key}]")
+            yield from _rationals(value[key], name.lstrip("."))
+
+
+def write_stdout(text: str) -> None:
+    """Write to stdout; a missing one (fd 1 closed) fails as a closed pipe."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
+    sys.stdout.write(text)
+
+
 def emit_report(report: dict, out: Optional[str]) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True, default=_jsonable) + "\n"
+    """Write the report to `out` or stdout.  A writer refuses what the
+    reader would: a rational too long for `str` raises the tree writer's
+    TreeFileError naming its field, and nothing is written."""
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True,
+                          default=_jsonable) + "\n"
+    except ValueError as exc:       # an int longer than str() converts
+        from .treeio import _too_long
+
+        raise _too_long(dict(_rationals(report))) from exc
     if out:
         write_atomic(out, text)
     else:
-        sys.stdout.write(text)
+        write_stdout(text)
 
 
 def make_report(args, operation: str, started: float, verdicts: dict,
@@ -142,9 +172,8 @@ def cmd_check(args) -> int:
     started = time.perf_counter()
     result = check_na1(wealth_problem(load_tree(args.tree), args))
     verdicts = {"na": result.na_holds, "na1": result.na1_holds}
-    values = {"na_optimum": str(result.na_optimum),
-              "optimal_value": ("inf" if result.unbounded
-                                else str(result.optimal_value))}
+    values = {"na_optimum": result.na_optimum,
+              "optimal_value": "inf" if result.unbounded else result.optimal_value}
     witnesses = {}
     if result.witness is not None:
         witnesses["strategy"] = strategy_json(result.witness)
@@ -168,8 +197,7 @@ def cmd_deflate(args) -> int:
     except Na1FailsOnAtom as exc:
         report = make_report(args, "deflator.construct", started,
                              {"na1": False, "constructed": False},
-                             {"atom": exc.atom,
-                              "ray": [str(x) for x in exc.ray]})
+                             {"atom": exc.atom, "ray": exc.ray})
         emit_report(report, args.report)
         return 1
     if args.normalize:
@@ -180,7 +208,7 @@ def cmd_deflate(args) -> int:
     report = make_report(
         args, "deflator.construct", started,
         {"na1": True, "constructed": True, "certified": certificate.certified},
-        {"initial_value": str(deflator.Z.at(tf.tree.root)), "written": args.out})
+        {"initial_value": deflator.Z.at(tf.tree.root), "written": args.out})
     emit_report(report, args.report)
     return 0 if certificate.certified else 1
 
@@ -249,7 +277,7 @@ def cmd_stopped_check(args) -> int:
         args, "kunita_yoeurp.stopped_price", started,
         {"martingale": result.is_martingale,
          "deflation": result.deflation.certified},
-        {"violations": [{"atom": atom, "drift": [str(x) for x in drift]}
+        {"violations": [{"atom": atom, "drift": drift}
                         for atom, drift in result.violations]})
     emit_report(report, args.out)
     return 0 if result.is_martingale and result.deflation.certified else 1
@@ -296,8 +324,7 @@ def cmd_enlarge(args) -> int:
             args, "enlargement.jacod", started,
             {"jacod": result.holds, "reverse": result.reverse_holds,
              "equivalent": result.equivalent},
-            {"density": {f"{v},{lab}": str(y)
-                         for (v, lab), y in sorted(result.Y.items())}})
+            {"density": {f"{v},{lab}": y for (v, lab), y in result.Y.items()}})
         emit_report(report, args.out)
         return 0 if result.holds else 1
     if args.action == "universal-z":
@@ -305,8 +332,7 @@ def cmd_enlarge(args) -> int:
         report = make_report(
             args, "enlargement.universal_density", started,
             {"built": True},
-            {"density": {f"{v},{lab}": str(z)
-                         for (v, lab), z in sorted(Z.values.items())}})
+            {"density": {f"{v},{lab}": z for (v, lab), z in Z.values.items()}})
         emit_report(report, args.out)
         return 0
     S = wealth_problem(tf, args).S
@@ -322,7 +348,7 @@ def cmd_enlarge(args) -> int:
             {"emm_infeasible": result.emm_infeasible,
              "na1_enlarged": bool(result.na1_product.na1_holds),
              "certified": result.contradiction_certified},
-            {"replication_cost": str(result.value_process.at(0))},
+            {"replication_cost": result.value_process.at(0)},
             {"hedge": strategy_json(result.hedge)})
         emit_report(report, args.out)
         return 0 if result.contradiction_certified else 1
@@ -511,8 +537,19 @@ def cmd_scenario(args) -> int:
 # -- argument parsing --------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Writes --help and --version text like a report: from Python 3.11
+    argparse drops a failed write's OSError, so a lost text would exit 0."""
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            write_stdout(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="deflator-lab",
         description="Exact arbitrage and deflator laboratory on event trees, "
                     "with seeded Monte Carlo for the continuous-time examples.")
@@ -606,14 +643,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except (CliError, TreeFileError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
@@ -627,6 +662,8 @@ def main() -> None:
     interpreter teardown (see the module docstring).  A stdout report still
     in the buffer is flushed here; if that fails, as on a closed pipe, the
     process exits 2 with one `i/o error` line."""
+    if sys.stderr is None:              # started with fd 2 closed
+        sys.stderr = open(os.devnull, "w", encoding="utf-8")
     code = run()
     try:
         if sys.stdout is not None:      # None when started with fd 1 closed
@@ -636,8 +673,7 @@ def main() -> None:
             code = 2
             sys.stderr.write(f"i/o error: {exc}\n")
     try:
-        if sys.stderr is not None:
-            sys.stderr.flush()
+        sys.stderr.flush()
     except OSError:                     # nowhere left to report it
         pass
     os._exit(code)

@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .filtered_space import (AdaptedProcess, EventTree, Pair, ProbMeasure,
                              Strategy, _mass_pairs, _process_pairs,
-                             as_fraction, stochastic_integral)
+                             _sum_pairs, as_fraction, stochastic_integral)
 
 # The arbitrage layer and the deflator load with the two functions that run
 # them, so `enlarge jacod` and `enlarge universal-z` compile neither.
@@ -263,8 +263,9 @@ def generalized_jacod_check(tree: EventTree, P: ProbMeasure,
                 if not any(cell <= big for big in prev):
                     raise ValueError(f"layer {t}: partitions must be nested in time")
 
-    def mass(leaves: Iterable[int]) -> Fraction:
-        return sum((P.mass(x) for x in leaves), ZERO)
+    def charged(leaves: Iterable[int]) -> bool:     # the sign of their mass
+        return _sum_pairs([P.leaf_mass[x].as_integer_ratio()
+                           for x in leaves])[0] > 0
 
     atom_mass = P.node_masses(tree)
     failures = []
@@ -272,16 +273,16 @@ def generalized_jacod_check(tree: EventTree, P: ProbMeasure,
     for t in range(n + 1):
         for cell in layers[t]:
             anchor = tree.ancestor_at(next(iter(cell)), t)
-            m_cell_atom = mass(cell)
+            below = tree.leaves_below(anchor)
+            cell_charged = charged(cell)
             for u in range(t + 1, n + 1):
-                for b in {tree.ancestor_at(leaf, u) for leaf in
-                          tree.leaves_below(anchor)}:
+                for b in {tree.ancestor_at(leaf, u) for leaf in below}:
                     if atom_mass[b] == 0:
                         continue
-                    m_cell_b = mass(cell.intersection(tree.leaves_below(b)))
-                    if m_cell_atom == 0 and m_cell_b > 0:
+                    b_charged = charged(cell.intersection(tree.leaves_below(b)))
+                    if not cell_charged and b_charged:
                         failures.append((t, u, b, cell))
-                    if m_cell_atom > 0 and m_cell_b == 0:
+                    if cell_charged and not b_charged:
                         reverse_failures.append((t, u, b, cell))
     return GeneralizedJacodReport(
         holds=not failures, reverse_holds=not reverse_failures,
@@ -441,12 +442,13 @@ def insider_example(spec: EnlargementSpec, S: AdaptedProcess,
 
     if not event_labels or not set(event_labels) <= set(spec.label_set):
         raise ValueError("event labels must be a nonempty subset of the labels")
-    p_event = sum((spec.P.mass(leaf) for leaf in spec.tree.leaves
-                   if spec.labels[leaf] in event_labels), ZERO)
-    if not 0 < p_event < 1:
+    tree = spec.tree
+    # P(L in A) = num / den: the label marginals at the slice tables' roots
+    num, den = _sum_pairs([spec._slice_pairs(lab)[tree.root]
+                           for lab in sorted(event_labels)])
+    if not 0 < num < den:
         raise ValueError("the label event needs probability strictly in (0, 1)")
 
-    tree = spec.tree
     market = complete_market_measure(tree, S)
     payoff = {leaf: ONE if spec.labels[leaf] in event_labels else ZERO
               for leaf in tree.leaves}

@@ -89,15 +89,6 @@ class EventTree:
         for v in self.nodes:
             levels[v.time].append(v.id)
         self._levels: tuple[tuple[int, ...], ...] = tuple(map(tuple, levels))
-        self._leaves_below: list[tuple[int, ...]] = [() for _ in range(n_nodes)]
-        for v in reversed(self.nodes):
-            if not v.children:
-                self._leaves_below[v.id] = (v.id,)
-            else:
-                acc: list[int] = []
-                for c in v.children:
-                    acc.extend(self._leaves_below[c])
-                self._leaves_below[v.id] = tuple(acc)
 
     def _validate(self) -> None:
         roots = [v for v in self.nodes if v.parent is None]
@@ -145,7 +136,12 @@ class EventTree:
         return self.nodes[node].children
 
     def leaves_below(self, node: int) -> tuple[int, ...]:
-        return self._leaves_below[node]
+        """The leaves of `node`'s subtree, each child's in children order,
+        one layer at a time: every leaf sits at the horizon."""
+        below = [node]
+        while self.nodes[below[0]].children:
+            below = [c for v in below for c in self.nodes[v].children]
+        return tuple(below)
 
     def ancestor_at(self, node: int, time: int) -> int:
         """The unique time-`time` node on the path from the root to `node`."""
@@ -221,7 +217,8 @@ class ProbMeasure:
         }
         if any(m.numerator < 0 for m in self.leaf_mass.values()):
             raise ValueError("negative leaf mass")
-        if sum(self.leaf_mass.values()) != 1:
+        if _sum_pairs([m.as_integer_ratio()
+                       for m in self.leaf_mass.values()]) != (1, 1):
             raise ValueError("leaf masses must sum to exactly 1")
         self._pairs: Optional[tuple[EventTree, list[Pair]]] = None
 
@@ -394,6 +391,32 @@ class StoppingTime:
 # -- operations ----------------------------------------------------------------
 
 
+def _atom_sums(tree: EventTree, masses: Mapping[int, Fraction],
+               X: AdaptedProcess, k: int) -> tuple[list[Vector], list[bool]]:
+    """By id, for every node v at time <= k: the mass-weighted sum of X_k
+    over the time-k atoms below v, and whether X_k is nonzero on one of
+    them.  One pass in reversed id order; every average reads it."""
+    end = tree.nodes_at(k)[-1] + 1
+    s: list[Vector] = [()] * end
+    nonzero = [False] * end
+    for v in reversed(tree.nodes[:end]):
+        if v.time == k:
+            s[v.id] = tuple(masses[v.id] * x for x in X[v.id])
+            nonzero[v.id] = any(x != 0 for x in X[v.id])
+        else:
+            s[v.id] = tuple(map(sum, zip(*[s[c] for c in v.children])))
+            nonzero[v.id] = any(nonzero[c] for c in v.children)
+    return s, nonzero
+
+
+def _average(v: int, m: Fraction, s: Vector, nonzero: bool) -> Vector:
+    """s / m over atom v of mass m; a null atom, whose s is zero, averages
+    to zero only where X vanishes below it."""
+    if m == 0 and nonzero:
+        raise NullAtomError(f"conditioning on null atom {v}")
+    return s if m == 0 else tuple(x / m for x in s)
+
+
 def conditional_expectation(tree: EventTree, P: ProbMeasure, X: AdaptedProcess,
                             j: int, at_time: Optional[int] = None) -> AdaptedProcess:
     """E[X_k | F_j] as a process on the time-j layer, by exact weighted averages.
@@ -406,52 +429,21 @@ def conditional_expectation(tree: EventTree, P: ProbMeasure, X: AdaptedProcess,
     if not 0 <= j < k <= tree.horizon:
         raise ValueError(f"need 0 <= j < k <= horizon, got j={j}, k={k}")
     masses = P.node_masses(tree)
-    zero = tuple(Fraction(0) for _ in range(X.dim))
-    # one backward sum from layer k up to layer j: the mass-weighted sum of
-    # X_k below each node, and whether X_k is nonzero anywhere below it
-    acc: dict[int, Vector] = {}
-    nonzero: dict[int, bool] = {}
-    for v in tree.nodes_at(k):
-        m = masses[v]
-        acc[v] = tuple(m * x for x in X[v])
-        nonzero[v] = any(x != 0 for x in X[v])
-    for t in range(k - 1, j - 1, -1):
-        for v in tree.nodes_at(t):
-            s = zero
-            for c in tree.children_of(v):
-                s = tuple(a + b for a, b in zip(s, acc[c]))
-            acc[v] = s
-            nonzero[v] = any(nonzero[c] for c in tree.children_of(v))
-
-    out: dict[int, Vector] = {}
-    for v in tree.nodes_at(j):
-        if masses[v] == 0:
-            if nonzero[v]:
-                raise NullAtomError(f"conditioning on null atom {v}")
-            out[v] = zero
-        else:
-            out[v] = tuple(x / masses[v] for x in acc[v])
-    return AdaptedProcess(out, X.dim)
+    s, nonzero = _atom_sums(tree, masses, X, k)
+    return AdaptedProcess({v: _average(v, masses[v], s[v], nonzero[v])
+                           for v in tree.nodes_at(j)}, X.dim)
 
 
 def martingale_closure(tree: EventTree, P: ProbMeasure,
                        terminal: AdaptedProcess) -> AdaptedProcess:
-    """The martingale E[X_n | F_k] for all k, closed by the given terminal layer."""
+    """The martingale E[X_n | F_k] for all k, closed by the given terminal
+    layer, which null leaves keep too.  A NullAtomError names the first null
+    atom in reversed id order with X_n nonzero below it."""
     masses = P.node_masses(tree)
+    s, nonzero = _atom_sums(tree, masses, terminal, tree.horizon)
     out: dict[int, Vector] = {leaf: terminal[leaf] for leaf in tree.leaves}
-    zero = tuple(Fraction(0) for _ in range(terminal.dim))
-    for v in reversed(tree.nodes):
-        if not v.children:
-            continue
-        if masses[v.id] == 0:
-            if any(any(x != 0 for x in out[c]) for c in v.children):
-                raise NullAtomError(f"conditioning on null atom {v.id}")
-            out[v.id] = zero
-            continue
-        acc = zero
-        for c in v.children:
-            acc = tuple(a + masses[c] * x for a, x in zip(acc, out[c]))
-        out[v.id] = tuple(x / masses[v.id] for x in acc)
+    for v in reversed(tree.nodes[:len(tree.nodes) - len(tree.leaves)]):
+        out[v.id] = _average(v.id, masses[v.id], s[v.id], nonzero[v.id])
     return AdaptedProcess(out, terminal.dim)
 
 
@@ -596,8 +588,5 @@ def doob_decomposition(tree: EventTree, P: ProbMeasure, Z: AdaptedProcess
 
 
 def expectation(tree: EventTree, P: ProbMeasure, X: AdaptedProcess) -> Vector:
-    """E[X_n] over the leaves."""
-    acc = tuple(Fraction(0) for _ in range(X.dim))
-    for leaf in tree.leaves:
-        acc = tuple(a + P.mass(leaf) * x for a, x in zip(acc, X[leaf]))
-    return acc
+    """E[X_n] over the leaves: the root's entry of `_atom_sums`."""
+    return _atom_sums(tree, P.node_masses(tree), X, tree.horizon)[0][tree.root]

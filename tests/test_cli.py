@@ -1071,3 +1071,69 @@ def test_deflate_refuses_a_density_too_long_to_write(tmp_path):
     assert re.search(r"processes\[Z\]\[\d+\]: .*PYTHONINTMAXSTRDIGITS",
                      proc.stderr), proc.stderr
     assert not os.path.exists(out)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python writes ints of any length as text")
+@pytest.mark.parametrize("action", ["jacod", "universal-z"])
+def test_enlarge_refuses_a_density_too_long_to_write(tmp_path, action):
+    """The tree file fits the int-to-str limit, but its Jacod density and
+    universal density do not: both commands exit 2 with one `error:` line
+    naming the first such report value as the reader names fields, print no
+    traceback and write no report."""
+    from treegen import overlong_density_tree
+
+    tree, P, labels = overlong_density_tree()
+    path, label_map = tmp_path / "tree.json", tmp_path / "labels.json"
+    treeio.save(treeio.TreeFile(tree, P, {}), str(path))
+    label_map.write_text(json.dumps({str(k): v for k, v in labels.items()}))
+    out = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "deflator_lab.cli", "enlarge", action,
+         "--tree", str(path), "--label-map", str(label_map), "--out", str(out)],
+        env=subprocess_env() | {"PYTHONINTMAXSTRDIGITS": "4300"},
+        capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr.splitlines() == [
+        "error: values.density[1,A]: cannot be written: a numerator or "
+        "denominator has more digits than Python converts to text, so the "
+        "reader would refuse it (PYTHONINTMAXSTRDIGITS raises the limit)"]
+    assert not out.exists()
+
+
+def test_a_missing_stdout_exits_2(fixtures):
+    """Started with fd 1 closed, a command that reports to stdout exits 2,
+    with one `i/o error` line when there is a stderr and none without."""
+    tree = str(fixtures["insider-binomial"] / "tree.json")
+    proc = console("check", "--tree", tree, stdout=None,
+                   preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 2
+    assert proc.stderr == "i/o error: [Errno 9] Bad file descriptor: '<stdout>'\n"
+
+    def close_both():
+        os.close(1)
+        os.close(2)
+
+    proc = subprocess.run([sys.executable, "-m", "deflator_lab.cli", "check",
+                           "--tree", tree], env=subprocess_env(),
+                          preexec_fn=close_both)
+    assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["--version"], ["--help"],
+                                  ["check", "--help"]],
+                         ids=["version", "help", "check-help"])
+def test_lost_help_and_version_text_exits_2(argv, unbuffered):
+    """--help and --version text into a pipe whose reader has closed it
+    exits 2 with one `i/o error` line, block-buffered or not: argparse from
+    Python 3.11 drops the OSError of its own write."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = console(*argv, stdout=write_end, unbuffered=unbuffered)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "i/o error: [Errno 32] Broken pipe\n"

@@ -13,6 +13,7 @@ from deflator_lab.filtered_space import (
     stochastic_integral,
 )
 from deflator_lab.enlargement import EnlargementSpec
+import average_oracle as oracle
 from treegen import random_measure, random_tree
 
 
@@ -253,3 +254,76 @@ def test_stopping_time_antichain_and_hitting():
     assert tau.stop_at == {1, 5}
     assert tau.value(3) == 1 and tau.value(4) == 1
     assert tau.value(5) == 2 and tau.value(6) is None
+
+
+def outcome(average, *args, **kwargs):
+    """What an averaging call gives: its dimension and values in node order,
+    or the NullAtomError it raises."""
+    try:
+        result = average(*args, **kwargs)
+    except NullAtomError as exc:
+        return "null atom", str(exc)
+    return result.dim, list(result.values.items())
+
+
+def test_averages_match_the_layer_walks_on_null_atoms():
+    """The one backward pass behind conditional_expectation,
+    martingale_closure and expectation gives exactly the values and the
+    NullAtomError, naming the same atom, of the three walks it replaced.
+    The trees carry zero-mass leaves and whole null subtrees; the processes
+    vanish under the null subtree half of the time, so both null-atom
+    branches run: zero where X vanishes below, the error where it does not."""
+    rng = random.Random(20_261_020)
+    seen = {"null zero": 0, "null raises": 0, "closure raises": 0,
+            "closure null zero": 0, "dim 2": 0}
+    for _ in range(300):
+        tree = random_tree(rng, max_steps=4)
+        null_root = rng.choice(tree.nodes[1:]).id
+        null = set(tree.leaves_below(null_root))
+        weights = {leaf: 0 if leaf in null else rng.choice((0, 1, 2, 3))
+                   for leaf in tree.leaves}
+        outside = [leaf for leaf in tree.leaves if leaf not in null]
+        weights[rng.choice(outside or tree.leaves)] += 1
+        total = sum(weights.values())
+        P = ProbMeasure({leaf: F(w, total) for leaf, w in weights.items()})
+        masses = P.node_masses(tree)
+        quiet = rng.random() < 0.5      # X vanishes under the null subtree
+        dim = rng.choice((1, 2))
+        seen["dim 2"] += dim == 2
+
+        def value(v):
+            if quiet and tree.is_ancestor(null_root, v):
+                return F(0)
+            return rng.choice((0, 1, -2, F(1, 3), F(-5, 7)))
+
+        X = AdaptedProcess({v.id: tuple(value(v.id) for _ in range(dim))
+                            for v in tree.nodes}, dim)
+        for k in range(1, tree.horizon + 1):
+            for j in range(k):
+                got = outcome(conditional_expectation, tree, P, X, j, at_time=k)
+                assert got == outcome(oracle.conditional_expectation,
+                                      tree, P, X, j, at_time=k)
+                if any(masses[v] == 0 for v in tree.nodes_at(j)):
+                    seen["null zero" if got[0] == dim else "null raises"] += 1
+        got = outcome(martingale_closure, tree, P, X)
+        assert got == outcome(oracle.martingale_closure, tree, P, X)
+        if got[0] == "null atom":
+            seen["closure raises"] += 1
+        elif any(m == 0 for m in masses.values()):
+            seen["closure null zero"] += 1
+        assert expectation(tree, P, X) == oracle.expectation(tree, P, X)
+    assert min(seen.values()) > 20, seen
+
+
+def test_leaves_below_is_the_old_table():
+    """`leaves_below` walks the subtree on demand and returns the tuple the
+    table built at construction held, in the same order, also on a tree
+    whose children blocks are not in parent order."""
+    tree = EventTree(2, 1, [None, 0, 0, 2, 1, 2], [0, 1, 1, 2, 2, 2])
+    assert tree.leaves_below(0) == (4, 3, 5)
+    trees = [tree, EventTree.singleton_path(3)]
+    rng = random.Random(20_261_021)
+    trees += [random_tree(rng, max_steps=5) for _ in range(100)]
+    for tree in trees:
+        table = oracle.leaves_below_table(tree)
+        assert [tree.leaves_below(v.id) for v in tree.nodes] == table

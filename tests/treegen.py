@@ -172,3 +172,21 @@ def coprime_problem(horizon: int, seed: int) -> WealthProblem:
     masses[leaves[-1]] = 1 - sum(masses.values())
     return WealthProblem(tree, ProbMeasure(masses),
                          straddling_prices(random.Random(seed), tree))
+
+
+def overlong_density_tree(seed: int = 7):
+    """A two-step binary tree whose file fits Python's default int-to-str
+    limit (4,300 digits) while its Jacod density does not: leaf masses 1/4
+    + 1/q0, 1/4 - 1/q1, 1/4 + 1/q2 and the rest, each q a random odd
+    1,400-digit int, so the largest denominator has about 4,200 digits.
+    The labels A, B, A, B make Y = slice / (P(v) P_L) the product of three
+    sums with unrelated denominators.  Returns (tree, P, labels)."""
+    rng = random.Random(seed)
+    q = [rng.randrange(10 ** 1399, 10 ** 1400) | 1 for _ in range(3)]
+    quarter = Fraction(1, 4)
+    masses = [quarter + Fraction(1, q[0]), quarter - Fraction(1, q[1]),
+              quarter + Fraction(1, q[2])]
+    masses.append(1 - sum(masses))
+    tree = EventTree.uniform(2, 2)
+    return (tree, ProbMeasure(dict(zip(tree.leaves, masses))),
+            dict(zip(tree.leaves, "ABAB")))
