@@ -231,15 +231,14 @@ def _dominating_measure(args, tf):
 
 
 def cmd_foellmer(args) -> int:
-    from .treeio import dumps_points
+    from .treeio import save_points
 
     started = time.perf_counter()
     tf = load_tree(args.tree)
-    points = _dominating_measure(args, tf)._points
-    write_atomic(args.out, dumps_points(points))
+    count = save_points(_dominating_measure(args, tf)._records(), args.out)
     report = make_report(args, "kunita_yoeurp.build", started,
                          {"built": True},
-                         {"points": len(points), "written": args.out})
+                         {"points": count, "written": args.out})
     emit_report(report, args.report)
     return 0
 

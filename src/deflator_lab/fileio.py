@@ -9,20 +9,24 @@ from __future__ import annotations
 
 import os
 import tempfile
+from typing import Iterable
 
 
 class TreeFileError(ValueError):
     """Malformed tree file; the message names the offending field."""
 
 
-def write_atomic(path: str, text: str) -> None:
-    """Write via a temp file in the same directory and rename over the target.
+def write_atomic(path: str, text: str | Iterable[str]) -> None:
+    """Write `text`, or its strings in turn, via a temp file in the same
+    directory and rename over the target, which a failure leaves as it was.
 
     Non-regular targets (pipes, devices) cannot be replaced by rename, so
-    those are written through directly instead.  When the temp file cannot
+    those get the joined text directly instead.  When the temp file cannot
     be made, the error names the target, not the temp file.
     """
+    chunks = [text] if isinstance(text, str) else text
     if os.path.exists(path) and not os.path.isfile(path):
+        text = "".join(chunks)      # made whole before the target opens
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         return
@@ -33,7 +37,7 @@ def write_atomic(path: str, text: str) -> None:
         raise OSError(exc.errno, exc.strerror, path) from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

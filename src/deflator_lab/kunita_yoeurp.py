@@ -22,13 +22,14 @@ here.  The pre-death price S^{T-} freezes S at its last value before death,
 and its Q-drift on each still-alive atom is E_P[Z_{k+1} dS | atom] up to
 positive normalization, which is what `check_stopped_price` reports.
 
-Each measure keeps its point masses in one private table of reduced int
-pairs and sums it once, bottom up, into the alive and dying mass of every
-atom, with the arithmetic of `filtered_space`'s pair section, so no sum
-runs over one common denominator of all of Q.  Every check reads these
-tables, so it verifies the measure as it was made.  The build computes the
-compensator atom by atom, never M, and Fractions are built only for
-returned values and failure messages.
+Every check reads two node tables of reduced int pairs, each atom's alive
+and dying mass, summed once bottom up with `filtered_space`'s pair section,
+so no sum runs over one common denominator of all of Q.  A measure given by
+its points groups them into the tables; a built one fills them from Z's
+nodes, since both are node quantities, and derives its points only where
+they are read (`Q`, the points file).  The build computes the compensator
+atom by atom, never M, and Fractions are built only for returned values and
+failure messages.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional
 
 from .filtered_space import (ZERO_PAIR, AdaptedProcess, EventTree, Pair,
                              ProbMeasure, Strategy, _compensator, _increments,
@@ -91,46 +92,85 @@ class KyError(ValueError):
 
 
 class DominatingMeasure:
-    """Q on the points of `space`, with the Z and dA it was built from.
-    Its point masses are converted once into a table of pairs, which every
-    check reads; `Q` is a read-only mapping of Fractions over it."""
+    """Q on the points of `space`, with the Z and dA it was built from, as
+    the node tables alive(v) = Q(atom(v) x {zeta > time(v)}) and dying(v),
+    the mass of the points below v with zeta = time(v)."""
 
     def __init__(self, space: EnlargedSpace, Q: Mapping[tuple[int, Death], Fraction],
                  Z: AdaptedProcess, dA: Strategy):
+        """The measure of its point masses.  A point with zeta None is its
+        leaf's alive mass; one walk up its leaf's path finds where the
+        others die.  Keys that are no point of the space count in the total
+        and enter no atom."""
+        tree = space.tree
         points = {key: x.as_integer_ratio() for key, x in Q.items()}
-        self._setup(space, points, Z, dA, frozenset(
-            key for key in points if not space.is_point(*key)))
-
-    @classmethod
-    def _of_pairs(cls, space: EnlargedSpace, points: dict[tuple[int, Death], Pair],
-                  Z: AdaptedProcess, dA: Strategy) -> "DominatingMeasure":
-        """The measure of a table of reduced pairs keyed by points of
-        `space` only, taken as it is."""
-        dm = cls.__new__(cls)
-        dm._setup(space, points, Z, dA, frozenset())
-        return dm
-
-    def _setup(self, space: EnlargedSpace, points: dict[tuple[int, Death], Pair],
-               Z: AdaptedProcess, dA: Strategy,
-               outside: frozenset[tuple[int, Death]]) -> None:
-        self.space = space
-        self.Z = Z
-        self.dA = dA
-        # `outside` holds the keys that are no point of the space: they count
-        # in the total and enter no atom
-        self._points = points
-        self._outside = outside
-        self._Q: Optional[Mapping[tuple[int, Death], Fraction]] = None
-        self._dead: Optional[list[dict[int, Pair]]] = None
-        self._alive, self._dying = self._sum()
-        total = _sum_pairs([self._alive[self.tree.root],
-                            *(points[key] for key in outside)])
+        alive = [ZERO_PAIR] * len(tree.nodes)
+        groups: list[list[Pair]] = [[] for _ in tree.nodes]
+        outside: list[Pair] = []
+        leaf, path = None, []
+        for (at, zeta), x in points.items():
+            if not space.is_point(at, zeta):
+                outside.append(x)
+            elif zeta is None:
+                alive[at] = x
+            else:
+                if at != leaf:
+                    leaf, path = at, tree.path(at)
+                groups[path[zeta]].append(x)
+        self._setup(space, Z, dA, alive,
+                    [_sum_pairs(group) for group in groups], points, None)
+        total = _sum_pairs([alive[tree.root], *outside])
         if total != (1, 1):
             raise KyError(f"enlarged masses sum to {Fraction(*total)}, not 1")
+
+    def _setup(self, space: EnlargedSpace, Z: AdaptedProcess, dA: Strategy,
+               alive: list[Pair], dying: list[Pair],
+               points: Optional[dict[tuple[int, Death], Pair]],
+               steps: Optional[dict[int, Pair]]) -> None:
+        """Keep the tables and finish `alive` by the one backward pass of both
+        kinds of measure, alive(v) = sum of alive(c) + dying(c) over v's
+        children; so property 2 holds by the same additions."""
+        self.space, self.Z, self.dA = space, Z, dA
+        self._alive, self._dying = alive, dying
+        # point -> reduced pair, and for a built measure the nonzero
+        # compensator steps from which that table is derived on first use
+        self._table, self._steps = points, steps
+        self._Q: Optional[Mapping[tuple[int, Death], Fraction]] = None
+        self._dead: Optional[list[dict[int, Pair]]] = None
+        for v in reversed(space.tree.nodes):
+            if v.children:
+                terms = []
+                for c in v.children:
+                    terms.append(alive[c])
+                    if dying[c][0]:
+                        terms.append(dying[c])
+                alive[v.id] = _sum_pairs(terms)
 
     @property
     def tree(self) -> EventTree:
         return self.space.tree
+
+    @property
+    def _points(self) -> dict[tuple[int, Death], Pair]:
+        """The point masses as reduced pairs, in `_records` order for a
+        built measure."""
+        if self._table is None:
+            self._table = {(leaf, zeta): x for leaf, zeta, x in self._records()}
+        return self._table
+
+    def _records(self) -> Iterator[tuple[int, Death, Pair]]:
+        """(leaf, zeta, mass) of every point of a built measure, by leaf,
+        then zeta = 1..n, then None: the points file's order.  One walk up
+        each leaf's path finds the steps; a point has mass exactly where
+        its step does, since P(w) > 0."""
+        tree, steps = self.tree, self._steps
+        masses = self.space.P._atom_pairs(tree)
+        for leaf in tree.leaves:
+            for j, at in enumerate(tree.path(leaf)[:-1], 1):
+                step = steps.get(at)
+                if step is not None:
+                    yield leaf, j, _product(masses[leaf], step)
+            yield leaf, None, self._alive[leaf]
 
     @property
     def Q(self) -> Mapping[tuple[int, Death], Fraction]:
@@ -140,60 +180,17 @@ class DominatingMeasure:
                 {key: Fraction(n, d) for key, (n, d) in self._points.items()})
         return self._Q
 
-    def _point_items(self) -> Iterable[tuple[tuple[int, Death], Pair]]:
-        if not self._outside:
-            return self._points.items()
-        return [(key, x) for key, x in self._points.items()
-                if key not in self._outside]
-
-    def _sum(self) -> tuple[list[Pair], list[Pair]]:
-        """(alive, dying) by node id: alive(v) = Q(atom(v) x {zeta >
-        time(v)}), and dying(v) the mass of the points below v with zeta =
-        time(v), which die on v.  A point with zeta None is its leaf's alive
-        mass; one walk up its leaf's path finds where the others die.  Then
-        alive(v) sums alive + dying over v's children, in one backward
-        pass."""
-        tree = self.tree
-        alive = [ZERO_PAIR] * len(tree.nodes)
-        dying = [ZERO_PAIR] * len(tree.nodes)
-        groups: list[Optional[list[Pair]]] = [None] * len(tree.nodes)
-        leaf, path = None, []
-        for (at, zeta), x in self._point_items():
-            if zeta is None:
-                alive[at] = x
-                continue
-            if at != leaf:
-                leaf, path = at, tree.path(at)
-            group = groups[path[zeta]]
-            if group is None:
-                groups[path[zeta]] = [x]
-            else:
-                group.append(x)
-        for v in reversed(tree.nodes):
-            if v.children:
-                terms = []
-                for c in v.children:
-                    terms.append(alive[c])
-                    if dying[c][0]:
-                        terms.append(dying[c])
-                alive[v.id] = _sum_pairs(terms)
-            group = groups[v.id]
-            if group is not None:
-                dying[v.id] = _sum_pairs(group)
-                groups[v.id] = None
-        return alive, dying
-
     def _dead_pairs(self) -> list[dict[int, Pair]]:
         """{j: Q(atom(v) x {j})} for every node v and 1 <= j <= time(v), by
         id: the leaves' death slices, merged upward over the children.
         Slices without a point of Q are absent.  Its size is the number of
-        dead atoms, so it is summed on the first call of `gamma`,
-        `dead_masses` or `dead_mass`, and kept."""
+        dead atoms, so it is summed on the first call of `gamma` or
+        `dead_mass`, and kept."""
         if self._dead is None:
-            tree = self.tree
+            tree, space = self.tree, self.space
             dead: list[dict[int, Pair]] = [{} for _ in tree.nodes]
-            for (leaf, zeta), x in self._point_items():
-                if zeta is not None:
+            for (leaf, zeta), x in self._points.items():
+                if zeta is not None and space.is_point(leaf, zeta):
                     dead[leaf][zeta] = x
             for v in reversed(tree.nodes):
                 if v.children:
@@ -205,16 +202,6 @@ class DominatingMeasure:
                     dead[v.id] = {j: _sum_pairs(xs) for j, xs in merged.items()}
             self._dead = dead
         return self._dead
-
-    def alive_masses(self) -> list[Fraction]:
-        """Q(atom(v) x {zeta > time(v)}) for every node v, by id."""
-        return [Fraction(n, d) for n, d in self._alive]
-
-    def dead_masses(self) -> list[dict[int, Fraction]]:
-        """{j: Q(atom(v) x {j})} for every node v and 1 <= j <= time(v), by
-        id; slices without a point of Q are absent."""
-        return [{j: Fraction(n, d) for j, (n, d) in slices.items()}
-                for slices in self._dead_pairs()]
 
     def alive_mass(self, node: int) -> Fraction:
         """Q(atom(node) x {zeta > time(node)})."""
@@ -245,13 +232,27 @@ class DominatingMeasure:
         return out
 
 
+def _product(x: Pair, y: Pair) -> Pair:
+    """The reduced product of two reduced pairs, by two cross gcds as
+    Fraction.__mul__ reduces."""
+    (a, b), (c, d) = x, y
+    g, h = math.gcd(a, d), math.gcd(c, b)
+    return a // g * (c // h), b // h * (d // g)
+
+
 def build_dominating_measure(tree: EventTree, P: ProbMeasure,
                              Z: "AdaptedProcess | Deflator") -> DominatingMeasure:
     """Solve the Kunita-Yoeurp problem for Z: place the compensator mass on
     the death slices and the surviving density mass at infinity.  Z is a
     process or a `Deflator`.  Z_0 = 1 and Z > 0 are checked first; then the
     compensator steps dA come from `_compensator`, one Fraction per atom,
-    and the martingale part of Z is never built."""
+    and the martingale part of Z is never built.
+
+    Both tables are node quantities: alive(leaf) = P(leaf) Z(leaf), and
+    every point that dies on v carries P(w) dA(parent(v)), so dying(v) =
+    P(v) dA(parent(v)).  Each is one product of reduced pairs, and no point
+    is made.  Q's total is alive(root), which property 3 compares with
+    P(root) Z_0 = 1, so a wrong compensator shows there."""
     Zp = Z if isinstance(Z, AdaptedProcess) else Z.Z
     if not P.strictly_positive:
         raise KyError("the base measure must be strictly positive")
@@ -263,9 +264,6 @@ def build_dominating_measure(tree: EventTree, P: ProbMeasure,
     if any(values[v.id][0].numerator <= 0 for v in tree.nodes):
         raise KyError("density must be strictly positive")
     dA = _compensator(tree, P, Zp)
-    # P(w) dA and P(w) Z_n as reduced pairs: the product of two reduced
-    # fractions reduces by two cross gcds, as Fraction.__mul__ does.  P(w) >
-    # 0, so a point has mass exactly when its step does.
     steps: dict[int, Pair] = {}
     for v, step in dA.items():
         if step.numerator < 0:
@@ -273,23 +271,20 @@ def build_dominating_measure(tree: EventTree, P: ProbMeasure,
                           f"{v} is {step}")
         if step.numerator:
             steps[v] = step.as_integer_ratio()
-    gcd = math.gcd
-    points: dict[tuple[int, Death], Pair] = {}
+    masses = P._atom_pairs(tree)
+    alive = [ZERO_PAIR] * len(tree.nodes)
+    dying = [ZERO_PAIR] * len(tree.nodes)
+    for v in tree.nodes[1:]:
+        step = steps.get(v.parent)
+        if step is not None:
+            dying[v.id] = _product(masses[v.id], step)
     for leaf in tree.leaves:
-        pn, pd = P.leaf_mass[leaf].as_integer_ratio()
-        path = tree.path(leaf)
-        for j in range(1, tree.horizon + 1):
-            step = steps.get(path[j - 1])
-            if step is not None:
-                sn, sd = step
-                g, h = gcd(pn, sd), gcd(sn, pd)
-                points[(leaf, j)] = (pn // g * (sn // h), pd // h * (sd // g))
-        zn, zd = values[leaf][0].as_integer_ratio()
-        g, h = gcd(pn, zd), gcd(zn, pd)
-        points[(leaf, None)] = (pn // g * (zn // h), pd // h * (zd // g))
-    return DominatingMeasure._of_pairs(
-        EnlargedSpace(tree, P), points, Zp,
-        Strategy.of_vectors({v: (step,) for v, step in dA.items()}, 1))
+        alive[leaf] = _product(masses[leaf], values[leaf][0].as_integer_ratio())
+    dm = DominatingMeasure.__new__(DominatingMeasure)
+    dm._setup(EnlargedSpace(tree, P), Zp,
+              Strategy.of_vectors({v: (step,) for v, step in dA.items()}, 1),
+              alive, dying, None, steps)
+    return dm
 
 
 class KyReport:
@@ -310,7 +305,7 @@ def verify_ky(dm: DominatingMeasure) -> KyReport:
        masses to sum to 1, and `EnlargedSpace` ties them to the tree's
        leaves.
     2. Each layer's dead mass, Q's total minus the layer's alive masses,
-       equals the death slices 1..t: `DominatingMeasure._sum` builds each
+       equals the death slices 1..t: `DominatingMeasure._setup` builds each
        alive mass from its children's alive and dying masses, so both sides
        are the same additions.
     3. The density relation Q(alive) = P(A) Z_t on every atom and layer.
@@ -346,23 +341,17 @@ def yoeurp_expectation(dm: DominatingMeasure, Y: "Strategy | AdaptedProcess"
     tree = dm.tree
     P = dm.space.P
     n = tree.horizon
-
-    paths: dict[int, list[int]] = {}
-
-    def path(leaf: int) -> list[int]:
-        if leaf not in paths:
-            paths[leaf] = tree.path(leaf)
-        return paths[leaf]
+    paths = {leaf: tree.path(leaf) for leaf in tree.leaves}
 
     # In both forms the value carried into the death slice j, and the P-side
     # integrand against dA_k, sit on the time-(j-1) ancestor: the step decided
     # there for a predictable Y, the left limit there for an adapted Y.
     def before(leaf: int, j: int) -> Fraction:
-        return Y.at(path(leaf)[j - 1])
+        return Y.at(paths[leaf][j - 1])
 
     def terminal(leaf: int) -> Fraction:
         if isinstance(Y, Strategy):
-            return Y.at(path(leaf)[n - 1])
+            return Y.at(paths[leaf][n - 1])
         return Y.at(leaf)
 
     q_side = ZERO
@@ -372,7 +361,7 @@ def yoeurp_expectation(dm: DominatingMeasure, Y: "Strategy | AdaptedProcess"
     for leaf in tree.leaves:
         inner = terminal(leaf) * dm.Z.at(leaf)
         for k in range(1, n + 1):
-            inner += before(leaf, k) * dm.dA.at(path(leaf)[k - 1])
+            inner += before(leaf, k) * dm.dA.at(paths[leaf][k - 1])
         p_side += P.mass(leaf) * inner
     if q_side != p_side:
         raise AssertionError(

@@ -11,7 +11,7 @@ zero, so no two keys name one node.
 Written text is canonical: byte for byte what `json.dumps(obj, indent=2,
 sort_keys=True) + "\n"` gives for the file's JSON object, that is a 2-space
 indent, keys sorted as strings (so "10" comes before "2"), non-ASCII
-characters escaped and a trailing newline.  `dumps` and `dumps_points` write
+characters escaped and a trailing newline.  `dumps` and `save_points` write
 that text from templates, with no intermediate dict and no `json` encoder;
 `from_obj` parses each distinct rational string once per call.  A writer
 refuses what the reader would: an int too long for `str` is a TreeFileError.
@@ -24,7 +24,7 @@ import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode
-from typing import Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .fileio import TreeFileError, write_atomic
 from .filtered_space import AdaptedProcess, EventTree, ProbMeasure, Strategy
@@ -251,27 +251,35 @@ _POINT_INT = '{\n      "leaf": %d,\n      "mass": "%d",\n      "zeta": %s\n    }
 _POINT = '{\n      "leaf": %d,\n      "mass": "%d/%d",\n      "zeta": %s\n    }'
 
 
-def dumps_points(points: Mapping[tuple[int, Optional[int]], tuple[int, int]]
-                 ) -> str:
-    """The canonical text of a dominating measure's points file: an object
-    whose "points" list holds {"leaf", "mass", "zeta"} by leaf, then by death
-    time, with "inf" for a point that never dies (zeta None).  Each mass is
-    a reduced (numerator, denominator) pair, written as `str` writes its
-    Fraction, and the text is one join of the records."""
-    if not points:
-        return '{\n  "points": []\n}\n'
-    try:
-        items = [_POINT_INT % (leaf, n, '"inf"' if zeta is None else zeta) if d == 1
-                 else _POINT % (leaf, n, d, '"inf"' if zeta is None else zeta)
-                 for (leaf, zeta), (n, d) in sorted(
-                     points.items(), key=lambda kv: (kv[0][0], kv[0][1] or 10 ** 9))]
-    except ValueError as exc:       # an int longer than str() converts
-        raise _too_long({
-            f"points[leaf {leaf}, zeta {'inf' if zeta is None else zeta}]": x
-            for (leaf, zeta), x in points.items()}) from exc
-    items[0] = '{\n  "points": [\n    ' + items[0]
-    items[-1] += "\n  ]\n}\n"
-    return ",\n    ".join(items)
+def save_points(records: Iterable[tuple[int, Optional[int], tuple[int, int]]],
+                path: str) -> int:
+    """Write a points file, {"points": [{"leaf", "mass", "zeta"}, ...]},
+    from (leaf, zeta, mass) records in file order: by leaf, then death
+    time, with zeta None ("inf") last.  Each mass is a reduced pair, written
+    as `str` writes its Fraction; records are formatted and written 512 at
+    a time, so no point table or whole text is held.  Returns the count."""
+    count = 0
+
+    def text() -> Iterator[str]:
+        nonlocal count
+        batch = ['{\n  "points": [']
+        for leaf, zeta, (n, d) in records:
+            z = '"inf"' if zeta is None else zeta
+            try:
+                item = _POINT_INT % (leaf, n, z) if d == 1 else _POINT % (leaf, n, d, z)
+            except ValueError as exc:       # an int longer than str() converts
+                where = f"points[leaf {leaf}, zeta {'inf' if zeta is None else zeta}]"
+                raise _too_long({where: (Fraction(n, d),)}) from exc
+            batch.append((",\n    " if count else "\n    ") + item)
+            count += 1
+            if len(batch) == 512:
+                yield "".join(batch)
+                batch = []
+        batch.append("\n  ]\n}\n" if count else "]\n}\n")
+        yield "".join(batch)
+
+    write_atomic(path, text())
+    return count
 
 
 def canonical_dumps(obj: dict) -> str:

@@ -12,10 +12,14 @@ helpers are the recursive hitting walk and the per-leaf ancestor scan of
 
 `doob_decomposition`, `alive_masses` and `dead_masses` are the backward
 passes as they ran in `Fraction` arithmetic.  Production now keeps Q's
-points as reduced int pairs and sums them once per measure, each atom over
+tables as reduced int pairs and sums them once per measure, each atom over
 the lcm of its own terms' denominators, and computes the compensator steps
 atom by atom from the reduced int pairs of `filtered_space._mass_pairs`,
 with no martingale part.
+
+`build_by_points` is the dominating measure built point by point, as
+production built it before it filled its node tables from Z: the reference
+of `test_ky_node_build.py`.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from typing import Optional
 from deflator_lab.arbitrage import WealthProblem
 from deflator_lab.deflator import verify_deflation
 from deflator_lab.filtered_space import AdaptedProcess, Strategy
+from deflator_lab.kunita_yoeurp import DominatingMeasure, EnlargedSpace
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -48,6 +53,23 @@ def doob_decomposition(tree, P, Z):
         A[v.id] = A[v.parent] + dA[v.parent]
         M[v.id] = Z.at(v.id) - z0 + A[v.id]
     return AdaptedProcess.of_scalars(M), Strategy.of_scalars(dA)
+
+
+def build_by_points(tree, P, Z):
+    """Q point by point: P(w) dA on each death slice (w, j) whose step is
+    nonzero, found by one walk up w's path, and P(w) Z_n(w) at infinity,
+    in leaf order, then j = 1..n, then infinity; entered through the point
+    constructor of `DominatingMeasure`, with the `Fraction` compensator."""
+    _, dA = doob_decomposition(tree, P, Z)
+    Q: dict = {}
+    for leaf in tree.leaves:
+        path = tree.path(leaf)
+        for j in range(1, tree.horizon + 1):
+            step = dA.at(path[j - 1])
+            if step:
+                Q[(leaf, j)] = P.mass(leaf) * step
+        Q[(leaf, None)] = P.mass(leaf) * Z.at(leaf)
+    return DominatingMeasure(EnlargedSpace(tree, P), Q, Z, dA)
 
 
 def alive_masses(dm) -> list[Fraction]:

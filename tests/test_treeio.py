@@ -165,10 +165,17 @@ def test_dumps_matches_the_json_encoder():
     assert max(sizes) > 100 and min(sizes) < 10
 
 
-def test_points_file_matches_the_json_encoder():
-    """The points text written from each measure's reduced pairs, on the
-    seeded corpus and on a tree whose masses have pairwise-coprime
-    denominators of hundreds of digits."""
+def points_text(records, path):
+    """The text `save_points` writes from `records`, and its point count."""
+    count = treeio.save_points(records, str(path))
+    return path.read_text(encoding="utf-8"), count
+
+
+def test_points_file_matches_the_json_encoder(tmp_path):
+    """The points text streamed from each built measure's records, and from
+    the sorted points of each corrupted one, on the seeded corpus and on a
+    tree whose masses have pairwise-coprime denominators of hundreds of
+    digits."""
     from deflator_lab.deflator import construct_deflator
     from deflator_lab.kunita_yoeurp import build_dominating_measure
     from test_ky_single_pass import corpus
@@ -183,11 +190,21 @@ def test_points_file_matches_the_json_encoder():
         if n == 40:
             break
         measures += [dm for pair in pairs for dm in pair]
+    path = tmp_path / "q.json"
+    built = 0
     for dm in measures:
-        assert treeio.dumps_points(dm._points) == treeio_oracle.dumps_points(dm.Q)
+        if dm._steps is not None:       # built from Z
+            records = dm._records()
+            built += 1
+        else:
+            records = [(leaf, zeta, q.as_integer_ratio()) for (leaf, zeta), q
+                       in sorted(dm.Q.items(),
+                                 key=lambda kv: (kv[0][0], kv[0][1] or 10 ** 9))]
+        want = treeio_oracle.dumps_points(dm.Q)
+        assert points_text(records, path) == (want, len(dm.Q))
         assert any(zeta is None for _, zeta in dm.Q)
-    assert treeio.dumps_points({}) == treeio_oracle.dumps_points({})
-    assert len(measures) > 80
+    assert points_text([], path) == (treeio_oracle.dumps_points({}), 0)
+    assert len(measures) > 80 and built > 40
 
 
 def outcome(reader, obj):
@@ -245,7 +262,7 @@ def test_reader_matches_the_reference_on_mutated_files():
     assert 100 < errors < 400
 
 
-def test_writers_refuse_what_the_reader_refuses(int_str_limit):
+def test_writers_refuse_what_the_reader_refuses(int_str_limit, tmp_path):
     """A value with more digits than int-to-str conversion allows raises
     TreeFileError naming its field as the reader would, and the reader
     refuses the text such a value would have."""
@@ -272,8 +289,11 @@ def test_writers_refuse_what_the_reader_refuses(int_str_limit):
                         for leaf in tf.tree.leaves})
     with pytest.raises(TreeFileError, match=r"^P\[\d+\]: "):
         treeio.dumps(tf)
-    points = {(3, 1): (0, 1), (3, None): (huge.numerator, huge.denominator)}
+    # the points writer streams: the refusal comes after the first record is
+    # written, and still leaves neither the target nor a temp file
+    records = [(3, 1, (0, 1)), (3, None, (huge.numerator, huge.denominator))]
     with pytest.raises(TreeFileError, match=r"^points\[leaf 3, zeta inf\]: "):
-        treeio.dumps_points(points)
+        treeio.save_points(records, str(tmp_path / "q.json"))
+    assert list(tmp_path.iterdir()) == []
     with pytest.raises(TreeFileError, match="too long to parse"):
         parse_rational("1/1" + "0" * 5000)
