@@ -21,9 +21,9 @@ variate as one array in C order, path by path:
 
 Only the counterexample draws more than one array per chunk, so only there is
 the chunk layout part of the stream.  Reductions over paths run in a fixed
-pairwise order, so results are bit-identical across runs and worker counts.
-The pinned generator is part of the scenario identity: a different
-counter-based generator reproduces the statistics, not the bits.  Death
+pairwise order, so results are bit-identical across runs.  The pinned
+generator is part of the scenario identity: a different counter-based
+generator reproduces the statistics, not the bits.  Death
 times and jump counts are exact draws, never thinned onto the grid, so only
 strategy integrals (piecewise constant on the grid) meet the grid at all.
 """
@@ -89,7 +89,7 @@ class PathBatch:
 
 @dataclass
 class MartingaleTest:
-    """A zero-mean test of per-path statistics at a stated confidence."""
+    """Per-path statistics tested for mean target at a stated confidence."""
 
     mean: float
     se: float
@@ -127,34 +127,22 @@ def summarize(per_path: np.ndarray, target: float = 0.0,
                           crit=crit, insufficient=n < MIN_PATHS_FOR_VERDICT)
 
 
-def _run_blocks(seed: int, n_paths: int, width: int, chunk, threads: int = 1
+def _run_blocks(seed: int, n_paths: int, width: int, chunk
                 ) -> list[np.ndarray]:
     """The arrays chunk(rng, rows) returns, one row per path, for paths
     0..n_paths-1, each concatenated in path order.
 
     Block b draws from Philox keyed by (seed, b), and chunk sees its paths in
-    consecutive runs of at most max(1, CHUNK_FLOATS // width) rows, under
-    the caller's floating-point error settings."""
+    consecutive runs of at most max(1, CHUNK_FLOATS // width) rows, in the
+    calling thread, block after block."""
     rows = max(1, CHUNK_FLOATS // width)
-    errors = np.geterr()
-
-    def run_block(block: int) -> list[tuple]:
+    parts = []
+    for block in range(-(-n_paths // PATH_BLOCK)):
         rng = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(entropy=seed, spawn_key=(block,))))
         size = min(PATH_BLOCK, n_paths - block * PATH_BLOCK)
-        with np.errstate(**errors):
-            return [chunk(rng, min(rows, size - start))
-                    for start in range(0, size, rows)]
-
-    blocks = range(-(-n_paths // PATH_BLOCK))
-    if threads <= 1 or len(blocks) == 1:
-        done = [run_block(b) for b in blocks]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            done = list(pool.map(run_block, blocks))
-    parts = [part for block in done for part in block]
+        parts += [chunk(rng, min(rows, size - start))
+                  for start in range(0, size, rows)]
     return [np.concatenate(column) for column in zip(*parts)]
 
 
@@ -247,8 +235,8 @@ def _motion(rng: np.random.Generator, rows: int, var: np.ndarray
 
 
 def _diffusion_columns(sc: DiffusionScenario,
-                       cells: Optional[tuple[np.ndarray, np.ndarray]],
-                       threads: int) -> list[np.ndarray]:
+                       cells: Optional[tuple[np.ndarray, np.ndarray]]
+                       ) -> list[np.ndarray]:
     """Per-path Z_T - 1, Z_T S_T - S_0 and, when the cells of a holding are
     given, Z_T W_T - 1, all from one draw of each path's cell increments."""
     lengths, hold = cells or (np.array([sc.steps]), None)
@@ -266,39 +254,37 @@ def _diffusion_columns(sc: DiffusionScenario,
         gains = (hold * (sc.mu * var + sc.sigma * dw)).sum(axis=1)
         return z_t - 1.0, price, z_t * (1.0 + gains) - 1.0
 
-    return _run_blocks(sc.seed, sc.paths, lengths.size, chunk, threads)
+    return _run_blocks(sc.seed, sc.paths, lengths.size, chunk)
 
 
 def diffusion_report(sc: DiffusionScenario,
-                     pi: Union[float, Sequence[float]],
-                     threads: int = 1) -> DiffusionReport:
+                     pi: Union[float, Sequence[float]]) -> DiffusionReport:
     """The three diffusion tests from one pass over the paths.  With a
     constant holding each equals what its own estimator below reports; a
     varying one splits the paths' draws into its cells."""
-    density, price, wealth = _diffusion_columns(
-        sc, _cells(pi, sc.steps), threads)
+    density, price, wealth = _diffusion_columns(sc, _cells(pi, sc.steps))
     return DiffusionReport(density_mean=summarize(density),
                            deflated_price=summarize(price),
                            deflated_wealth=summarize(wealth))
 
 
 def simulate_deflated_wealth(sc: DiffusionScenario,
-                             pi: Union[float, Sequence[float]],
-                             threads: int = 1) -> MartingaleTest:
+                             pi: Union[float, Sequence[float]]
+                             ) -> MartingaleTest:
     """Estimate E[Z_T W_T] - 1 for the wealth W of a piecewise-constant
     holding pi (in units of the asset), which vanishes when Z deflates."""
-    return summarize(_diffusion_columns(sc, _cells(pi, sc.steps), threads)[2])
+    return summarize(_diffusion_columns(sc, _cells(pi, sc.steps))[2])
 
 
-def deflated_price_test(sc: DiffusionScenario, threads: int = 1
-                        ) -> MartingaleTest:
+def deflated_price_test(sc: DiffusionScenario) -> MartingaleTest:
     """Estimate E[Z_T S_T] - S_0 for the price itself (unit holding)."""
-    return summarize(_diffusion_columns(sc, None, threads)[1])
+    return summarize(_diffusion_columns(sc, None)[1])
 
 
 def density_mean_test(sc: DiffusionScenario, threads: int = 1) -> MartingaleTest:
-    """Estimate E[Z_T] - 1: the exponential density integrates to one."""
-    return summarize(_diffusion_columns(sc, None, threads)[0])
+    """Estimate E[Z_T] - 1: the exponential density integrates to one.
+    threads is ignored: every block runs in the calling thread."""
+    return summarize(_diffusion_columns(sc, None)[0])
 
 
 def sample_diffusion_paths(sc: DiffusionScenario, n: int = 100) -> PathBatch:
@@ -356,7 +342,7 @@ def _killed_jumps(rng: np.random.Generator, rows: int, a: float,
     return tau, alive, _jump_counts(rng, alive)
 
 
-def simulate_levy_counterexample(sc: LevyScenario, threads: int = 1
+def simulate_levy_counterexample(sc: LevyScenario
                                  ) -> tuple[MartingaleTest, MartingaleTest]:
     """Test the frozen process against 0 (it drifts: expect rejection) and the
     repaired process, which subtracts b/a at death, against 0 (a martingale).
@@ -372,13 +358,13 @@ def simulate_levy_counterexample(sc: LevyScenario, threads: int = 1
         frozen = counts[:, 0, 0] - counts[:, 0, 1] + sc.b * alive[:, 0]
         return frozen, frozen - (sc.b / sc.a) * (tau <= sc.horizon)
 
-    frozen, repaired = _run_blocks(sc.seed, sc.paths, 2, chunk, threads)
+    frozen, repaired = _run_blocks(sc.seed, sc.paths, 2, chunk)
     return summarize(frozen), summarize(repaired)
 
 
 def simulate_survival_measure(sc: LevyScenario,
-                              pi: Union[float, Sequence[float]],
-                              threads: int = 1) -> MartingaleTest:
+                              pi: Union[float, Sequence[float]]
+                              ) -> MartingaleTest:
     """Estimate the deflated-wealth gap E[e^{-a horizon} W_horizon] - 1 under
     the survival law (the jump process has the same law there, so it is
     simulated directly).
@@ -402,8 +388,7 @@ def simulate_survival_measure(sc: LevyScenario,
         jumps = (1.0 + hold) ** counts[..., 0] * (1.0 - hold) ** counts[..., 1]
         return (scale * jumps.prod(axis=1) - 1.0,)
 
-    return summarize(_run_blocks(sc.seed, sc.paths, 2 * spans.size, chunk,
-                                 threads)[0])
+    return summarize(_run_blocks(sc.seed, sc.paths, 2 * spans.size, chunk)[0])
 
 
 def sample_levy_paths(sc: LevyScenario, n: int = 100) -> PathBatch:
@@ -453,6 +438,7 @@ class InsiderDriftScenario:
 class InsiderDriftReport:
     density_mean: MartingaleTest       # E[Z_t] - 1 against 0
     deflated_motion: MartingaleTest    # E[Z_t W_t] against 0
+    log_density: MartingaleTest        # E[log Z_t] against its grid value
 
 
 def _insider_motion(rng: np.random.Generator, rows: int,
@@ -476,21 +462,27 @@ def _insider_motion(rng: np.random.Generator, rows: int,
     return w, alpha
 
 
-def information_drift_deflator(sc: InsiderDriftScenario,
-                               threads: int = 1) -> InsiderDriftReport:
+def information_drift_deflator(sc: InsiderDriftScenario) -> InsiderDriftReport:
     """Form the exponential of the negative information-drift integral on the
     grid and test that it deflates: unit mean, and zero mean against the
-    enlarged-filtration Brownian motion."""
+    enlarged-filtration Brownian motion.  Also test log Z_t against its exact
+    grid mean -1/2 sum_k dt / (1 - k dt), minus the information the endpoint
+    adds by time t (ln(1 - t) / 2 on the continuum): Z_t has infinite
+    variance from t = 1/4 on, so its own z-test misses its level there."""
 
     def chunk(rng: np.random.Generator, rows: int) -> tuple:
         w, d_log_z = _insider_motion(rng, rows, sc)
-        z = np.exp(d_log_z.sum(axis=1))
-        return z - 1.0, z * w[:, -1]
+        log_z = d_log_z.sum(axis=1)
+        z = np.exp(log_z)
+        return z - 1.0, z * w[:, -1], log_z
 
-    z_vals, zw_vals = _run_blocks(sc.seed, sc.paths, sc.steps + 1, chunk,
-                                  threads)
+    z_vals, zw_vals, log_z = _run_blocks(sc.seed, sc.paths, sc.steps + 1,
+                                         chunk)
+    dt = sc.horizon / sc.steps
+    log_mean = -0.5 * pairwise_sum(dt / (1.0 - np.arange(sc.steps) * dt))
     return InsiderDriftReport(density_mean=summarize(z_vals),
-                              deflated_motion=summarize(zw_vals))
+                              deflated_motion=summarize(zw_vals),
+                              log_density=summarize(log_z, target=log_mean))
 
 
 def sample_insider_paths(sc: InsiderDriftScenario, n: int = 100) -> PathBatch:

@@ -420,6 +420,17 @@ def test_each_command_imports_only_what_it_runs(tmp_path, fixtures):
         assert loaded == enlarge | modules, (action, loaded)
 
 
+def test_simulate_runs_every_block_in_one_thread(tmp_path):
+    """Two blocks of paths, which a worker pool would have split, load no
+    thread-pool module, whatever --threads says."""
+    probe = run_probe("simulate", "--scenario", "levy", "--paths", "5000",
+                      "--threads", "4", "--out", str(tmp_path / "r.json"))
+    probe += "\nimport sys\nprint('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=subprocess_env(),
+                         check=True, capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "False"
+
+
 def test_measure_commands_load_no_arbitrage_layer(tmp_path, fixtures):
     """foellmer and ky-verify build and check a dominating measure: no
     one-step program runs, so neither the arbitrage layer nor the simplex
@@ -518,6 +529,36 @@ def test_simulate_rejects_bad_thread_counts(tmp_path, capsys, threads):
                 "--threads", threads, "--out", str(tmp_path / "r.json")])
     assert code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario", ["diffusion", "levy", "insider"])
+def test_simulate_threads_change_no_report(tmp_path, scenario):
+    out = tmp_path / "r.json"
+    reports = []
+    for threads in ("1", "4"):
+        assert run(["simulate", "--scenario", scenario, "--paths", "5000",
+                    "--seed", "5", "--threads", threads,
+                    "--out", str(out)]) == 0
+        report = read(out)
+        del report["timing_s"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
+def test_simulate_insider_verdicts_hold_their_level(tmp_path):
+    """E[Z_t] is reported without a verdict (Z_t has infinite variance at
+    the default horizon 1/2); the two verdicts reject the true law on none of
+    these seeds."""
+    out = tmp_path / "r.json"
+    for seed in range(30):
+        code = run(["simulate", "--scenario", "insider", "--paths", "200",
+                    "--seed", str(seed), "--out", str(out)])
+        report = read(out)
+        assert report["verdicts"] == {"deflated_motion": True,
+                                      "log_density": True}, seed
+        assert code == 0, seed
+        assert set(report["values"]["tests"]) == {
+            "density_mean", "deflated_motion", "log_density"}
 
 
 def test_simulate_rejects_negative_seeds(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """Stream version 2, bit for bit: every reported test is pinned by its `repr`
 (every bit of every float) at two seeds, one of them a block plus one path;
-results are the same across thread counts and repeated calls; and a holding
-that is constant on every step is one cell, whichever way it is written."""
+results are the same across repeated calls; and a holding that is constant
+on every step is one cell, whichever way it is written."""
 
 import numpy as np
 import pytest
@@ -56,7 +56,7 @@ GOLDEN = {
         'simulate_survival_measure array':
             'MartingaleTest(mean=-0.8567954705322507, se=0.010546145902359473, z=-81.24252010780177, n_paths=300, target=0.0, crit=3.0, insufficient=False)',
         'information_drift_deflator':
-            'InsiderDriftReport(density_mean=MartingaleTest(mean=-0.13315604524308705, se=0.04306489167002566, z=-3.091986072166699, n_paths=300, target=0.0, crit=3.0, insufficient=False), deflated_motion=MartingaleTest(mean=0.07322699654125098, se=0.0448595572688039, z=1.6323611065188617, n_paths=300, target=0.0, crit=3.0, insufficient=False))',
+            'InsiderDriftReport(density_mean=MartingaleTest(mean=-0.13315604524308705, se=0.04306489167002566, z=-3.091986072166699, n_paths=300, target=0.0, crit=3.0, insufficient=False), deflated_motion=MartingaleTest(mean=0.07322699654125098, se=0.0448595572688039, z=1.6323611065188617, n_paths=300, target=0.0, crit=3.0, insufficient=False), log_density=MartingaleTest(mean=-0.3560299752117134, se=0.036798117725951957, z=-0.6683507620946392, n_paths=300, target=-0.3314359251859252, crit=3.0, insufficient=False))',
     },
     (20111115, 4097): {
         'density_mean_test':
@@ -76,7 +76,7 @@ GOLDEN = {
         'simulate_survival_measure array':
             'MartingaleTest(mean=-0.8545572151956619, se=0.0033744120269400394, z=-253.24625693993434, n_paths=4097, target=0.0, crit=3.0, insufficient=False)',
         'information_drift_deflator':
-            'InsiderDriftReport(density_mean=MartingaleTest(mean=-0.08632555156659785, se=0.01486343353168036, z=-5.807914529479412, n_paths=4097, target=0.0, crit=3.0, insufficient=False), deflated_motion=MartingaleTest(mean=-0.01807484970658401, se=0.014322232969800407, z=-1.2620133846933157, n_paths=4097, target=0.0, crit=3.0, insufficient=False))',
+            'InsiderDriftReport(density_mean=MartingaleTest(mean=-0.08632555156659785, se=0.01486343353168036, z=-5.807914529479412, n_paths=4097, target=0.0, crit=3.0, insufficient=False), deflated_motion=MartingaleTest(mean=-0.01807484970658401, se=0.014322232969800407, z=-1.2620133846933157, n_paths=4097, target=0.0, crit=3.0, insufficient=False), log_density=MartingaleTest(mean=-0.3322193708277463, se=0.010768780499254182, z=-0.07275156568335193, n_paths=4097, target=-0.3314359251859252, crit=3.0, insufficient=False))',
     },
 }
 
@@ -88,11 +88,10 @@ def test_estimators_match_the_stream_2_goldens(seed, paths):
     assert got == GOLDEN[seed, paths]
 
 
-def test_same_bits_across_threads_and_calls():
+def test_same_bits_across_calls():
     for name, estimator, args in cases(20111115, 9000):
-        once = repr(estimator(*args, 1))
-        assert repr(estimator(*args, 2)) == once, name
-        assert repr(estimator(*args, 1)) == once, name
+        once = repr(estimator(*args))
+        assert repr(estimator(*args)) == once, name
 
 
 def test_a_holding_constant_on_every_step_is_one_cell():
@@ -110,7 +109,7 @@ def test_a_holding_constant_on_every_step_is_one_cell():
 def test_diffusion_report_matches_the_three_estimators(seed):
     sc = mc.DiffusionScenario(mu=0.2, sigma=1.0, steps=16, paths=1000,
                               seed=seed)
-    report = mc.diffusion_report(sc, -0.5, threads=2)
+    report = mc.diffusion_report(sc, -0.5)
     assert repr(report.density_mean) == repr(mc.density_mean_test(sc))
     assert repr(report.deflated_price) == repr(mc.deflated_price_test(sc))
     assert repr(report.deflated_wealth) == \
