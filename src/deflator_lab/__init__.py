@@ -9,24 +9,24 @@ __version__ = "0.1.0"
 # or one command of the CLI, compiles only the modules that are needed, and
 # the exact tree-side API never imports numpy.
 _EXPORTS = {
-    "arbitrage": ("ArbitrageReport", "UtilityCurve", "WealthProblem",
-                  "build_utility", "check_na1", "finite_utility_check"),
+    "arbitrage": ("ArbitrageReport", "WealthProblem", "check_na1"),
     "deflator": ("Deflator", "Na1FailsOnAtom", "construct_deflator",
                  "one_period_density", "verify_deflation"),
     "enlargement": ("EnlargementSpec", "generalized_jacod_check",
                     "insider_example", "jacod_check", "log_utility_identity",
                     "universal_density"),
     "filtered_space": ("AdaptedProcess", "EventTree", "ProbMeasure",
-                       "StoppingTime", "Strategy", "conditional_expectation",
-                       "doob_decomposition", "martingale_closure",
-                       "stochastic_integral"),
+                       "StoppingTime", "Strategy", "stochastic_integral"),
     "kunita_yoeurp": ("DominatingMeasure", "EnlargedSpace",
                       "build_dominating_measure", "check_stopped_price",
                       "verify_ky", "yoeurp_expectation"),
+    "martingale": ("conditional_expectation", "doob_decomposition",
+                   "martingale_closure"),
     "montecarlo": ("DiffusionScenario", "InsiderDriftScenario", "LevyScenario",
                    "MartingaleTest", "PathBatch", "information_drift_deflator",
                    "simulate_deflated_wealth", "simulate_levy_counterexample",
                    "simulate_survival_measure"),
+    "utility": ("UtilityCurve", "build_utility", "finite_utility_check"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

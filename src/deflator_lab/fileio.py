@@ -1,5 +1,6 @@
-"""The file primitives that the command line and the tree-file reader share:
-the error for a malformed input file and the atomic writer.
+"""The file primitives that the command handlers (`cmd_common` and the
+modules of each command family) and the tree-file reader share: the error
+for a malformed input file and the atomic writer.
 
 They live apart from `treeio` so that a command which reads no tree file
 (`simulate`, `--version`) loads neither `treeio` nor `filtered_space`.

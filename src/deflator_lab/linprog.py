@@ -13,15 +13,17 @@ data, not verdicts at a tolerance.
 Unbounded problems return the improving ray that witnesses unboundedness: a
 direction d with a.d <= 0 on every row and c.d > 0.
 
-Its callers are the one-step and box programs of `arbitrage` that are not
-closed form (`arbitrage._atom_program` says which) and the whole-tree
-program of `arbitrage.finite_utility_check`.
+Its programs are the one-step and box programs of `arbitrage` that are not
+closed form (`arbitrage._atom_program` says which), built at the end of this
+module from the lifted ints `arbitrage` hands over, and the whole-tree
+program of `utility.finite_utility_check`.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -168,3 +170,50 @@ class _Tableau:
             if leave < 0:
                 return UNBOUNDED, value, enter
             self.pivot(leave, enter)
+
+
+# -- the programs of `arbitrage` at two or more assets ---------------------------
+
+
+def _one_step_simplex(n: Sequence[int],
+                      incs: Sequence[tuple[int, Sequence[int]]]) -> LPResult:
+    """The one-step program of `arbitrage._atom_program`, at any number of
+    assets: maximize sum_c n_c h.dS_c subject to 1 + h.dS_c >= 0 on every
+    child c.
+
+    n holds each child's P(c) w_c as ints over one denominator D, and
+    incs[k] = (L, e) the increments of asset k as ints e_c over L.  Each
+    child with dS_c != 0 adds the row -dS_c.h <= 1.  The objective is D
+    P(node) > 0 times the conditional program's gain: Bland's rule then picks
+    the same entering columns and ratio tests, so the vertex and the ray are
+    the conditional program's."""
+    lp = LinearProgram(len(incs))
+    for c in range(len(n)):
+        row = {k: Fraction(-e[c], scale)
+               for k, (scale, e) in enumerate(incs) if e[c]}
+        if row:
+            lp.add_le(row, ONE)
+    lp.set_objective({k: Fraction(sum(map(operator.mul, n, e)), scale)
+                      for k, (scale, e) in enumerate(incs)})
+    return lp.solve()
+
+
+def _box_simplex(dim: int, increments: Sequence[Sequence[Fraction]]
+                 ) -> LPResult:
+    """max of sum_c h.dS_c subject to h.dS_c >= 0 for every child's
+    increment dS_c and |h|_inf <= 1, over h of `dim` assets: bounded, and
+    positive exactly when the atom admits a one-step arbitrage, which the
+    maximizer then is."""
+    lp = LinearProgram(dim)
+    objective: dict[int, Fraction] = {}
+    for ds in increments:
+        row = {i: x for i, x in enumerate(ds) if x != 0}
+        for i, x in row.items():
+            objective[i] = objective.get(i, ZERO) + x
+        if row:
+            lp.add_ge(row, ZERO)
+    for i in range(dim):
+        lp.add_le({i: ONE}, ONE)
+        lp.add_ge({i: ONE}, -ONE)
+    lp.set_objective(objective)
+    return lp.solve()

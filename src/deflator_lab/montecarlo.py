@@ -441,20 +441,28 @@ class InsiderDriftReport:
     log_density: MartingaleTest        # E[log Z_t] against its grid value
 
 
+def _drift_factor(sc: InsiderDriftScenario) -> np.ndarray:
+    """1 / (1 - s) at each step's start s = k dt, made once per run and
+    shared by all its chunks."""
+    return 1.0 / (1.0 - np.arange(sc.steps) * (sc.horizon / sc.steps))
+
+
 def _insider_motion(rng: np.random.Generator, rows: int,
-                    sc: InsiderDriftScenario) -> tuple[np.ndarray, np.ndarray]:
+                    sc: InsiderDriftScenario, factor: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """The motion on the grid (rows x steps + 1) and the log-density
     increments -alpha dM - alpha^2 dt / 2 = alpha^2 dt / 2 - alpha dW of each
     step (rows x steps), where alpha = (W_1 - W_s)/(1 - s) is the drift the
-    revealed endpoint adds and M = W - int alpha the enlarged-filtration
-    Brownian motion.  In place where it can be, to keep three arrays live."""
+    revealed endpoint adds, 1/(1 - s) the `_drift_factor`, and
+    M = W - int alpha the enlarged-filtration Brownian motion.  In place
+    where it can be, to keep three arrays live."""
     dt = sc.horizon / sc.steps
     normals = rng.standard_normal((rows, sc.steps + 1))
     dw = normals[:, :-1]
     dw *= np.sqrt(dt)
     w = _from_zero(dw)
     alpha = w[:, -1:] + normals[:, -1:] * np.sqrt(1.0 - sc.horizon) - w[:, :-1]
-    alpha *= 1.0 / (1.0 - np.arange(sc.steps) * dt)
+    alpha *= factor
     dw *= alpha
     alpha *= alpha
     alpha *= 0.5 * dt
@@ -469,9 +477,10 @@ def information_drift_deflator(sc: InsiderDriftScenario) -> InsiderDriftReport:
     grid mean -1/2 sum_k dt / (1 - k dt), minus the information the endpoint
     adds by time t (ln(1 - t) / 2 on the continuum): Z_t has infinite
     variance from t = 1/4 on, so its own z-test misses its level there."""
+    factor = _drift_factor(sc)
 
     def chunk(rng: np.random.Generator, rows: int) -> tuple:
-        w, d_log_z = _insider_motion(rng, rows, sc)
+        w, d_log_z = _insider_motion(rng, rows, sc, factor)
         log_z = d_log_z.sum(axis=1)
         z = np.exp(log_z)
         return z - 1.0, z * w[:, -1], log_z
@@ -489,9 +498,10 @@ def sample_insider_paths(sc: InsiderDriftScenario, n: int = 100) -> PathBatch:
     """Grid trajectories of the motion and the density that compensates the
     revealed endpoint's drift, for the first n paths."""
     n = min(n, sc.paths)
+    factor = _drift_factor(sc)
 
     def chunk(rng: np.random.Generator, rows: int) -> tuple:
-        w, d_log_z = _insider_motion(rng, rows, sc)
+        w, d_log_z = _insider_motion(rng, rows, sc, factor)
         return w, np.exp(_from_zero(d_log_z))
 
     w, z = _run_blocks(sc.seed, n, sc.steps + 1, chunk)

@@ -16,7 +16,8 @@ from fractions import Fraction
 from typing import Optional
 
 from deflator_lab.filtered_space import (AdaptedProcess, EventTree,
-                                         NullAtomError, ProbMeasure, Vector)
+                                         ProbMeasure, Vector)
+from deflator_lab.martingale import NullAtomError
 
 
 def conditional_expectation(tree: EventTree, P: ProbMeasure, X: AdaptedProcess,

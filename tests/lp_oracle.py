@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from deflator_lab.arbitrage import ArbitrageReport, WealthProblem, _gain_rows
+from deflator_lab.arbitrage import ArbitrageReport, WealthProblem
 from deflator_lab.enlargement import EnlargementSpec
 from deflator_lab.filtered_space import AdaptedProcess, Strategy
 from deflator_lab.linprog import OPTIMAL, UNBOUNDED, LinearProgram, LPResult
+from deflator_lab.utility import _gain_rows
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

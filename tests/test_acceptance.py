@@ -12,18 +12,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from deflator_lab.arbitrage import WealthProblem, build_utility, check_na1
+from deflator_lab.arbitrage import WealthProblem, check_na1
 from deflator_lab.deflator import (Na1FailsOnAtom, construct_deflator,
                                    verify_deflation)
 from deflator_lab.enlargement import (
     EnlargementSpec, g_supermartingale_check, insider_example,
     log_utility_identity, universal_density,
 )
-from deflator_lab.filtered_space import (AdaptedProcess, StoppingTime,
-                                         Strategy, martingale_closure)
+from deflator_lab.filtered_space import AdaptedProcess, StoppingTime, Strategy
 from deflator_lab.kunita_yoeurp import (build_dominating_measure,
                                         check_stopped_price, verify_ky,
                                         yoeurp_expectation)
+from deflator_lab.martingale import martingale_closure
+from deflator_lab.utility import build_utility
 from deflator_lab.montecarlo import (DiffusionScenario, LevyScenario,
                                      analytic_frozen_mean, deflated_price_test,
                                      density_mean_test,

@@ -6,12 +6,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from deflator_lab.arbitrage import (
-    Slope, TailError, UtilityCurve, WealthProblem, build_utility, check_na1,
-    finite_utility_check,
-)
+from deflator_lab.arbitrage import WealthProblem, check_na1
 from deflator_lab.filtered_space import (AdaptedProcess, EventTree, ProbMeasure,
                                          stochastic_integral)
+from deflator_lab.utility import (Slope, TailError, UtilityCurve, build_utility,
+                                  finite_utility_check)
 from treegen import (binomial_problem, one_step_arbitrage_free, random_problem,
                      two_leaf_problem)
 

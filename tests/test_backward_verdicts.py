@@ -10,9 +10,10 @@ import random
 from fractions import Fraction
 
 import lp_oracle
-from deflator_lab.arbitrage import (UtilityCurve, build_utility, check_na1,
-                                    finite_utility_check)
+from deflator_lab.arbitrage import check_na1
 from deflator_lab.filtered_space import stochastic_integral
+from deflator_lab.utility import (UtilityCurve, build_utility,
+                                  finite_utility_check)
 from treegen import random_problem
 
 SEED = 20_261_017

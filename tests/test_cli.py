@@ -391,24 +391,27 @@ def run_probe(*argv):
 def test_each_command_imports_only_what_it_runs(tmp_path, fixtures):
     """`simulate` and `--version` read no tree file, so they load neither
     `treeio` nor `filtered_space`: only `fileio`, the writer and file error
-    that `cli` shares with `treeio`."""
+    that the handlers' `cmd_common` shares with `treeio`.  Each command
+    loads its own family's handler module only, and no command loads the
+    utility layer or the martingale calculus."""
     out = str(tmp_path / "r.json")
     simulate = loaded_modules(run_probe("simulate", "--scenario", "levy",
                                         "--paths", "200", "--steps", "4",
                                         "--out", out))
-    assert simulate == {"cli", "fileio", "montecarlo"}, simulate
+    assert simulate == {"cli", "cmd_common", "cmd_simulate", "fileio",
+                        "montecarlo"}, simulate
     check = loaded_modules(run_probe(
         "check", "--tree", str(fixtures["insider-binomial"] / "tree.json"),
         "--out", out))
-    assert "arbitrage" in check
-    assert not check & {"linprog", "kunita_yoeurp", "enlargement",
-                        "montecarlo"}, check
+    assert check == {"cli", "cmd_common", "cmd_tree", "fileio", "treeio",
+                     "filtered_space", "arbitrage"}, check
     version = loaded_modules(run_probe("--version"))
-    assert version == {"cli", "fileio"}, version
+    assert version == {"cli", "cmd_common", "fileio"}, version
     # jacod and universal-z read the label law only; logutility prices with
     # the complete-market measure and needs no deflator
     labels = str(fixtures["insider-binomial"] / "labels.json")
-    enlarge = {"cli", "fileio", "treeio", "filtered_space", "enlargement"}
+    enlarge = {"cli", "cmd_common", "cmd_enlarge", "fileio", "treeio",
+               "filtered_space", "enlargement"}
     extra = {"jacod": set(), "universal-z": set(), "logutility": {"arbitrage"},
              "insider": {"arbitrage", "deflator"}}
     for action, modules in extra.items():
@@ -418,6 +421,47 @@ def test_each_command_imports_only_what_it_runs(tmp_path, fixtures):
         loaded = loaded_modules(run_probe(*argv, "--event", "u")
                                 if action == "insider" else run_probe(*argv))
         assert loaded == enlarge | modules, (action, loaded)
+
+
+def main_modules(*argv):
+    """(exit code, short names of the package modules imported) of one
+    `python -X importtime -m deflator_lab.cli` child; the package itself
+    is `deflator_lab`."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "deflator_lab.cli", *argv],
+        env=subprocess_env(), capture_output=True, text=True)
+    names = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:")]
+    return proc.returncode, {name.partition(".")[2] or name for name in names
+                             if name.split(".")[0] == "deflator_lab"}
+
+
+def test_main_compiles_the_cli_module_once(tmp_path, fixtures):
+    """`python -m deflator_lab.cli` runs the parser module as `__main__`, so
+    a handler module that imported `deflator_lab.cli` would compile it a
+    second time.  One command per family, and `--version`, each import the
+    package and exactly the modules they run, and never `cli` by name."""
+    d = fixtures["insider-binomial"]
+    tree, out = str(d / "tree.json"), str(tmp_path / "r.json")
+    tree_side = {"cmd_common", "fileio", "treeio", "filtered_space"}
+    cases = [
+        (["--version"], {"cmd_common", "fileio"}),
+        (["check", "--tree", tree, "--out", out],
+         tree_side | {"cmd_tree", "arbitrage"}),
+        (["enlarge", "logutility", "--tree", tree, "--label-map",
+          str(d / "labels.json"), "--out", out],
+         tree_side | {"cmd_enlarge", "enlargement", "arbitrage"}),
+        (["simulate", "--scenario", "levy", "--paths", "200", "--steps", "4",
+          "--out", out],
+         {"cmd_common", "cmd_simulate", "fileio", "montecarlo"}),
+        (["scenario", "jacod-coins", "--dir", str(tmp_path / "s"), "--out",
+          out], tree_side | {"cmd_simulate", "scenarios"}),
+    ]
+    for argv, modules in cases:
+        code, loaded = main_modules(*argv)
+        assert code == 0, argv
+        assert "cli" not in loaded, argv
+        assert loaded == {"deflator_lab"} | modules, (argv[:2], loaded)
 
 
 def test_simulate_runs_every_block_in_one_thread(tmp_path):
@@ -441,9 +485,10 @@ def test_measure_commands_load_no_arbitrage_layer(tmp_path, fixtures):
     deflate = loaded_modules(run_probe("deflate", "--tree", tree,
                                        "--normalize", "--out", deflated,
                                        "--report", out))
-    assert deflate == {"cli", "fileio", "treeio", "filtered_space",
-                       "arbitrage", "deflator"}, deflate
-    measure = {"cli", "fileio", "treeio", "filtered_space", "kunita_yoeurp"}
+    tree_side = {"cli", "cmd_common", "cmd_tree", "fileio", "treeio",
+                 "filtered_space"}
+    assert deflate == tree_side | {"arbitrage", "deflator"}, deflate
+    measure = tree_side | {"kunita_yoeurp"}
     foellmer = loaded_modules(run_probe(
         "foellmer", "--tree", deflated, "--out", str(tmp_path / "q.json"),
         "--report", out))

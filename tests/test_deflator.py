@@ -9,8 +9,8 @@ from deflator_lab.arbitrage import WealthProblem, check_na1
 from deflator_lab.deflator import (
     Na1FailsOnAtom, construct_deflator, one_period_density, verify_deflation,
 )
-from deflator_lab.filtered_space import (AdaptedProcess, EventTree, ProbMeasure,
-                                         expectation)
+from deflator_lab.filtered_space import AdaptedProcess, EventTree, ProbMeasure
+from deflator_lab.martingale import expectation
 import deflation_oracle
 from treegen import binomial_problem, random_problem, two_leaf_problem
 

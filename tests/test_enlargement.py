@@ -16,7 +16,8 @@ from deflator_lab.enlargement import (
     universal_density,
 )
 from deflator_lab.filtered_space import (AdaptedProcess, EventTree, ProbMeasure,
-                                         Strategy, martingale_closure)
+                                         Strategy)
+from deflator_lab.martingale import martingale_closure
 from product_oracle import kernel, product_market
 from treegen import (binomial_problem, random_measure, random_problem,
                      random_tree, straddling_prices)

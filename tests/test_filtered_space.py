@@ -8,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deflator_lab.filtered_space import (
-    AdaptedProcess, EventTree, NullAtomError, ProbMeasure, StoppingTime, Strategy,
-    conditional_expectation, doob_decomposition, expectation, martingale_closure,
+    AdaptedProcess, EventTree, ProbMeasure, StoppingTime, Strategy,
     stochastic_integral,
+)
+from deflator_lab.martingale import (
+    NullAtomError, conditional_expectation, doob_decomposition, expectation,
+    martingale_closure,
 )
 from deflator_lab.enlargement import EnlargementSpec
 import average_oracle as oracle

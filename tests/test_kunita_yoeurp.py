@@ -9,8 +9,8 @@ import pytest
 from deflator_lab.deflator import construct_deflator
 from deflator_lab.filtered_space import (
     AdaptedProcess, EventTree, ProbMeasure, StoppingTime, Strategy,
-    conditional_expectation, martingale_closure,
 )
+from deflator_lab.martingale import conditional_expectation, martingale_closure
 from deflator_lab.kunita_yoeurp import (
     DominatingMeasure, KyError, build_dominating_measure, check_stopped_price,
     verify_ky, yoeurp_expectation,

@@ -20,10 +20,10 @@ import pytest
 import ky_oracle
 from deflator_lab.arbitrage import Na1FailsOnAtom
 from deflator_lab.deflator import construct_deflator
-from deflator_lab.filtered_space import (AdaptedProcess, StoppingTime,
-                                         doob_decomposition)
+from deflator_lab.filtered_space import AdaptedProcess, StoppingTime
 from deflator_lab.kunita_yoeurp import (DominatingMeasure, build_dominating_measure,
                                         check_stopped_price, verify_ky)
+from deflator_lab.martingale import doob_decomposition
 from treegen import coprime_problem, random_problem
 
 SEED = 20_261_018

@@ -178,7 +178,8 @@ def test_insider_drift_deflator_statistics():
     sc = InsiderDriftScenario(horizon=0.5, steps=512, paths=PATHS, seed=13)
     report = information_drift_deflator(sc)
     allowance = 2.0 / sc.steps
-    assert abs(report.density_mean.mean) <= \
-        report.density_mean.crit * report.density_mean.se + allowance
+    # Z_t's mean has no verdict (infinite variance from t = 1/4 on); log Z_t's
+    # grid mean is exact, so its test takes no allowance
+    assert report.log_density.consistent, report.log_density
     assert abs(report.deflated_motion.mean) <= \
         report.deflated_motion.crit * report.deflated_motion.se + allowance

@@ -1,12 +1,12 @@
 """The closed-form one-step programs at one asset against the simplex.
 
 `one_step_program` solves one-asset atoms without a tableau, and
-`_one_step_simplex`, the kernel's method with more assets, is the same
-program on the Bland simplex.  Both must
+`linprog._one_step_simplex`, the kernel's method with more assets, is the
+same program on the Bland simplex.  Both must
 agree on the value, on boundedness, on the maximizer h and on the ray, since
 reports print all four.  At one asset `check_na1` takes the ray as the box
 program's maximizer, so on every unbounded program `(sum of ray.dS_c, ray)`
-must be what `_box_simplex` returns.
+must be what `linprog._box_simplex` returns.
 """
 
 import random
@@ -14,9 +14,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from deflator_lab.arbitrage import (Na1FailsOnAtom, _box_simplex,
-                                    _one_step_simplex, one_step_program)
-from deflator_lab.filtered_space import AdaptedProcess, EventTree
+from deflator_lab.arbitrage import Na1FailsOnAtom, one_step_program
+from deflator_lab.filtered_space import (AdaptedProcess, EventTree, _increments,
+                                         _lift_pairs)
+from deflator_lab.linprog import OPTIMAL, UNBOUNDED, _box_simplex, _one_step_simplex
 
 SEED = 20_261_018
 N_PROGRAMS = 400          # per increment pattern
@@ -76,13 +77,26 @@ def random_program(rng: random.Random, pattern: str):
 
 def simplex_program(tree, masses, S, node, weights=None):
     """(value, h) of `_one_step_simplex` on the pairs that
-    `one_step_program` hands the kernel."""
+    `one_step_program` hands the kernel, lifted as the kernel lifts them:
+    the LP's value is the lifted gain, so the conditional optimum is
+    (sum of the lifted masses + value) / (D P(node))."""
     children = tree.children_of(node)
     x = [(masses[c] * (1 if weights is None else weights[c]))
          .as_integer_ratio() for c in children]
-    s = [{v: S[v][0].as_integer_ratio() for v in (node, *children)}]
-    num, den, h = _one_step_simplex(node, children, x, s)
-    return F(num, den) / masses[node], tuple(F(a, b) for a, b in h)
+    s = {v: S[v][0].as_integer_ratio() for v in (node, *children)}
+    d, n = _lift_pairs(x)
+    res = _one_step_simplex(n, [_increments(s, node, children)])
+    if res.status == UNBOUNDED:
+        raise Na1FailsOnAtom(node, tuple(res.ray))
+    return (sum(n) + res.value) / d / masses[node], tuple(res.x)
+
+
+def box_simplex(tree, S, node=0):
+    """(value, h) of `_box_simplex` on the atom's increments."""
+    res = _box_simplex(S.dim, [tuple(a - b for a, b in zip(S[c], S[node]))
+                               for c in tree.children_of(node)])
+    assert res.status == OPTIMAL
+    return res.value, tuple(res.x)
 
 
 def box_from_ray(tree, S, ray, node=0):
@@ -112,7 +126,7 @@ def test_closed_form_matches_simplex(pattern):
         assert closed == simplex, (S.values, masses, weights)
         assert all(type(x) is F for x in closed[2] or closed[3])
         if closed[0] == "unbounded":
-            assert box_from_ray(tree, S, closed[3]) == _box_simplex(tree, S, 0), \
+            assert box_from_ray(tree, S, closed[3]) == box_simplex(tree, S), \
                 S.values
         statuses.add(closed[0])
         if pattern == "balanced":
@@ -134,8 +148,8 @@ def test_closed_form_on_a_single_child():
             assert closed == solve(
                 lambda v: simplex_program(tree, masses, S, v, w))
             if closed[0] == "unbounded":
-                assert box_from_ray(tree, S, closed[3]) == _box_simplex(
-                    tree, S, 0)
+                assert box_from_ray(tree, S, closed[3]) == box_simplex(
+                    tree, S)
     # a zero-weight child still bounds h: a = 0 there, so h = 0 and value 0
     S = AdaptedProcess({0: (F(1),), 1: (F(3),)})
     assert one_step_program(tree, masses, S, 0, {1: F(0)}) == (F(0), (F(0),))
@@ -143,7 +157,7 @@ def test_closed_form_on_a_single_child():
     with pytest.raises(Na1FailsOnAtom) as exc:
         one_step_program(tree, masses, S, 0)
     assert exc.value.ray == (F(1),)
-    assert box_from_ray(tree, S, exc.value.ray) == _box_simplex(tree, S, 0) \
+    assert box_from_ray(tree, S, exc.value.ray) == box_simplex(tree, S) \
         == (F(2), (F(1),))
 
 

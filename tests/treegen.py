@@ -43,7 +43,7 @@ def martingale_prices(rng: random.Random, tree: EventTree,
                       P: ProbMeasure) -> AdaptedProcess:
     """Prices in [-4, 4] with zero conditional increments: random leaf values
     closed backward by conditional expectation (convexity keeps the range)."""
-    from deflator_lab.filtered_space import martingale_closure
+    from deflator_lab.martingale import martingale_closure
 
     terminal = AdaptedProcess.of_scalars(
         {leaf: Fraction(rng.randint(-16, 16), 4) for leaf in tree.leaves})
