@@ -9,24 +9,19 @@ import time
 
 from .cmd_common import (CliError, emit_report, load_tree, make_report,
                          need_measure, strategy_json, wealth_problem)
+from .fileio import TreeFileError, node_key, parse_object, read_text
 
 
 def load_labels(path: str) -> dict[int, str]:
-    from .treeio import _node_key
-
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = parse_object(read_text(path))
     except FileNotFoundError as exc:
         raise CliError(f"label map not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliError(f"malformed label map {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise CliError(f"--label-map {path}: expected a JSON object of leaf "
-                       f"id to label, got {type(raw).__name__}")
+    except TreeFileError as exc:
+        raise CliError(f"--label-map {path}: {exc}") from exc
     labels: dict[int, str] = {}
     for key, value in raw.items():
-        leaf = _node_key(key, f"--label-map {path}")
+        leaf = node_key(key, f"--label-map {path}")
         if not isinstance(value, str):
             raise CliError(f"--label-map {path}: the label of leaf {key} must "
                            f"be a JSON string, got {json.dumps(value)}")
@@ -42,8 +37,9 @@ def cmd_enlarge(args) -> int:
     started = time.perf_counter()
     tf = load_tree(args.tree)
     P = need_measure(tf, args.tree)
+    labels = load_labels(args.label_map)
     try:
-        spec = EnlargementSpec(tf.tree, P, load_labels(args.label_map))
+        spec = EnlargementSpec(tf.tree, P, labels)
     except ValueError as exc:
         raise CliError(f"--label-map {args.label_map}: {exc}") from exc
     if args.action == "jacod":

@@ -3,13 +3,12 @@
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from typing import TYPE_CHECKING
 
 from .cmd_common import CliError, emit_report, make_report
-from .fileio import write_atomic
+from .fileio import TreeFileError, parse_object, read_text, write_atomic
 
 if TYPE_CHECKING:
     from .montecarlo import MartingaleTest
@@ -22,16 +21,11 @@ def test_json(t: MartingaleTest) -> dict:
 
 def load_params(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            params = json.load(fh)
+        return parse_object(read_text(path))
     except FileNotFoundError as exc:
         raise CliError(f"params file not found: {path}") from exc
-    except ValueError as exc:       # bad JSON, not UTF-8, or an overlong int
-        raise CliError(f"--params {path}: malformed params file: {exc}") from exc
-    if not isinstance(params, dict):
-        raise CliError(f"--params {path}: expected a JSON object of scenario "
-                       f"parameters, got {type(params).__name__}")
-    return params
+    except TreeFileError as exc:
+        raise CliError(f"--params {path}: {exc}") from exc
 
 
 def cmd_simulate(args) -> int:
@@ -82,8 +76,11 @@ def cmd_simulate(args) -> int:
     sampler = None
     pi = None
     # overflow and invalid operations raise FloatingPointError, an
-    # ArithmeticError, so no inf or nan reaches the report
-    saved = np.seterr(over="raise", invalid="raise", divide="raise")
+    # ArithmeticError, so no inf or nan reaches the report; so does
+    # underflow, which leaves draws without randomness (a density that is 0
+    # on every path)
+    saved = np.seterr(over="raise", invalid="raise", divide="raise",
+                      under="raise")
     try:
         if args.scenario == "diffusion":
             pi = params.pop("pi", 1.0)

@@ -101,11 +101,17 @@ class MartingaleTest:
 
     @property
     def consistent(self) -> bool:
-        """Fails to reject the martingale hypothesis at the stated level."""
+        """Fails to reject the martingale hypothesis at the stated level.
+        A sample with no spread (se 0, where z is set to 0) is judged
+        exactly: it is consistent only when its mean is the target."""
+        if self.se == 0:
+            return not self.insufficient and self.mean == self.target
         return not self.insufficient and abs(self.z) <= self.crit
 
     @property
     def rejects(self) -> bool:
+        if self.se == 0:
+            return not self.insufficient and self.mean != self.target
         return not self.insufficient and abs(self.z) > self.crit
 
     @property
@@ -149,7 +155,7 @@ def _run_blocks(seed: int, n_paths: int, width: int, chunk
 def _check_scenario(sc) -> None:
     """Integers where a field is declared int and finite real numbers
     elsewhere, booleans being neither; one path or more, a seed >= 0, one
-    step or more and a positive horizon."""
+    step or more and a positive horizon whose step does not round to 0."""
     for field in dataclasses.fields(sc):
         value = getattr(sc, field.name)
         integral = field.type == "int"
@@ -164,6 +170,9 @@ def _check_scenario(sc) -> None:
         raise ValueError(f"seed must be non-negative (got {sc.seed})")
     if sc.steps < 1 or sc.horizon <= 0:
         raise ValueError("need a positive horizon and at least one step")
+    if sc.horizon / sc.steps == 0:      # every draw would be scaled by 0
+        raise ValueError(f"the step horizon / steps = {sc.horizon!r} / "
+                         f"{sc.steps} rounds to 0")
 
 
 def _cells(pi, steps: int) -> tuple[np.ndarray, np.ndarray]:

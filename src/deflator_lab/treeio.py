@@ -6,7 +6,9 @@ string.  Measure, process and strategy entries that are not such strings are
 rejected outright: silently accepting JSON floats would smuggle rounding into
 a module whose whole point is exactness.  Node keys of `P`, processes and
 strategies are canonical ASCII decimals: "0" or digits without a leading
-zero, so no two keys name one node.
+zero, so no two keys name one node.  `load` and `loads` parse through
+`fileio.parse_object`, the reader of every input file, which refuses a name
+repeated within an object.
 
 Written text is canonical: byte for byte what `json.dumps(obj, indent=2,
 sort_keys=True) + "\n"` gives for the file's JSON object, that is a 2-space
@@ -26,11 +28,11 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .fileio import TreeFileError, write_atomic
+from .fileio import (TreeFileError, node_key, parse_object, read_text,
+                     write_atomic)
 from .filtered_space import AdaptedProcess, EventTree, ProbMeasure, Strategy
 
 _RATIONAL_RE = re.compile(r"-?\d+(/0*[1-9]\d*)?\Z")   # q > 0
-_NODE_KEY_RE = re.compile(r"(?:0|[1-9][0-9]*)\Z")
 
 
 def parse_rational(text: object, where: str = "value") -> Fraction:
@@ -74,17 +76,6 @@ def _table(value: object, where: str) -> dict:
         raise TreeFileError(f"{where}: expected a JSON object, "
                             f"got {type(value).__name__}")
     return value
-
-
-def _node_key(key: object, where: str) -> int:
-    if not isinstance(key, str) or not _NODE_KEY_RE.match(key):
-        raise TreeFileError(f"{where}: node key {key!r} must be a canonical "
-                            "ASCII decimal (0, or digits without a leading 0)")
-    try:
-        return int(key)
-    except ValueError as exc:       # more digits than int() converts
-        raise TreeFileError(f"{where}: node key of {len(key)} digits is "
-                            "too long to parse") from exc
 
 
 def _rational(memo: dict, text: object, where: str) -> Fraction:
@@ -131,7 +122,7 @@ def from_obj(obj: dict) -> TreeFile:
     if "P" in obj:
         masses = {}
         for key, text in _table(obj["P"], "P").items():
-            leaf = _node_key(key, "P")
+            leaf = node_key(key, "P")
             masses[leaf] = _rational(memo, text, f"P[{key}]")
         try:
             P = ProbMeasure(masses)
@@ -145,7 +136,7 @@ def from_obj(obj: dict) -> TreeFile:
             where = f"{section}[{name}]"
             values = {}
             for key, vec in _table(table, where).items():
-                node = _node_key(key, where)
+                node = node_key(key, where)
                 at = f"{where}[{key}]"
                 if not isinstance(vec, list):
                     raise TreeFileError(f"{at}: expected a list")
@@ -288,22 +279,11 @@ def canonical_dumps(obj: dict) -> str:
 
 
 def loads(text: str) -> TreeFile:
-    try:
-        obj = json.loads(text)
-    except ValueError as exc:       # bad syntax, or an int too long to parse
-        raise TreeFileError(f"not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise TreeFileError("top level must be a JSON object")
-    return from_obj(obj)
+    return from_obj(parse_object(text))
 
 
 def load(path: str) -> TreeFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise TreeFileError(f"not UTF-8 text: {exc}") from exc
-    return loads(text)
+    return loads(read_text(path))
 
 
 def save(tf: TreeFile, path: str) -> None:

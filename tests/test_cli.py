@@ -108,6 +108,26 @@ MALFORMED_TREES = [
 ]
 
 
+@pytest.mark.parametrize("old, new, name", [
+    ('"P": {"1": "1/2"', '"P": {"1": "1/3", "1": "1/2"', "1"),
+    ('"S": {"0": ["1"]', '"S": {"0": ["1"], "0": ["1"]', "0"),
+    ('"h": {"0": ["1"]', '"h": {"0": ["1"], "0": ["1"]', "0"),
+    ('{"id": 1, "time": 1', '{"id": 1, "time": 1, "time": 1', "time"),
+    ('"asset_dim": 1', '"asset_dim": 1, "asset_dim": 1', "asset_dim"),
+], ids=["P", "process", "strategy", "node-record", "top-level"])
+def test_a_repeated_name_in_a_tree_file_exits_2(tmp_path, capsys, old, new,
+                                                name):
+    """No name may appear twice in one object, not even with the same
+    value: otherwise the last one would silently win."""
+    text = tree_bytes(strategies={"h": {"0": ["1"]}}).decode()
+    assert old in text
+    bad = tmp_path / "repeated.json"
+    bad.write_text(text.replace(old, new, 1))
+    assert run(["check", "--tree", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and f"repeated name {name!r}" in err, err
+
+
 def test_malformed_tree_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"horizon": 1, "asset_dim": 1, "nodes": '
@@ -297,6 +317,22 @@ def test_simulate_reports_a_positive_survival_gap_as_a_verdict(tmp_path,
     assert read(out)["verdicts"]["survival_gap_nonpositive"] is False
 
 
+def test_simulate_judges_a_test_without_spread_exactly(tmp_path):
+    """Without trading the survival gap is e^-2 - 1 on every path: se is 0,
+    so the test compares the mean with its target 0 exactly and rejects."""
+    params = tmp_path / "p.json"
+    params.write_text('{"pi": 0.0}')
+    out = tmp_path / "levy.json"
+    assert run(["simulate", "--scenario", "levy", "--params", str(params),
+                "--paths", "200", "--out", str(out)]) == 0
+    report = read(out)
+    survival = report["values"]["tests"]["survival"]
+    assert survival["se"] == 0.0 and survival["z"] == 0.0
+    assert survival["mean"] == math.exp(-2.0) - 1.0
+    assert survival["verdict"] == "reject"
+    assert report["verdicts"]["survival_gap_nonpositive"] is True
+
+
 def test_simulate_levy_with_params_and_csv(fixtures, tmp_path):
     params = str(fixtures["levy-counterexample"] / "params.json")
     out = tmp_path / "levy.json"
@@ -328,6 +364,17 @@ def test_simulate_rejects_bad_params_files(tmp_path, capsys, text):
     assert run(["simulate", "--scenario", "levy", "--paths", "200",
                 "--steps", "4", "--params", str(params), "--out", str(out)]) == 2
     assert "--params" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_repeated_name_in_a_params_file_exits_2(tmp_path, capsys):
+    params = tmp_path / "params.json"
+    params.write_text('{"seed": 1, "pi": 0.5, "seed": 1}')
+    out = tmp_path / "r.json"
+    assert run(["simulate", "--scenario", "levy", "--paths", "200",
+                "--steps", "4", "--params", str(params), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --params {params}: repeated name 'seed' in a JSON object\n")
     assert not out.exists()
 
 
@@ -390,8 +437,8 @@ def run_probe(*argv):
 
 def test_each_command_imports_only_what_it_runs(tmp_path, fixtures):
     """`simulate` and `--version` read no tree file, so they load neither
-    `treeio` nor `filtered_space`: only `fileio`, the writer and file error
-    that the handlers' `cmd_common` shares with `treeio`.  Each command
+    `treeio` nor `filtered_space`: only `fileio`, the reader, writer and
+    file error that the handlers' `cmd_common` shares with `treeio`.  Each command
     loads its own family's handler module only, and no command loads the
     utility layer or the martingale calculus."""
     out = str(tmp_path / "r.json")
@@ -400,6 +447,14 @@ def test_each_command_imports_only_what_it_runs(tmp_path, fixtures):
                                         "--out", out))
     assert simulate == {"cli", "cmd_common", "cmd_simulate", "fileio",
                         "montecarlo"}, simulate
+    # a params file goes through `fileio`'s reader, not `treeio`'s
+    params = fixtures["levy-counterexample"] / "params.json"
+    os.remove(out)
+    with_params = loaded_modules(run_probe(
+        "simulate", "--scenario", "levy", "--params", str(params),
+        "--paths", "200", "--steps", "4", "--out", out))
+    assert os.path.exists(out)
+    assert with_params == simulate, with_params
     check = loaded_modules(run_probe(
         "check", "--tree", str(fixtures["insider-binomial"] / "tree.json"),
         "--out", out))
@@ -779,6 +834,22 @@ def test_enlarge_rejects_bad_label_maps(fixtures, tmp_path, capsys, labels,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("action", ["jacod", "universal-z", "logutility",
+                                    "insider"])
+def test_a_repeated_name_in_a_label_map_exits_2(fixtures, tmp_path, capsys,
+                                                action):
+    tree, _ = insider_files(fixtures, tmp_path)
+    label_map = tmp_path / "repeated-labels.json"
+    label_map.write_text('{"1": "u", "1": "d", "2": "d"}')
+    out = tmp_path / "r.json"
+    assert run(["enlarge", action, "--tree", tree, "--label-map",
+                str(label_map), "--event", "u", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: --label-map {label_map}: repeated name '1' in "
+                   "a JSON object\n"), err
+    assert not out.exists()
+
+
 def test_enlarge_zero_mass_leaf_exits_2_without_traceback(fixtures, tmp_path):
     tree, label_map = insider_files(fixtures, tmp_path, P={"1": "1", "2": "0"})
     proc = subprocess.run(
@@ -943,15 +1014,22 @@ def test_price_of_the_wrong_dimension_exits_2(fixtures, tmp_path, capsys,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("params, named", [({"pi": None}, "pi"),
-                                           ({"mu": 1e308}, "parameters")],
-                         ids=["null-pi", "overflowing-mu"])
-def test_simulate_rejects_degenerate_diffusion_params(tmp_path, capsys, params,
-                                                      named):
+@pytest.mark.parametrize("scenario, params, named", [
+    ("diffusion", {"pi": None}, "pi"),
+    ("diffusion", {"mu": 1e308}, "parameters"),
+    # the step horizon / steps rounds to 0, so every draw is 0
+    ("insider", {"horizon": 5e-324}, "horizon"),
+    # Z_T underflows to 0 on every path
+    ("diffusion", {"horizon": 1e308, "steps": 2}, "parameters"),
+], ids=["null-pi", "overflowing-mu", "zero-step", "underflowing-density"])
+def test_simulate_rejects_degenerate_diffusion_params(tmp_path, capsys,
+                                                      scenario, params, named):
+    """Draws that carry no randomness give verdicts on nothing, so they
+    exit 2 like those that overflow."""
     path = tmp_path / "p.json"
     path.write_text(json.dumps(params))
     out = tmp_path / "r.json"
-    assert run(["simulate", "--scenario", "diffusion", "--params", str(path),
+    assert run(["simulate", "--scenario", scenario, "--params", str(path),
                 "--paths", "100", "--steps", "4", "--out", str(out)]) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()

@@ -180,6 +180,90 @@ def test_rationals_over_the_digit_limit_exit_2(table, text, tmp_path,
         assert run(argv) == 2, argv
 
 
+# A repeated name can only be written as text: a dict holds each name once.
+SAME = object()
+REPEAT_VALUES = st.sampled_from([SAME, None, "1/2", "u", 0.5, ["1"], {}])
+
+
+def members(doc):
+    """The path of every member of every object in doc."""
+    return [path for path in json_paths(doc)
+            if path and isinstance(path[-1], str)]
+
+
+def repeated(doc, member, value):
+    """The JSON text of doc with the member at path `member` written twice,
+    the second time with `value` (its own value again when that is SAME),
+    and the document that a parser keeping the last of the two would give."""
+    last = json.loads(json.dumps(doc))
+    parent = last
+    for key in member[:-1]:
+        parent = parent[key]
+    name = member[-1]
+    again = parent[name] if value is SAME else value
+    parent[name] = again
+
+    def encode(node, at):
+        if isinstance(node, list):
+            return "[" + ", ".join(encode(item, at + (i,))
+                                   for i, item in enumerate(node)) + "]"
+        if not isinstance(node, dict):
+            return json.dumps(node)
+        items = []
+        for key, item in node.items():
+            items.append(f"{json.dumps(key)}: {encode(item, at + (key,))}")
+            if at + (key,) == member:
+                items.append(f"{json.dumps(key)}: {json.dumps(again)}")
+        return "{" + ", ".join(items) + "}"
+
+    return encode(doc, ()), last
+
+
+def repeats(doc):
+    return st.tuples(st.sampled_from(members(doc)), REPEAT_VALUES)
+
+
+# Parameters each scenario runs with at --paths 100 --steps 4.
+PARAMS = {"diffusion": {"mu": 0.2, "sigma": 1.0, "horizon": 1.0, "s0": 1.0,
+                        "seed": 3, "pi": [0.5, -0.5, 0.5, -0.5]},
+          "levy": {"a": 2.0, "b": 1.0, "horizon": 1.0, "seed": 3, "pi": 0.5},
+          "insider": {"horizon": 0.5, "seed": 3}}
+DOCUMENTS = {"tree": TREE, "labels": LABELS, **PARAMS}
+
+
+@FUZZ
+@given(kind=st.sampled_from(sorted(DOCUMENTS)), data=st.data())
+def test_a_repeated_name_exits_2(kind, data):
+    """A member written twice in any object of a tree file, label map or
+    params file exits 2, whatever its second value: text that Python's
+    `json` reads, keeping the last value, is refused."""
+    doc = DOCUMENTS[kind]
+    member, value = data.draw(repeats(doc))
+    text, last = repeated(doc, member, value)
+    assert json.loads(text) == last
+    with tempfile.TemporaryDirectory() as d:
+        tree, labels, out, written, params = (os.path.join(d, name) for name in (
+            "tree.json", "labels.json", "report.json", "written.json",
+            "params.json"))
+        write_json(tree, TREE)
+        write_json(labels, LABELS)
+        target = {"tree": tree, "labels": labels}.get(kind, params)
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        if kind == "tree":
+            argvs = tree_side_commands(tree, labels, out, written)
+        elif kind == "labels":
+            argvs = [argv for argv in tree_side_commands(tree, labels, out,
+                                                         written)
+                     if argv[0] == "enlarge"]
+        else:
+            argvs = [["simulate", "--scenario", kind, "--params", params,
+                      "--paths", "100", "--steps", "4", "--out", out]]
+        for argv in argvs:
+            assert run(argv) == 2, argv
+            assert not os.path.exists(out), argv
+
+
 # Bounded junk: with --paths and --steps fixed on the command line, no value
 # here makes a scenario draw more than a few thousand variates.
 PARAM_KEYS = {"diffusion": ["mu", "sigma", "horizon", "s0", "seed", "pi"],

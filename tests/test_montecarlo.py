@@ -31,6 +31,19 @@ def test_summarize_flags_small_samples():
     assert not t.consistent and not t.rejects
 
 
+@pytest.mark.parametrize("paths", [200, 256, 1000, 4096])
+def test_a_sample_without_spread_is_judged_exactly(paths):
+    """With se 0 the z statistic reads 0, so the verdict compares the mean
+    with the target exactly: e^-2 - 1 on every path rejects the target 0."""
+    sc = LevyScenario(a=2.0, b=1.0, steps=4, paths=paths, seed=1)
+    t = simulate_survival_measure(sc, 0.0)
+    assert t.se == 0.0 and t.z == 0.0
+    assert t.rejects and not t.consistent and t.verdict == "reject"
+    on_target = summarize(np.full(paths, 0.5), target=0.5)
+    assert on_target.se == 0.0 and on_target.mean == 0.5
+    assert on_target.consistent and not on_target.rejects
+
+
 def test_bit_identical_across_runs():
     sc = DiffusionScenario(mu=0.2, sigma=1.0, steps=64, paths=PATHS, seed=11)
     one = simulate_deflated_wealth(sc, 1.0)

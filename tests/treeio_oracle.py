@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 
 from deflator_lab import treeio
+from deflator_lab.fileio import node_key
 from deflator_lab.filtered_space import AdaptedProcess, EventTree, ProbMeasure, Strategy
 from deflator_lab.treeio import TreeFile, TreeFileError, parse_rational
 
@@ -85,7 +86,7 @@ def from_obj(obj: dict) -> TreeFile:
     if "P" in obj:
         masses = {}
         for key, text in treeio._table(obj["P"], "P").items():
-            leaf = treeio._node_key(key, "P")
+            leaf = node_key(key, "P")
             masses[leaf] = parse_rational(text, f"P[{key}]")
         try:
             P = ProbMeasure(masses)
@@ -97,7 +98,7 @@ def from_obj(obj: dict) -> TreeFile:
         for name, table in treeio._table(obj.get(section, {}), section).items():
             values = {}
             for key, vec in treeio._table(table, f"{section}[{name}]").items():
-                node = treeio._node_key(key, f"{section}[{name}]")
+                node = node_key(key, f"{section}[{name}]")
                 if not isinstance(vec, list):
                     raise TreeFileError(f"{section}[{name}][{key}]: expected a list")
                 values[node] = [parse_rational(x, f"{section}[{name}][{key}]")
