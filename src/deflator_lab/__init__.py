@@ -9,12 +9,12 @@ __version__ = "0.1.0"
 # or one command of the CLI, compiles only the modules that are needed, and
 # the exact tree-side API never imports numpy.
 _EXPORTS = {
-    "arbitrage": ("ArbitrageReport", "WealthProblem", "check_na1"),
+    "arbitrage": ("ArbitrageReport", "WealthProblem", "check_na1",
+                  "one_step_program"),
     "deflator": ("Deflator", "Na1FailsOnAtom", "construct_deflator",
-                 "one_period_density", "verify_deflation"),
-    "enlargement": ("EnlargementSpec", "generalized_jacod_check",
-                    "insider_example", "jacod_check", "log_utility_identity",
-                    "universal_density"),
+                 "verify_deflation"),
+    "enlargement": ("EnlargementSpec", "insider_example", "jacod_check",
+                    "log_utility_identity", "universal_density"),
     "filtered_space": ("AdaptedProcess", "EventTree", "ProbMeasure",
                        "StoppingTime", "Strategy", "stochastic_integral"),
     "kunita_yoeurp": ("DominatingMeasure", "EnlargedSpace",

@@ -1,13 +1,14 @@
 """Supermartingale densities on event trees.
 
-The one-period construction realizes the optimal-value measure: on each atom,
-the density value is the supremum of E[one-step wealth | atom] over one-step
-1-admissible holdings, a linear program whose optimum is reached at a
-vertex (`arbitrage._atom_program`).  The multi-period density runs the same
-program backward in time with the already-built later values as weights,
-terminal value 1.  Unboundedness of any per-atom program is precisely a
-one-step unbounded-profit ray, so (NA1) failures surface as the offending
-atom rather than as a silent wrong number.
+`construct_deflator` realizes the optimal-value measure backward in time,
+terminal value 1: on each atom, the density value is the supremum of
+E[Z_next (1 + h.dS) | atom] over one-step 1-admissible holdings h, the
+already-built later values Z_next weighting a linear program whose optimum
+is reached at a vertex (`arbitrage._atom_program`).  On the last interior
+layer the weights are 1, so there the value is the one-period optimum of
+E[one-step wealth | atom].  Unboundedness of any per-atom program is
+precisely a one-step unbounded-profit ray, so (NA1) failures surface as the
+offending atom rather than as a silent wrong number.
 
 Deflation means: Z * (1 + (H.S)) is a supermartingale for every 1-admissible
 H.  Scaling wealth to 1 on an atom shows it is enough to bound the one-step
@@ -24,9 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arbitrage import (Na1FailsOnAtom, WealthProblem, _atom_program,
-                        backward_pass, one_step_program)
-from .filtered_space import (AdaptedProcess, EventTree, Pair, ProbMeasure,
-                             _process_pairs)
+                        backward_pass)
+from .filtered_space import AdaptedProcess, EventTree, Pair, _process_pairs
 
 
 class Deflator:
@@ -48,29 +48,12 @@ class Deflator:
         return self if Z is self.Z else Deflator(Z)
 
 
-def one_period_density(tree: EventTree, P: ProbMeasure, S: AdaptedProcess,
-                       at_time: int = 0) -> AdaptedProcess:
-    """The optimal-value density over one step, one value per time-`at_time`
-    atom; always >= 1 because h = 0 is admissible."""
-    if not 0 <= at_time < tree.horizon:
-        raise ValueError(f"at_time must lie in [0, {tree.horizon}), "
-                         f"got {at_time}")
-    if not P.strictly_positive:
-        raise ValueError("one-period density needs a strictly positive measure")
-    masses = P.node_masses(tree)
-    out = {}
-    for v in tree.nodes_at(at_time):
-        value, _ = one_step_program(tree, masses, S, v)
-        out[v] = value
-    return AdaptedProcess.of_scalars(out)
-
-
 def construct_deflator(problem: WealthProblem) -> Deflator:
     """Backward induction with terminal value 1.
 
     Each atom solves the one-step program weighted by the next-layer density,
-    which is exactly the one-period construction applied to the rescaled
-    one-step wealth family.  The result satisfies, exactly on every atom,
+    that is, the one-period program of the rescaled one-step wealth family.
+    The result satisfies, exactly on every atom,
 
         sup_h E[Z_{k+1} (1 + h.dS) | atom] = Z_k,
 

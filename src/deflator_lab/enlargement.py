@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 from .filtered_space import (AdaptedProcess, EventTree, Pair, ProbMeasure,
                              Strategy, _mass_pairs, _process_pairs,
@@ -206,87 +206,6 @@ def multiply(spec: EnlargementSpec, Zg: GProcess, Y: AdaptedProcess) -> GProcess
     """Slice-wise product of a slice process with a base process."""
     return GProcess({(v, lab): z * Y.at(v)
                      for (v, lab), z in Zg.values.items()})
-
-
-# -- generalized density condition for arbitrary refinements --------------------
-
-
-class GeneralizedJacodReport:
-    def __init__(self, holds: bool, reverse_holds: bool,
-                 failures: list[tuple[int, int, int, frozenset]],
-                 reverse_failures: list[tuple[int, int, int, frozenset]]):
-        self.holds = holds              # later conditional laws << earlier, per path
-        self.reverse_holds = reverse_holds
-        self.failures = failures        # (t, u, atom, cell)
-        self.reverse_failures = reverse_failures
-
-
-def generalized_jacod_check(tree: EventTree, P: ProbMeasure,
-                            g_layers: Sequence[Iterable[frozenset]]
-                            ) -> GeneralizedJacodReport:
-    """Absolute-continuity relations between conditional laws restricted to an
-    arbitrary refining filtration, cell by cell.
-
-    The forward relation (null cells of the time-t conditional law stay null
-    under later conditioning along the same path) is the discrete rendering of
-    the criterion associated with universal densities; on a finite tree with a
-    strictly positive base it holds by monotonicity of nested masses, and the
-    verifier confirms it exhaustively.  The informative failure mode on trees
-    is the reverse relation: a cell charged at time t whose mass vanishes
-    under a later atom on the same path -- the verdict reports those
-    separately with the offending (t, u, atom, cell).
-    """
-    P.validate_for(tree)
-    n = tree.horizon
-    layers = [list(cells) for cells in g_layers]
-    if len(layers) != n + 1:
-        raise ValueError(f"need {n + 1} layer partitions, got {len(layers)}")
-    leaf_set = set(tree.leaves)
-    for t, cells in enumerate(layers):
-        seen: set[int] = set()
-        for cell in cells:
-            if not cell or not cell <= leaf_set:
-                raise ValueError(f"layer {t}: cells must be nonempty leaf sets")
-            if seen & cell:
-                raise ValueError(f"layer {t}: cells overlap")
-            seen |= cell
-        if seen != leaf_set:
-            raise ValueError(f"layer {t}: cells must partition the leaves")
-        for cell in cells:
-            atoms = {tree.ancestor_at(leaf, t) for leaf in cell}
-            if len(atoms) > 1:
-                raise ValueError(
-                    f"layer {t}: cell {sorted(cell)} is not inside one atom")
-        if t > 0:
-            prev = layers[t - 1]
-            for cell in cells:
-                if not any(cell <= big for big in prev):
-                    raise ValueError(f"layer {t}: partitions must be nested in time")
-
-    def charged(leaves: Iterable[int]) -> bool:     # the sign of their mass
-        return _sum_pairs([P.leaf_mass[x].as_integer_ratio()
-                           for x in leaves])[0] > 0
-
-    atom_mass = P.node_masses(tree)
-    failures = []
-    reverse_failures = []
-    for t in range(n + 1):
-        for cell in layers[t]:
-            anchor = tree.ancestor_at(next(iter(cell)), t)
-            below = tree.leaves_below(anchor)
-            cell_charged = charged(cell)
-            for u in range(t + 1, n + 1):
-                for b in {tree.ancestor_at(leaf, u) for leaf in below}:
-                    if atom_mass[b] == 0:
-                        continue
-                    b_charged = charged(cell.intersection(tree.leaves_below(b)))
-                    if not cell_charged and b_charged:
-                        failures.append((t, u, b, cell))
-                    if cell_charged and not b_charged:
-                        reverse_failures.append((t, u, b, cell))
-    return GeneralizedJacodReport(
-        holds=not failures, reverse_holds=not reverse_failures,
-        failures=failures, reverse_failures=reverse_failures)
 
 
 # -- the insider impossibility example ------------------------------------------

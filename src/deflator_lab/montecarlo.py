@@ -124,10 +124,15 @@ class MartingaleTest:
 def summarize(per_path: np.ndarray, target: float = 0.0,
               crit: float = DEFAULT_CONFIDENCE_SIGMAS) -> MartingaleTest:
     n = int(per_path.size)
-    mean = pairwise_sum(per_path) / n
-    centered = per_path - mean
-    var = pairwise_sum(centered * centered) / (n - 1) if n > 1 else 0.0
-    se = float(np.sqrt(var / n)) if n > 1 else float("inf")
+    if n > 1 and np.ptp(per_path) == 0:
+        # no spread: the rounded sums could miss the common value by an ulp
+        # and leave se ~ 1e-18, so report the value itself with se 0
+        mean, se = float(per_path[0]), 0.0
+    else:
+        mean = pairwise_sum(per_path) / n
+        centered = per_path - mean
+        var = pairwise_sum(centered * centered) / (n - 1) if n > 1 else 0.0
+        se = float(np.sqrt(var / n)) if n > 1 else float("inf")
     z = (mean - target) / se if se > 0 else 0.0
     return MartingaleTest(mean=mean, se=se, z=z, n_paths=n, target=target,
                           crit=crit, insufficient=n < MIN_PATHS_FOR_VERDICT)

@@ -186,6 +186,7 @@ def test_utility_curve_values_and_concavity():
     assert all(b >= a for a, b in zip(vals, vals[1:]))          # nondecreasing
     diffs = [b - a for a, b in zip(vals, vals[1:])]
     assert all(a >= b for a, b in zip(diffs, diffs[1:]))        # concave
+    assert vals == [min(g * x + c for g, c in curve.pieces()) for x in xs]
 
 
 def test_slope_order_matches_fraction_order():

@@ -645,20 +645,42 @@ def test_simulate_threads_change_no_report(tmp_path, scenario):
     assert reports[0] == reports[1]
 
 
+LEVEL_SEEDS = range(60)
+# Verdicts that test a true hypothesis at the nominal 3-sigma level, 0.27%:
+# over 60 seeds, P(3 or more false verdicts) = 0.06% for each of them.
+LEVEL_VERDICTS = {
+    "diffusion": {"density_mean", "deflated_price", "deflated_wealth"},
+    "levy": {"frozen_matches_analytic", "repaired_consistent",
+             "survival_gap_nonpositive"},
+    "insider": {"deflated_motion", "log_density"},
+}
+
+
 def test_simulate_insider_verdicts_hold_their_level(tmp_path):
-    """E[Z_t] is reported without a verdict (Z_t has infinite variance at
-    the default horizon 1/2); the two verdicts reject the true law on none of
-    these seeds."""
+    """Every `simulate` verdict over seeds 0-59 at 200 paths.  A verdict at
+    the 0.27% level may be false on at most 2 seeds (binomial tail 0.06%);
+    the three that take a discretization allowance are false less often.
+    `frozen_rejects` is a power check (the frozen process's drift is
+    found); it held on every seed when measured, so it must hold on each.
+    The insider reports
+    E[Z_t] without a verdict (Z_t has infinite variance at the default
+    horizon 1/2)."""
     out = tmp_path / "r.json"
-    for seed in range(30):
-        code = run(["simulate", "--scenario", "insider", "--paths", "200",
-                    "--seed", str(seed), "--out", str(out)])
-        report = read(out)
-        assert report["verdicts"] == {"deflated_motion": True,
-                                      "log_density": True}, seed
-        assert code == 0, seed
-        assert set(report["values"]["tests"]) == {
-            "density_mean", "deflated_motion", "log_density"}
+    for scenario, level in LEVEL_VERDICTS.items():
+        false = dict.fromkeys(level, 0)
+        for seed in LEVEL_SEEDS:
+            code = run(["simulate", "--scenario", scenario, "--paths", "200",
+                        "--seed", str(seed), "--out", str(out)])
+            verdicts = read(out)["verdicts"]
+            assert code == (0 if all(verdicts.values()) else 1), seed
+            assert set(verdicts) - level <= {"frozen_rejects"}, seed
+            assert verdicts.get("frozen_rejects", True), seed
+            for name in level:
+                false[name] += not verdicts[name]
+        assert max(false.values()) <= 2, (scenario, false)
+        if scenario == "insider":
+            assert set(read(out)["values"]["tests"]) == {
+                "density_mean", "deflated_motion", "log_density"}
 
 
 def test_simulate_rejects_negative_seeds(tmp_path, capsys):

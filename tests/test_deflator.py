@@ -1,4 +1,4 @@
-"""Density construction by one-period programs and backward induction."""
+"""Density construction by backward induction over one-step programs."""
 
 import random
 from fractions import Fraction as F
@@ -7,7 +7,7 @@ import pytest
 
 from deflator_lab.arbitrage import WealthProblem, check_na1
 from deflator_lab.deflator import (
-    Na1FailsOnAtom, construct_deflator, one_period_density, verify_deflation,
+    Na1FailsOnAtom, construct_deflator, verify_deflation,
 )
 from deflator_lab.filtered_space import AdaptedProcess, EventTree, ProbMeasure
 from deflator_lab.martingale import expectation
@@ -19,15 +19,15 @@ SEED = 77_003
 
 def test_one_period_value_on_asymmetric_step():
     problem = two_leaf_problem(F(2), F(1, 2))
-    Z0 = one_period_density(problem.tree, problem.P, problem.S)
-    assert Z0.at(0) == F(3, 2)               # maximizer h = 2
+    Z = construct_deflator(problem).Z
+    assert Z.at(0) == F(3, 2)                # maximizer h = 2
 
 
 def test_one_period_value_flat_and_symmetric():
     flat = two_leaf_problem(F(1), F(1))
-    assert one_period_density(flat.tree, flat.P, flat.S).at(0) == 1
+    assert construct_deflator(flat).Z.at(0) == 1
     sym = two_leaf_problem(F(2), F(0))       # increments +1 / -1
-    assert one_period_density(sym.tree, sym.P, sym.S).at(0) == 1
+    assert construct_deflator(sym).Z.at(0) == 1
 
 
 def test_one_period_unbounded_names_the_atom():
@@ -35,19 +35,16 @@ def test_one_period_unbounded_names_the_atom():
     P = ProbMeasure({1: F(1)})
     S = AdaptedProcess.of_scalars({0: F(1), 1: F(2)})
     with pytest.raises(Na1FailsOnAtom) as err:
-        one_period_density(tree, P, S)
+        construct_deflator(WealthProblem(tree, P, S))
     assert err.value.atom == 0
     assert err.value.ray[0] > 0
 
 
-def test_one_period_density_needs_an_interior_layer():
+def test_one_period_value_on_the_last_interior_layer():
+    """The layer below weighs every child by 1, so node 1 of a two-step
+    tree carries its one-period optimum."""
     problem = binomial_problem(steps=2)
-    assert one_period_density(problem.tree, problem.P, problem.S,
-                              at_time=1).at(1) == F(3, 2)
-    for at_time in (-1, 2, 3):
-        with pytest.raises(ValueError, match="at_time"):
-            one_period_density(problem.tree, problem.P, problem.S,
-                               at_time=at_time)
+    assert construct_deflator(problem).Z.at(1) == F(3, 2)
 
 
 def test_constructed_deflator_on_martingale_is_one():

@@ -1,5 +1,5 @@
 """Label enlargements: density criterion, universal density, product market,
-generalized condition, insider impossibility, log-utility identity."""
+insider impossibility, log-utility identity."""
 
 import math
 import random
@@ -11,9 +11,8 @@ from deflator_lab.arbitrage import check_na1
 from deflator_lab.deflator import construct_deflator
 from deflator_lab.enlargement import (
     EnlargementSpec, GProcess, IncompleteMarketError, complete_market_measure,
-    g_deflation_certificate, g_supermartingale_check, generalized_jacod_check,
-    insider_example, jacod_check, log_utility_identity, multiply, replicate,
-    universal_density,
+    g_deflation_certificate, g_supermartingale_check, insider_example,
+    jacod_check, log_utility_identity, multiply, replicate, universal_density,
 )
 from deflator_lab.filtered_space import (AdaptedProcess, EventTree, ProbMeasure,
                                          Strategy)
@@ -66,6 +65,21 @@ def test_jacod_density_for_revealed_label():
     assert report.Y[(2, "t")] == 2 and report.Y[(2, "h")] == 0
     # at time 0 the kernel equals the marginal whatever the label is
     assert report.Y[(0, "h")] == 1 and report.Y[(0, "t")] == 1
+    # three leaves x, y, z: label b is charged at time 0 and ruled out under
+    # the time-1 atom above x alone, a layer before the horizon
+    tree = EventTree.from_branching([[2], [1, 2]])
+    x, y, z = tree.leaves
+    P = ProbMeasure({x: F(1, 2), y: F(1, 4), z: F(1, 4)})
+    report = jacod_check(EnlargementSpec(tree, P, {x: "a", y: "a", z: "b"}))
+    assert report.holds and not report.reverse_holds
+    assert report.reverse_by_time == {0: True, 1: False, 2: False}
+
+
+def test_enlargement_validates_the_measure():
+    tree = EventTree.uniform(2, 2)
+    P = ProbMeasure({3: F(1, 2), 4: F(1, 2)})
+    with pytest.raises(ValueError, match="exactly the leaves"):
+        EnlargementSpec(tree, P, {leaf: "a" for leaf in tree.leaves})
 
 
 def test_universal_density_trivial_for_uninformative_label():
@@ -199,69 +213,6 @@ def test_product_market_shifts_structure_and_decouples():
     assert pm.S[0] == problem.S[0]
     assert pm.Q.mass(pm.node_of[(1, "d")]) == F(1, 4)  # decoupled slice mass
     assert pm.Q.strictly_positive
-
-
-def test_generalized_condition_passes_for_initial_enlargements():
-    rng = random.Random(SEED + 2)
-    for _ in range(10):
-        tree = random_tree(rng, max_steps=3)
-        P = random_measure(rng, tree)
-        labels = random_labels(rng, tree)
-        layers = []
-        for t in range(tree.horizon + 1):
-            cells = []
-            for v in tree.nodes_at(t):
-                for lab in sorted(set(labels.values())):
-                    cell = frozenset(x for x in tree.leaves_below(v)
-                                     if labels[x] == lab)
-                    if cell:
-                        cells.append(cell)
-            layers.append(cells)
-        report = generalized_jacod_check(tree, P, layers)
-        assert report.holds
-
-
-def test_generalized_condition_trivial_for_no_enlargement():
-    rng = random.Random(SEED + 3)
-    tree = random_tree(rng, max_steps=3)
-    P = random_measure(rng, tree)
-    layers = [[frozenset(tree.leaves_below(v)) for v in tree.nodes_at(t)]
-              for t in range(tree.horizon + 1)]
-    report = generalized_jacod_check(tree, P, layers)
-    assert report.holds and report.reverse_holds
-
-
-def test_generalized_condition_reverse_fails_on_dying_cell():
-    # three leaves x, y, z; the cell {z} is charged at time 0 but vanishes
-    # under the time-1 atom {x}: the reverse relation pinpoints it
-    tree = EventTree.from_branching([[2], [1, 2]])
-    x, y, z = tree.leaves
-    P = ProbMeasure({x: F(1, 2), y: F(1, 4), z: F(1, 4)})
-    layers = [
-        [frozenset({x, y}), frozenset({z})],
-        [frozenset({x}), frozenset({y}), frozenset({z})],
-        [frozenset({x}), frozenset({y}), frozenset({z})],
-    ]
-    report = generalized_jacod_check(tree, P, layers)
-    assert report.holds                      # the forward relation cannot fail
-    assert not report.reverse_holds
-    assert any(cell == frozenset({z}) for (_, _, _, cell) in report.reverse_failures)
-
-
-def test_generalized_condition_validates_the_measure():
-    tree = EventTree.uniform(2, 2)
-    P = ProbMeasure({3: F(1, 2), 4: F(1, 2)})
-    layers = [[frozenset(tree.leaves_below(v)) for v in tree.nodes_at(t)]
-              for t in range(3)]
-    with pytest.raises(ValueError, match="exactly the leaves"):
-        generalized_jacod_check(tree, P, layers)
-
-
-def test_generalized_condition_validates_nesting():
-    tree = EventTree.uniform(1, 2)
-    P = ProbMeasure({1: F(1, 2), 2: F(1, 2)})
-    with pytest.raises(ValueError, match="partition"):
-        generalized_jacod_check(tree, P, [[frozenset({1})], [frozenset({1, 2})]])
 
 
 # -- insider example -------------------------------------------------------------
