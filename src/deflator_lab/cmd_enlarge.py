@@ -81,15 +81,14 @@ def cmd_enlarge(args) -> int:
             result = log_utility_identity(spec, S)
         except (IncompleteMarketError, ValueError) as exc:
             raise CliError(str(exc)) from exc
-        tol = result.FLOAT_TOLERANCE
-        verdicts = {
-            "identity": abs(result.identity_gap) <= tol,
-            "information_nonnegative": result.mutual_information >= -tol}
+        verdicts = {"identity": result.identity_holds,
+                    "information_nonnegative": result.information_nonnegative}
         report = make_report(
             args, "enlargement.log_utility", started, verdicts,
             {"u_base": result.u_base, "u_insider": result.u_insider,
              "mutual_information": result.mutual_information,
-             "gap": result.identity_gap, "float_tolerance": tol})
+             "gap": result.identity_gap,
+             "float_tolerance": result.FLOAT_TOLERANCE})
         emit_report(report, args.out)
         return 0 if all(verdicts.values()) else 1
     raise CliError(f"unknown enlarge action {args.action!r}")

@@ -410,6 +410,14 @@ class LogUtilityReport:
         self.mutual_information = mutual_information
         self.identity_gap = identity_gap    # u_insider - u_base - mutual_information
 
+    @property
+    def identity_holds(self) -> bool:
+        return abs(self.identity_gap) <= self.FLOAT_TOLERANCE
+
+    @property
+    def information_nonnegative(self) -> bool:
+        return self.mutual_information >= -self.FLOAT_TOLERANCE
+
 
 def _log_fraction(x: Fraction) -> float:
     return math.log(x.numerator) - math.log(x.denominator)
@@ -425,9 +433,10 @@ def log_utility_identity(spec: EnlargementSpec, S: AdaptedProcess
     conditional law (the pricing rule does not move: death slices still
     constrain the insider, so the market structure is shared).  The identity
     u_insider = u_base + I(label; terminal information) is then an algebraic
-    rearrangement; `identity_gap` is its float residual, which the caller
-    judges against FLOAT_TOLERANCE, as it judges `mutual_information`, a
-    mutual information and so nonnegative up to that tolerance.
+    rearrangement; `identity_gap` is its float residual, which
+    `identity_holds` judges against FLOAT_TOLERANCE, as
+    `information_nonnegative` judges `mutual_information`, a mutual
+    information and so nonnegative up to that tolerance.
     """
     tree = spec.tree
     # Strictly positive pricing weights leave no atom a one-step arbitrage,

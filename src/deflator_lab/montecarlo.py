@@ -114,6 +114,15 @@ class MartingaleTest:
             return not self.insufficient and self.mean != self.target
         return not self.insufficient and abs(self.z) > self.crit
 
+    def within(self, bias: float = 0.0, target: Optional[float] = None
+               ) -> bool:
+        """|mean - target| <= crit * se + bias: consistent with `target`
+        (default the test's own) up to a known bias bound.  A sample with no
+        spread (se 0) is judged exactly, as by `consistent`."""
+        target = self.target if target is None else target
+        return not self.insufficient and \
+            abs(self.mean - target) <= self.crit * self.se + bias
+
     @property
     def verdict(self) -> str:
         if self.insufficient:
@@ -217,8 +226,8 @@ class DiffusionScenario:
     against the martingale part M = sigma W: with lam = mu / sigma**2,
     Z_T = exp(-lam M_T - lam**2 <M>_T / 2)."""
 
-    mu: float
-    sigma: float
+    mu: float = 0.2
+    sigma: float = 1.0
     horizon: float = 1.0
     steps: int = 512
     paths: int = 100_000
@@ -229,6 +238,12 @@ class DiffusionScenario:
         _check_scenario(self)
         if self.sigma <= 0:
             raise ValueError("sigma: volatility must be positive")
+        if not np.finfo(float).tiny <= self.sigma * self.sigma < math.inf:
+            raise ValueError(f"sigma: sigma**2 leaves the normal float range "
+                             f"(got {self.sigma!r})")
+        if not self.lam * self.lam < math.inf:
+            raise ValueError(f"mu: mu / sigma**2 = {self.lam!r} overflows "
+                             f"when squared (got {self.mu!r})")
 
     @property
     def lam(self) -> float:
@@ -329,8 +344,8 @@ class LevyScenario:
     horizon.  The standing constraint a > |b| keeps every |pi| <= 1 wealth
     drifting down after deflation by exp(-a t)."""
 
-    a: float
-    b: float
+    a: float = 2.0
+    b: float = 1.0
     horizon: float = 1.0
     steps: int = 64
     paths: int = 100_000
@@ -522,3 +537,62 @@ def sample_insider_paths(sc: InsiderDriftScenario, n: int = 100) -> PathBatch:
     return PathBatch(np.linspace(0.0, sc.horizon, sc.steps + 1),
                      {"motion": w, "density": z},
                      [(sc.seed, i) for i in range(n)])
+
+
+# -- `simulate`: one run and its verdicts per scenario ---------------------------
+# Each returns its tests at the run's confidence, its verdicts, the values
+# they read and a path sampler.  It calls estimators by module-level name at
+# run time, so the benchmark's tracer, which rebinds those names, sees each.
+
+
+def _at(crit: float, tests: dict) -> dict[str, MartingaleTest]:
+    return {name: dataclasses.replace(t, crit=crit)
+            for name, t in tests.items()}
+
+
+def _simulate_diffusion(params: dict, crit: float) -> tuple:
+    # W_T and each cell's increment are exact draws: no discretization bias
+    pi = params.pop("pi", 1.0)
+    sc = DiffusionScenario(**params)
+    tests = _at(crit, vars(diffusion_report(sc, pi)))
+    return (tests, {name: t.consistent for name, t in tests.items()},
+            {"scenario": dataclasses.asdict(sc) | {"pi": pi}},
+            lambda n: sample_diffusion_paths(sc, n))
+
+
+def _simulate_levy(params: dict, crit: float) -> tuple:
+    pi = params.pop("pi", 1.0)
+    sc = LevyScenario(**params)
+    frozen, repaired = simulate_levy_counterexample(sc)
+    tests = _at(crit, {"frozen": frozen, "repaired": repaired,
+                       "survival": simulate_survival_measure(sc, pi)})
+    frozen, repaired, survival = tests.values()
+    analytic = analytic_frozen_mean(sc)
+    verdicts = {"frozen_rejects": frozen.rejects,
+                "frozen_matches_analytic": frozen.within(target=analytic),
+                "repaired_consistent": repaired.consistent,
+                # the one one-sided bound
+                "survival_gap_nonpositive":
+                    survival.mean <= survival.crit * survival.se}
+    return (tests, verdicts, {"scenario": dataclasses.asdict(sc) | {"pi": pi},
+                              "analytic_frozen_mean": analytic},
+            lambda n: sample_levy_paths(sc, n))
+
+
+def _simulate_insider(params: dict, crit: float) -> tuple:
+    # Z_t's mean has no verdict (infinite variance from t = 1/4 on); the grid
+    # deflator is an Euler scheme, so E[Z_t W_t] takes a 2/steps bias bound,
+    # and log Z_t's grid mean is exact
+    sc = InsiderDriftScenario(**params)
+    tests = _at(crit, vars(information_drift_deflator(sc)))
+    allowance = 2.0 / sc.steps
+    verdicts = {
+        "deflated_motion": tests["deflated_motion"].within(bias=allowance),
+        "log_density": tests["log_density"].consistent}
+    return (tests, verdicts, {"scenario": dataclasses.asdict(sc),
+                              "discretization_allowance": allowance},
+            lambda n: sample_insider_paths(sc, n))
+
+
+SIMULATIONS = {"diffusion": _simulate_diffusion, "levy": _simulate_levy,
+               "insider": _simulate_insider}

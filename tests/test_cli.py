@@ -7,8 +7,10 @@ import math
 import os
 import re
 import shlex
+import stat
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -148,6 +150,31 @@ def test_unwritable_target_is_named(fixtures, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("i/o error:") and repr(target) in err, err
     assert ".tmp-" not in err
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_report_to_a_fifo_is_written_without_a_rename(fixtures, tmp_path):
+    """A target that is not a regular file cannot be replaced by a rename,
+    so it gets the report directly: a FIFO's reader receives the bytes a
+    regular file at the same path holds (`timing_s` aside), and the path is
+    still a FIFO afterwards."""
+    target = tmp_path / "report.json"
+    argv = ["check", "--tree", str(fixtures["insider-binomial"] / "tree.json"),
+            "--price", "S", "--out", str(target)]
+    assert run(argv) == 0
+    regular = target.read_bytes()
+    target.unlink()
+    os.mkfifo(target)
+    received = []
+    reader = threading.Thread(
+        target=lambda: received.append(target.read_bytes()), daemon=True)
+    reader.start()
+    assert run(argv) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive(), "the FIFO's reader got no writer"
+    assert stat.S_ISFIFO(os.stat(target).st_mode)
+    timing = re.compile(rb'"timing_s": [^,\n]*')
+    assert timing.sub(b"", received[0]) == timing.sub(b"", regular)
 
 
 def test_deflate_then_verify_and_stopped_check(fixtures, tmp_path):
@@ -659,7 +686,8 @@ LEVEL_VERDICTS = {
 def test_simulate_insider_verdicts_hold_their_level(tmp_path):
     """Every `simulate` verdict over seeds 0-59 at 200 paths.  A verdict at
     the 0.27% level may be false on at most 2 seeds (binomial tail 0.06%);
-    the three that take a discretization allowance are false less often.
+    the insider's `deflated_motion`, the one that takes a discretization
+    allowance, is false less often.
     `frozen_rejects` is a power check (the frozen process's drift is
     found); it held on every seed when measured, so it must hold on each.
     The insider reports
@@ -1038,12 +1066,20 @@ def test_price_of_the_wrong_dimension_exits_2(fixtures, tmp_path, capsys,
 
 @pytest.mark.parametrize("scenario, params, named", [
     ("diffusion", {"pi": None}, "pi"),
-    ("diffusion", {"mu": 1e308}, "parameters"),
+    # mu / sigma**2 overflows when squared ("mu" alone would match the
+    # "simulation" of every such error)
+    ("diffusion", {"mu": 1e308}, "mu:"),
+    ("diffusion", {"mu": 1e200}, "mu:"),
+    # sigma**2 underflows to 0, or to a subnormal whose mu / sigma**2 is inf
+    ("diffusion", {"sigma": 1e-200}, "sigma"),
+    ("diffusion", {"sigma": 1e-160}, "sigma"),
     # the step horizon / steps rounds to 0, so every draw is 0
     ("insider", {"horizon": 5e-324}, "horizon"),
     # Z_T underflows to 0 on every path
     ("diffusion", {"horizon": 1e308, "steps": 2}, "parameters"),
-], ids=["null-pi", "overflowing-mu", "zero-step", "underflowing-density"])
+], ids=["null-pi", "overflowing-mu", "overflowing-mu-square",
+        "zero-variance", "subnormal-variance", "zero-step",
+        "underflowing-density"])
 def test_simulate_rejects_degenerate_diffusion_params(tmp_path, capsys,
                                                       scenario, params, named):
     """Draws that carry no randomness give verdicts on nothing, so they
@@ -1059,7 +1095,7 @@ def test_simulate_rejects_degenerate_diffusion_params(tmp_path, capsys,
 
 @pytest.mark.parametrize("scenario, params, named", [
     ("diffusion", {"sigma": math.nan}, "sigma"),
-    ("diffusion", {"mu": math.inf}, "mu"),
+    ("diffusion", {"mu": math.inf}, "mu must"),
     ("levy", {"pi": math.nan}, "pi"),
     ("diffusion", {"pi": [0.5, True, 0.5, 0.5]}, "pi"),
     ("levy", {"seed": True}, "seed"),
