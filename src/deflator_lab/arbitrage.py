@@ -105,8 +105,7 @@ def one_step_program(tree: EventTree, P_masses: dict[int, Fraction],
     x = ([m.as_integer_ratio() for m in masses] if weights is None
          else [(m.numerator * w.numerator, m.denominator * w.denominator)
                for m, w in zip(masses, (weights[c] for c in children))])
-    s = [{v: S[v][k].as_integer_ratio() for v in (node, *children)}
-         for k in range(S.dim)]
+    s = [{v: S._pairs[v][k] for v in (node, *children)} for k in range(S.dim)]
     num, den, h = _atom_program(node, children, x, s)
     return (Fraction(num * atom_mass.denominator, den * atom_mass.numerator),
             tuple(Fraction(a, b) for a, b in h))
@@ -200,13 +199,19 @@ def _backward_pairs(problem: WealthProblem) -> tuple[list[Pair], list[Pair]]:
     return y, m
 
 
-def _ratio(y: Pair, m: Pair) -> Fraction:
-    """The value z = y/m of two reduced pairs of `_backward_pairs`: once
-    their cross gcds cancel z is in lowest terms, so Fraction's own gcd runs
-    at z's size only."""
+def _ratio(y: Pair, m: Pair) -> Pair:
+    """The value z = y/m of two reduced pairs of `_backward_pairs`, reduced:
+    once their cross gcds cancel z is in lowest terms.  m is positive."""
     (yn, yd), (mn, md) = y, m
     g, h = math.gcd(yn, mn), math.gcd(yd, md)
-    return Fraction(yn // g * (md // h), yd // h * (mn // g))
+    return yn // g * (md // h), yd // h * (mn // g)
+
+
+def _value_pairs(problem: WealthProblem) -> dict[int, Pair]:
+    """`backward_pass` as reduced pairs by id, in reversed id order."""
+    problem.require_positive()
+    y, m = _backward_pairs(problem)
+    return {v: _ratio(y[v], m[v]) for v in range(len(y) - 1, -1, -1)}
 
 
 def backward_pass(problem: WealthProblem) -> dict[int, Fraction]:
@@ -220,9 +225,7 @@ def backward_pass(problem: WealthProblem) -> dict[int, Fraction]:
     (`_backward_pairs`), and each value z = y/m is the one Fraction built
     per node.
     """
-    problem.require_positive()
-    y, m = _backward_pairs(problem)
-    return {v: _ratio(y[v], m[v]) for v in range(len(y) - 1, -1, -1)}
+    return {v: Fraction(*z) for v, z in _value_pairs(problem).items()}
 
 
 def _lift(tree: EventTree, atom: int, h: tuple[Fraction, ...]) -> Strategy:
@@ -278,5 +281,5 @@ def check_na1(problem: WealthProblem) -> ArbitrageReport:
                                witness=_lift(tree, exc.atom, h),
                                na_optimum=value)
     return ArbitrageReport(na_holds=True, na1_holds=True,
-                           optimal_value=_ratio(y[root], m[root]),
+                           optimal_value=Fraction(*_ratio(y[root], m[root])),
                            na_optimum=ZERO)

@@ -65,8 +65,8 @@ def need_measure(tf: TreeFile, path: str):
     """The file's measure P; every analysis needs it to charge every leaf."""
     if tf.P is None:
         raise CliError(f"{path}: tree file carries no measure P")
-    null = [leaf for leaf in tf.tree.leaves if tf.P.mass(leaf) == 0]
-    if null:
+    if not tf.P.strictly_positive:
+        null = [leaf for leaf in tf.tree.leaves if tf.P.mass(leaf) == 0]
         raise CliError(f"{path}: P gives zero mass to leaves {null}; the "
                        "analysis needs a strictly positive measure")
     return tf.P
@@ -93,10 +93,10 @@ def _jsonable(value):
 
 
 def _rationals(value, field: str = ""):
-    """(field, (rational,)) for every rational in `value`, in report order,
+    """(field, (pair,)) for every rational in `value`, in report order,
     each field named in the reader's style: `values.density[1,A]`."""
     if isinstance(value, Fraction):
-        yield field, (value,)
+        yield field, (value.as_integer_ratio(),)
     elif isinstance(value, (dict, list, tuple)):
         keys = sorted(value) if isinstance(value, dict) else range(len(value))
         for key in keys:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arbitrage import (Na1FailsOnAtom, WealthProblem, _atom_program,
-                        backward_pass)
+                        _value_pairs)
 from .filtered_space import AdaptedProcess, EventTree, Pair, _process_pairs
 
 
@@ -60,7 +60,8 @@ def construct_deflator(problem: WealthProblem) -> Deflator:
     hence Z deflates every 1-admissible wealth process, and Z_k >= Z's own
     later conditional values (h = 0), so Z is itself a supermartingale.
     """
-    return Deflator(AdaptedProcess.of_scalars(backward_pass(problem)))
+    return Deflator(AdaptedProcess(
+        {v: (z,) for v, z in _value_pairs(problem).items()}, 1, _pairs=True))
 
 
 class DeflationReport:

@@ -35,9 +35,10 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
-from .filtered_space import (AdaptedProcess, EventTree, Pair, ProbMeasure,
-                             Strategy, _mass_pairs, _process_pairs,
-                             _sum_pairs, as_fraction, stochastic_integral)
+from .filtered_space import (ZERO_PAIR, AdaptedProcess, EventTree, Pair,
+                             ProbMeasure, Strategy, _mass_pairs,
+                             _process_pairs, _sum_pairs, as_fraction,
+                             stochastic_integral)
 
 # The arbitrage layer and the deflator load with the two functions that run
 # them, so `enlarge jacod` and `enlarge universal-z` compile neither.
@@ -75,9 +76,9 @@ class EnlargementSpec:
         id: `_mass_pairs` once per label.  Every label names a leaf of
         positive mass, so the root's pair, P_L(label), is positive."""
         if label not in self._pairs:
-            mass, labels = self.P.leaf_mass, self.labels
+            mass, labels = self.P._leaf, self.labels
             self._pairs[label] = _mass_pairs(self.tree, {
-                leaf: mass[leaf] if labels[leaf] == label else ZERO
+                leaf: mass[leaf] if labels[leaf] == label else ZERO_PAIR
                 for leaf in self.tree.leaves})
         return self._pairs[label]
 

@@ -44,11 +44,25 @@ def _members(pairs: list) -> dict:
     return obj
 
 
-def parse_object(text: str) -> dict:
+def parse_object(text: str, members=None) -> dict:
     """The JSON object that `text` holds.  Every JSON file the command line
     reads (tree file, label map, params file) is `read_text` and then this:
     one object at the top, no name repeated within an object and no int
-    longer than Python's int-to-str limit."""
+    longer than Python's int-to-str limit.
+
+    `members(obj)`, if given, counts the members of some of the objects in
+    `obj`, or raises.  The text holds at most as many members as it has
+    colons, and a repeated name leaves fewer in `obj`, so when the count
+    equals the colons no name repeats and `json.loads` needs no hook, which
+    is a Python call per object.  Otherwise the text is parsed again with
+    it."""
+    if members is not None:
+        try:
+            obj = json.loads(text)
+            if members(obj) == text.count(":"):
+                return obj
+        except (AttributeError, KeyError, TypeError, ValueError):
+            pass
     try:
         obj = json.loads(text, object_pairs_hook=_members)
     except TreeFileError:

@@ -6,16 +6,20 @@ elementary outcome.  Adapted processes assign one rational vector per node,
 strategies assign the holding for the next step to the node where it is
 decided, so measurability and predictability are structural rather than
 checked.  Everything in this module is exact; no floats enter or leave.
-Its section on reduced int pairs is the one home of the exact layers' pair
-arithmetic, and the only place in the package that takes an lcm.  The
-martingale calculus (conditional expectations, martingale closure, the Doob
-decomposition) is in `martingale`, which no command loads.
+Measures, processes and strategies keep every value as a reduced int pair,
+the form the exact layers compute on; their Fraction views (`leaf_mass`,
+`values`, `steps`) are read-only and built on first access.  The section on
+reduced int pairs is the one home of the exact layers' pair arithmetic, and
+the only place in the package that takes an lcm.  The martingale calculus
+(conditional expectations, martingale closure, the Doob decomposition) is
+in `martingale`, which no command loads.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 RationalLike = Union[int, Fraction, str]
@@ -79,31 +83,32 @@ class EventTree:
             children[p].append(i)
         self.horizon = horizon
         self.asset_dim = asset_dim
-        self.nodes: tuple[Node, ...] = tuple(
-            Node(i, times[i], parents[i], tuple(children[i])) for i in range(n_nodes)
-        )
+        self.nodes: tuple[Node, ...] = tuple(map(
+            Node, range(n_nodes), times, parents, map(tuple, children)))
         self._validate()
         levels: list[list[int]] = [[] for _ in range(horizon + 1)]
-        for v in self.nodes:
-            levels[v.time].append(v.id)
+        for i, t in enumerate(times):
+            levels[t].append(i)
         self._levels: tuple[tuple[int, ...], ...] = tuple(map(tuple, levels))
 
     def _validate(self) -> None:
-        roots = [v for v in self.nodes if v.parent is None]
+        nodes, horizon = self.nodes, self.horizon
+        roots = [v for v in nodes if v.parent is None]
         if len(roots) != 1 or roots[0].time != 0 or roots[0].id != 0:
             raise ValueError("need exactly one root, with id 0 at time 0")
         last_time = 0
-        for v in self.nodes:
-            if v.time < last_time:
+        for v in nodes:
+            time = v.time
+            if time < last_time:
                 raise ValueError("node ids must be breadth-first (nondecreasing time)")
-            last_time = v.time
-            if v.parent is not None and self.nodes[v.parent].time != v.time - 1:
+            last_time = time
+            if v.parent is not None and nodes[v.parent].time != time - 1:
                 raise ValueError(f"node {v.id}: parent must live one step earlier")
-            if v.time > self.horizon:
+            if time > horizon:
                 raise ValueError(f"node {v.id}: time beyond horizon")
-            if v.time < self.horizon and not v.children:
+            if time < horizon and not v.children:
                 raise ValueError(f"node {v.id}: interior node without children")
-            if v.time == self.horizon and v.children:
+            if time == horizon and v.children:
                 raise ValueError(f"node {v.id}: leaf with children")
 
     # -- structure queries ----------------------------------------------------
@@ -205,27 +210,36 @@ class EventTree:
 
 
 class ProbMeasure:
-    """Leaf masses summing to one exactly.  Zero-mass leaves are allowed (needed
-    for restrictions of dominating measures); operations that condition require
+    """Leaf masses summing to one exactly, kept as reduced int pairs by leaf
+    (given so with `_pairs`); `leaf_mass` is their read-only Fraction view,
+    built on first access.  Zero-mass leaves are allowed (needed for
+    restrictions of dominating measures); operations that condition require
     positive mass on the conditioning atom."""
 
-    def __init__(self, leaf_mass: Mapping[int, RationalLike]):
-        self.leaf_mass: dict[int, Fraction] = {
-            int(k): as_fraction(v) for k, v in leaf_mass.items()
-        }
-        if any(m.numerator < 0 for m in self.leaf_mass.values()):
+    def __init__(self, leaf_mass: Mapping[int, RationalLike], *,
+                 _pairs: bool = False):
+        self._leaf: dict[int, Pair] = leaf_mass if _pairs else {
+            int(k): as_fraction(v).as_integer_ratio() for k, v in leaf_mass.items()}
+        if min(self._leaf.values(), default=ZERO_PAIR)[0] < 0:
             raise ValueError("negative leaf mass")
-        if _sum_pairs([m.as_integer_ratio()
-                       for m in self.leaf_mass.values()]) != (1, 1):
+        if _sum_pairs(list(self._leaf.values())) != (1, 1):
             raise ValueError("leaf masses must sum to exactly 1")
+        self._view: Optional[Mapping[int, Fraction]] = None
         self._pairs: Optional[tuple[EventTree, list[Pair]]] = None
 
     @property
+    def leaf_mass(self) -> Mapping[int, Fraction]:
+        if self._view is None:
+            self._view = MappingProxyType(
+                {k: Fraction(n, d) for k, (n, d) in self._leaf.items()})
+        return self._view
+
+    @property
     def strictly_positive(self) -> bool:
-        return all(m.numerator > 0 for m in self.leaf_mass.values())
+        return min(self._leaf.values(), default=(1, 1))[0] > 0
 
     def mass(self, leaf: int) -> Fraction:
-        return self.leaf_mass[leaf]
+        return Fraction(*self._leaf[leaf])
 
     def node_masses(self, tree: EventTree) -> dict[int, Fraction]:
         """Mass of every atom, as Fractions of `_atom_pairs`."""
@@ -235,34 +249,57 @@ class ProbMeasure:
     def _atom_pairs(self, tree: EventTree) -> list[Pair]:
         """`_mass_pairs` on `tree`, read-only, kept for the last tree."""
         if self._pairs is None or self._pairs[0] is not tree:
-            self._pairs = (tree, _mass_pairs(tree, self.leaf_mass))
+            self._pairs = (tree, _mass_pairs(tree, self._leaf))
         return self._pairs[1]
 
     def validate_for(self, tree: EventTree) -> None:
-        if set(self.leaf_mass) != set(tree.leaves):
+        if set(self._leaf) != set(tree.leaves):
             raise ValueError("measure must assign a mass to exactly the leaves")
 
 
-class AdaptedProcess:
-    """One rational vector per node; F_k-measurability is one value per atom."""
+class _NodeVectors:
+    """One rational vector per node, kept as reduced int pairs by node id
+    (given so with `_pairs`, and taken as they are); the Fraction view (a
+    process's `values`, a strategy's `steps`) is read-only and built on
+    first access."""
 
-    def __init__(self, values: Mapping[int, object], dim: int = 1):
-        self.dim = dim
-        self.values: dict[int, Vector] = {
-            int(k): as_vector(v, dim) for k, v in values.items()
-        }
+    _kind = "process"
+
+    def __init__(self, table: Mapping[int, object], dim: int = 1, *,
+                 _pairs: bool = False):
+        self.dim, self._view = dim, None
+        self._pairs: dict[int, tuple[Pair, ...]] = table if _pairs else {
+            int(k): tuple([x.as_integer_ratio() for x in as_vector(v, dim)])
+            for k, v in table.items()}
+
+    def _fractions(self) -> Mapping[int, Vector]:
+        if self._view is None:
+            self._view = MappingProxyType(
+                {v: tuple([Fraction(n, d) for n, d in vec])
+                 for v, vec in self._pairs.items()})
+        return self._view
 
     def __getitem__(self, node: int) -> Vector:
-        return self.values[node]
+        return self._fractions()[node]
 
     def at(self, node: int) -> Fraction:
-        """Scalar value; only for dim-1 processes."""
+        """Scalar value; only for dim-1 tables."""
         if self.dim != 1:
-            raise ValueError("scalar access on a vector-valued process")
-        return self.values[node][0]
+            raise ValueError(f"scalar access on a vector-valued {self._kind}")
+        return Fraction(*self._pairs[node][0])
+
+    @classmethod
+    def of_scalars(cls, table: Mapping[int, RationalLike]):
+        return cls(table, dim=1)
+
+
+class AdaptedProcess(_NodeVectors):
+    """One rational vector per node; F_k-measurability is one value per atom."""
+
+    values = property(_NodeVectors._fractions)
 
     def validate_for(self, tree: EventTree) -> None:
-        if set(self.values) != {v.id for v in tree.nodes}:
+        if set(self._pairs) != set(range(len(tree.nodes))):
             raise ValueError("process must assign a value to every node")
 
     def divided_by(self, node: int) -> "AdaptedProcess":
@@ -271,22 +308,9 @@ class AdaptedProcess:
         scale = self.at(node)
         if scale == 1:
             return self
-        sn, sd = scale.numerator, scale.denominator
-        return AdaptedProcess.of_vectors(
-            {v: (Fraction(x.numerator * sd, x.denominator * sn),)
-             for v, (x,) in self.values.items()}, 1)
-
-    @classmethod
-    def of_scalars(cls, values: Mapping[int, RationalLike]) -> "AdaptedProcess":
-        return cls(values, dim=1)
-
-    @classmethod
-    def of_vectors(cls, values: dict[int, Vector], dim: int) -> "AdaptedProcess":
-        """Take `values` as they are: int node ids to length-`dim` tuples of
-        Fractions, already checked by the caller, so nothing is coerced."""
-        proc = cls.__new__(cls)
-        proc.dim, proc.values = dim, values
-        return proc
+        inverse = (1 / scale).as_integer_ratio()
+        return AdaptedProcess({v: (_product(x, inverse),)
+                               for v, (x,) in self._pairs.items()}, 1, _pairs=True)
 
     @classmethod
     def constant(cls, tree: EventTree, value, dim: int = 1) -> "AdaptedProcess":
@@ -294,39 +318,17 @@ class AdaptedProcess:
         return cls({v.id: vec for v in tree.nodes}, dim)
 
 
-class Strategy:
+class Strategy(_NodeVectors):
     """Predictable holdings: the vector held over step k+1 sits on the time-k
     node where it is decided, so each non-leaf node carries one value."""
 
-    def __init__(self, steps: Mapping[int, object], dim: int = 1):
-        self.dim = dim
-        self.steps: dict[int, Vector] = {
-            int(k): as_vector(v, dim) for k, v in steps.items()
-        }
-
-    def __getitem__(self, node: int) -> Vector:
-        return self.steps[node]
-
-    def at(self, node: int) -> Fraction:
-        if self.dim != 1:
-            raise ValueError("scalar access on a vector-valued strategy")
-        return self.steps[node][0]
+    _kind = "strategy"
+    steps = property(_NodeVectors._fractions)
 
     def validate_for(self, tree: EventTree) -> None:
-        want = {v.id for v in tree.nodes if v.children}
-        if set(self.steps) != want:
+        # the leaves are the last ids, so the non-leaf nodes are the others
+        if set(self._pairs) != set(range(len(tree.nodes) - len(tree.leaves))):
             raise ValueError("strategy must assign a value to every non-leaf node")
-
-    @classmethod
-    def of_scalars(cls, steps: Mapping[int, RationalLike]) -> "Strategy":
-        return cls(steps, dim=1)
-
-    @classmethod
-    def of_vectors(cls, steps: dict[int, Vector], dim: int) -> "Strategy":
-        """Take `steps` as they are, like `AdaptedProcess.of_vectors`."""
-        strat = cls.__new__(cls)
-        strat.dim, strat.steps = dim, steps
-        return strat
 
     @classmethod
     def constant(cls, tree: EventTree, value, dim: Optional[int] = None) -> "Strategy":
@@ -416,8 +418,8 @@ ZERO_PAIR: Pair = (0, 1)
 def _process_pairs(tree: EventTree, X: AdaptedProcess, k: int = 0
                    ) -> list[Pair]:
     """Component k of X at every node, as reduced pairs by id."""
-    values = X.values
-    return [values[v.id][k].as_integer_ratio() for v in tree.nodes]
+    pairs = X._pairs
+    return [pairs[v][k] for v in range(len(tree.nodes))]
 
 
 def _lift_pairs(pairs: Sequence[Pair]) -> tuple[int, list[int]]:
@@ -473,15 +475,22 @@ def _increments(s: Sequence[Pair], node: int, children: Sequence[int]
                    for n, q in [s[c] for c in children]]
 
 
-def _mass_pairs(tree: EventTree, leaf_mass: Mapping[int, Fraction]
-                ) -> list[Pair]:
-    """Reduced pair of every atom's mass, by id, from the mass of every
+def _product(x: Pair, y: Pair) -> Pair:
+    """The reduced product of two reduced pairs, by two cross gcds as
+    Fraction.__mul__ reduces."""
+    (a, b), (c, d) = x, y
+    g, h = math.gcd(a, d), math.gcd(c, b)
+    return a // g * (c // h), b // h * (d // g)
+
+
+def _mass_pairs(tree: EventTree, leaf_mass: Mapping[int, Pair]) -> list[Pair]:
+    """Reduced pair of every atom's mass, by id, from the pair of every
     leaf: each atom sums its children's pairs, and a one-child atom copies
     its child's.  Every table of atom masses reads it."""
     nodes, leaves = tree.nodes, tree.leaves
     m: list[Pair] = [ZERO_PAIR] * len(nodes)
     for leaf in leaves:
-        m[leaf] = leaf_mass[leaf].as_integer_ratio()
+        m[leaf] = leaf_mass[leaf]
     # the leaves are the last layer, so every node before them has children
     for v in reversed(nodes[:len(nodes) - len(leaves)]):
         kids = v.children
@@ -491,18 +500,20 @@ def _mass_pairs(tree: EventTree, leaf_mass: Mapping[int, Fraction]
 
 
 def _compensator(tree: EventTree, P: ProbMeasure, Z: AdaptedProcess
-                 ) -> dict[int, Fraction]:
-    """The steps Z_v - E[Z_next | v] of Z's compensator, by non-leaf node id
-    in id order: each atom lifts its children's m_c z_c and builds one
-    Fraction.  P must charge every atom."""
+                 ) -> dict[int, Pair]:
+    """The steps Z_v - E[Z_next | v] of Z's compensator, as reduced pairs by
+    non-leaf node id in id order: each atom lifts its children's m_c z_c
+    and reduces by one gcd.  P must charge every atom."""
     m = P._atom_pairs(tree)
     z = _process_pairs(tree, Z)
-    dA: dict[int, Fraction] = {}
+    dA: dict[int, Pair] = {}
     for v in tree.nodes[:len(tree.nodes) - len(tree.leaves)]:   # has children
         d, x = _lift_pairs([(m[c][0] * z[c][0], m[c][1] * z[c][1])
                             for c in v.children])
         total = sum(x)
-        # Z_v - total / (d m_v), with m_v = a / b
+        # Z_v - total / (d m_v), with m_v = a / b, over a positive denominator
         (a, b), (zn, zd) = m[v.id], z[v.id]
-        dA[v.id] = Fraction(zn * d * a - total * b * zd, zd * d * a)
+        num, den = zn * d * a - total * b * zd, zd * d * a
+        g = math.gcd(num, den)
+        dA[v.id] = (num // g, den // g)
     return dA

@@ -34,14 +34,13 @@ failure messages.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional
 
 from .filtered_space import (ZERO_PAIR, AdaptedProcess, EventTree, Pair,
                              ProbMeasure, Strategy, _compensator, _increments,
-                             _lift_pairs, _process_pairs, _sum_pairs)
+                             _lift_pairs, _process_pairs, _product, _sum_pairs)
 
 # The deflation certificate loads with `check_stopped_price`, its only user,
 # so building and verifying a measure never compiles the arbitrage layer.
@@ -232,21 +231,13 @@ class DominatingMeasure:
         return out
 
 
-def _product(x: Pair, y: Pair) -> Pair:
-    """The reduced product of two reduced pairs, by two cross gcds as
-    Fraction.__mul__ reduces."""
-    (a, b), (c, d) = x, y
-    g, h = math.gcd(a, d), math.gcd(c, b)
-    return a // g * (c // h), b // h * (d // g)
-
-
 def build_dominating_measure(tree: EventTree, P: ProbMeasure,
                              Z: "AdaptedProcess | Deflator") -> DominatingMeasure:
     """Solve the Kunita-Yoeurp problem for Z: place the compensator mass on
     the death slices and the surviving density mass at infinity.  Z is a
     process or a `Deflator`.  Z_0 = 1 and Z > 0 are checked first; then the
-    compensator steps dA come from `_compensator`, one Fraction per atom,
-    and the martingale part of Z is never built.
+    compensator steps dA come from `_compensator`, one reduced pair per
+    atom, and the martingale part of Z is never built.
 
     Both tables are node quantities: alive(leaf) = P(leaf) Z(leaf), and
     every point that dies on v carries P(w) dA(parent(v)), so dying(v) =
@@ -260,17 +251,17 @@ def build_dominating_measure(tree: EventTree, P: ProbMeasure,
         raise KyError(
             f"normalization error: E[Z_0] = {Zp.at(tree.root)}, expected 1 "
             "(rescale by the root value first)")
-    values = Zp.values
-    if any(values[v.id][0].numerator <= 0 for v in tree.nodes):
+    z = _process_pairs(tree, Zp)
+    if any(n <= 0 for n, _ in z):
         raise KyError("density must be strictly positive")
     dA = _compensator(tree, P, Zp)
     steps: dict[int, Pair] = {}
     for v, step in dA.items():
-        if step.numerator < 0:
+        if step[0] < 0:
             raise KyError(f"not a supermartingale: compensator step at node "
-                          f"{v} is {step}")
-        if step.numerator:
-            steps[v] = step.as_integer_ratio()
+                          f"{v} is {Fraction(*step)}")
+        if step[0]:
+            steps[v] = step
     masses = P._atom_pairs(tree)
     alive = [ZERO_PAIR] * len(tree.nodes)
     dying = [ZERO_PAIR] * len(tree.nodes)
@@ -279,10 +270,10 @@ def build_dominating_measure(tree: EventTree, P: ProbMeasure,
         if step is not None:
             dying[v.id] = _product(masses[v.id], step)
     for leaf in tree.leaves:
-        alive[leaf] = _product(masses[leaf], values[leaf][0].as_integer_ratio())
+        alive[leaf] = _product(masses[leaf], z[leaf])
     dm = DominatingMeasure.__new__(DominatingMeasure)
     dm._setup(EnlargedSpace(tree, P), Zp,
-              Strategy.of_vectors({v: (step,) for v, step in dA.items()}, 1),
+              Strategy({v: (step,) for v, step in dA.items()}, 1, _pairs=True),
               alive, dying, None, steps)
     return dm
 
@@ -316,16 +307,16 @@ def verify_ky(dm: DominatingMeasure) -> KyReport:
     tree = dm.tree
     masses = dm.space.P._atom_pairs(tree)
     alive = dm._alive
+    z = _process_pairs(tree, dm.Z)
     failures: list[str] = []
 
-    # property 3, cross-multiplied: an/ad = (pn/pd) (Z's numerator/denominator)
+    # property 3, cross-multiplied: an/ad = (pn/pd) (zn/zd)
     for v in tree.nodes:
-        z = dm.Z.at(v.id)
-        (an, ad), (pn, pd) = alive[v.id], masses[v.id]
-        if an * pd * z.denominator != pn * z.numerator * ad:
+        (an, ad), (pn, pd), (zn, zd) = alive[v.id], masses[v.id], z[v.id]
+        if an * pd * zd != pn * zn * ad:
             failures.append(
                 f"property 3: atom {v.id} at t = {v.time}: Q(alive) = "
-                f"{Fraction(an, ad)}, E[1_A Z_t] = {Fraction(pn, pd) * z}")
+                f"{Fraction(an, ad)}, E[1_A Z_t] = {Fraction(pn * zn, pd * zd)}")
     return KyReport(passed=not failures, failures=failures)
 
 
@@ -425,8 +416,8 @@ def check_stopped_price(dm: DominatingMeasure, S: AdaptedProcess
     # certificate as the converse-direction check.  Only alive atoms enter,
     # so the dead table is never built here.
     masses = dm.space.P._atom_pairs(tree)
-    z_from_gamma = [(an * pd, ad * pn) if an > 0 and pn != 0
-                    else dm.Z.at(v).as_integer_ratio()
+    z = _process_pairs(tree, dm.Z)
+    z_from_gamma = [(an * pd, ad * pn) if an > 0 and pn != 0 else z[v]
                     for v, ((an, ad), (pn, pd)) in enumerate(zip(alive, masses))]
     return StoppedPriceReport(
         is_martingale=not violations, violations=violations,

@@ -93,8 +93,10 @@ def doob_decomposition(tree: EventTree, P: ProbMeasure, Z: AdaptedProcess
     M: dict[int, Fraction] = {tree.root: Fraction(0)}
     for v in tree.nodes:
         if v.parent is not None:
-            M[v.id] = M[v.parent] + Z.at(v.id) - Z.at(v.parent) + dA[v.parent]
-    return AdaptedProcess.of_scalars(M), Strategy.of_scalars(dA)
+            M[v.id] = (M[v.parent] + Z.at(v.id) - Z.at(v.parent)
+                       + Fraction(*dA[v.parent]))
+    return AdaptedProcess.of_scalars(M), Strategy(
+        {v: (step,) for v, step in dA.items()}, 1, _pairs=True)
 
 
 def expectation(tree: EventTree, P: ProbMeasure, X: AdaptedProcess) -> Vector:

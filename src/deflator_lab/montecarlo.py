@@ -283,7 +283,26 @@ def _diffusion_columns(sc: DiffusionScenario,
         gains = (hold * (sc.mu * var + sc.sigma * dw)).sum(axis=1)
         return z_t - 1.0, price, z_t * (1.0 + gains) - 1.0
 
-    return _run_blocks(sc.seed, sc.paths, lengths.size, chunk)
+    return _diffusion_blocks(sc, sc.paths, lengths.size, chunk)
+
+
+def _diffusion_blocks(sc: DiffusionScenario, n_paths: int, width: int, chunk
+                      ) -> list[np.ndarray]:
+    """`_run_blocks` for a diffusion.  The density's exponent has mean
+    -theta**2 T / 2 at the market price of risk theta = mu/sigma, so where
+    float underflow in exp raises (as `simulate` makes it) it names mu.  An
+    underflow elsewhere, as of a subnormal mu times a cell's variance, is
+    not the density's and is passed on as it is."""
+    try:
+        return _run_blocks(sc.seed, n_paths, width, chunk)
+    except FloatingPointError as exc:
+        if "underflow encountered in exp" not in str(exc):
+            raise
+        raise ValueError(
+            f"mu: the density exp(-theta W_T - theta**2 T / 2) underflows on "
+            f"some path at the market price of risk theta = mu/sigma = "
+            f"{sc.mu / sc.sigma!r} over the horizon T = {sc.horizon!r} "
+            f"(got mu = {sc.mu!r})") from exc
 
 
 def diffusion_report(sc: DiffusionScenario,
@@ -329,7 +348,7 @@ def sample_diffusion_paths(sc: DiffusionScenario, n: int = 100) -> PathBatch:
         return (w, sc.s0 + sc.mu * times + sc.sigma * w,
                 np.exp(-theta * w - 0.5 * theta ** 2 * times))
 
-    w, s, z = _run_blocks(sc.seed, n, sc.steps + 1, chunk)
+    w, s, z = _diffusion_blocks(sc, n, sc.steps + 1, chunk)
     return PathBatch(times, {"motion": w, "price": s, "density": z},
                      [(sc.seed, i) for i in range(n)])
 

@@ -1077,9 +1077,15 @@ def test_price_of_the_wrong_dimension_exits_2(fixtures, tmp_path, capsys,
     ("insider", {"horizon": 5e-324}, "horizon"),
     # Z_T underflows to 0 on every path
     ("diffusion", {"horizon": 1e308, "steps": 2}, "parameters"),
+    # Z_T underflows on some path: the market price of risk mu/sigma is
+    # too large, and the message names mu
+    ("diffusion", {"mu": 40}, "mu:"),
+    ("diffusion", {"mu": 1e150}, "mu:"),
+    ("diffusion", {"mu": 30, "sigma": 0.5}, "mu:"),
 ], ids=["null-pi", "overflowing-mu", "overflowing-mu-square",
         "zero-variance", "subnormal-variance", "zero-step",
-        "underflowing-density"])
+        "underflowing-density", "underflowing-density-mu",
+        "underflowing-density-huge-mu", "underflowing-density-small-sigma"])
 def test_simulate_rejects_degenerate_diffusion_params(tmp_path, capsys,
                                                       scenario, params, named):
     """Draws that carry no randomness give verdicts on nothing, so they
@@ -1091,6 +1097,17 @@ def test_simulate_rejects_degenerate_diffusion_params(tmp_path, capsys,
                 "--paths", "100", "--steps", "4", "--out", str(out)]) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_simulate_runs_a_large_market_price_of_risk(tmp_path):
+    """At mu = 30 the density's exponent stays above the float range on
+    every drawn path, so the run gives verdicts instead of exiting 2."""
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"mu": 30}))
+    out = tmp_path / "r.json"
+    assert run(["simulate", "--scenario", "diffusion", "--params", str(path),
+                "--paths", "4096", "--out", str(out)]) in (0, 1)
+    assert read(out)["values"]["stream_version"]
 
 
 @pytest.mark.parametrize("scenario, params, named", [

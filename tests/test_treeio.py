@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -231,7 +232,31 @@ def test_reader_names_the_same_field_as_the_reference():
     assert checked >= len(MALFORMED_TREES) - 3
 
 
-JUNK = ["2/4", "1/2", "-0", 0.5, 3, None, ["1"], {"1": "1"}, "1/3", "x"]
+JUNK = ["2/4", "1/2", "-0", 0.5, 3, None, ["1"], {"1": "1"}, "1/3", "x",
+        "1/1", "0/1", "-0/1", "01", "1/02", "10/4", "+1", " 1", "1/-2", "1/0",
+        "\u0661", "-"]
+
+
+@pytest.mark.parametrize("junk", [j for j in JUNK if j not in ("1/2", "1/3")])
+def test_reader_refuses_each_junk_value_as_the_reference(junk):
+    """Each refused value, put first in `P`, in a process and in a
+    strategy, and last in a process: the same refusal and message as the
+    reference reader's."""
+    base = to_obj(sample_tree_file(2))
+    for section in ("P", "processes", "strategies", "last"):
+        obj = copy.deepcopy(base)
+        if section == "P":
+            table = obj["P"]
+            table[next(iter(table))] = junk
+        else:
+            name = "S" if section != "strategies" else "H"
+            table = obj["strategies" if section == "strategies"
+                        else "processes"][name]
+            keys = list(table)
+            table[keys[-1] if section == "last" else keys[0]] = [junk]
+        want = outcome(treeio_oracle.from_obj, copy.deepcopy(obj))
+        assert want.startswith("error: ")
+        assert outcome(treeio.from_obj, obj) == want
 
 
 def test_reader_matches_the_reference_on_mutated_files():
@@ -262,6 +287,90 @@ def test_reader_matches_the_reference_on_mutated_files():
     assert 100 < errors < 400
 
 
+def stored_pairs(tf: TreeFile):
+    """(field, pair) for every pair the reader stores."""
+    if tf.P is not None:
+        yield from ((f"P[{leaf}]", m) for leaf, m in tf.P._leaf.items())
+    for section, store in (("processes", tf.processes),
+                           ("strategies", tf.strategies)):
+        for name, table in store.items():
+            for node, vec in table._pairs.items():
+                for x in vec:
+                    yield f"{section}[{name}][{node}]", x
+
+
+def test_reader_stores_reduced_pairs_whose_views_are_the_reference(tmp_path):
+    """On seeded markets at one and two assets, with densities and
+    strategies, on pairwise-coprime masses and on the bundled fixtures,
+    every pair the reader stores is reduced over a positive denominator,
+    and the Fraction views equal the reference reader's values."""
+    from deflator_lab import scenarios
+    from deflator_lab.deflator import construct_deflator
+    from treegen import (arbitrage_free_two_asset_problem,
+                         one_step_arbitrage_free, random_problem)
+
+    rng = random.Random(33)
+    problems = [random_problem(rng, asset_dim=1 + n % 2) for n in range(30)]
+    problems += [arbitrage_free_two_asset_problem(rng, 2), coprime_problem(4, 1)]
+    texts = []
+    for problem in problems:
+        tree, d = problem.tree, problem.tree.asset_dim
+        H = Strategy({v.id: tuple(F(rng.randint(-9, 9), rng.randint(1, 9))
+                                  for _ in range(d))
+                      for v in tree.non_leaf_nodes()}, d)
+        processes = {"S": problem.S}
+        if d == 1 and one_step_arbitrage_free(tree, problem.S):   # (NA1)
+            processes["Z"] = construct_deflator(problem).normalized(tree).Z
+        texts.append(treeio.dumps(TreeFile(tree, problem.P, processes, {"H": H})))
+    for name in scenarios.available():
+        for path in scenarios.write_scenario(name, str(tmp_path / name)):
+            if path.endswith("tree.json"):
+                texts.append(open(path, encoding="utf-8").read())
+    deflated = 0
+    for text in texts:
+        got = treeio.loads(text)
+        want = treeio_oracle.from_obj(json.loads(text))
+        pairs = list(stored_pairs(got))
+        assert pairs
+        for field, (n, d) in pairs:
+            assert type(n) is int and type(d) is int, field
+            assert d > 0 and math.gcd(n, d) == 1, field
+        assert (got.P is None) == (want.P is None)
+        if got.P is not None:
+            assert got.P.leaf_mass == want.P.leaf_mass
+        for store, ref, view in ((got.processes, want.processes, "values"),
+                                 (got.strategies, want.strategies, "steps")):
+            assert store.keys() == ref.keys()
+            for name, table in store.items():
+                assert table.dim == ref[name].dim
+                assert getattr(table, view) == getattr(ref[name], view)
+                assert all(type(x) is F for vec in getattr(table, view).values()
+                           for x in vec)
+        deflated += "Z" in got.processes
+    assert len(texts) >= len(problems) + 4 and deflated > 5
+
+
+def test_tree_text_needs_the_hook_only_where_a_name_may_repeat(monkeypatch):
+    """A tree file whose colons all separate the members the reader counts
+    is parsed without `parse_object`'s hook; a colon inside a name, or a
+    repeated name, sends it through the hook, which still refuses the
+    repeat."""
+    from deflator_lab import fileio
+
+    calls = []
+    hook = fileio._members
+    monkeypatch.setattr(fileio, "_members",
+                        lambda pairs: calls.append(1) or hook(pairs))
+    text = treeio.dumps(sample_tree_file(4))
+    assert treeio.dumps(treeio.loads(text)) == text and calls == []
+    named = text.replace('"S": {', '"S:1": {', 1)
+    assert named != text and set(treeio.loads(named).processes) == {"S:1"}
+    assert calls
+    repeated = text.replace('"P": {', '"P": {"1": "1/3",', 1)
+    with pytest.raises(TreeFileError, match="repeated name '1'"):
+        treeio.loads(repeated)
+
+
 def test_writers_refuse_what_the_reader_refuses(int_str_limit, tmp_path):
     """A value with more digits than int-to-str conversion allows raises
     TreeFileError naming its field as the reader would, and the reader
@@ -280,7 +389,8 @@ def test_writers_refuse_what_the_reader_refuses(int_str_limit, tmp_path):
     tf.processes["Z"] = AdaptedProcess.of_scalars(
         {v.id: at if v.id == a else F(1) for v in tf.tree.nodes})
     assert treeio.loads(treeio.dumps(tf)).processes["Z"].at(a) == at
-    tf.processes["Z"].values[b] = (past,)
+    tf.processes["Z"] = AdaptedProcess.of_scalars(
+        {v.id: {a: at, b: past}.get(v.id, F(1)) for v in tf.tree.nodes})
     with pytest.raises(TreeFileError, match=rf"^processes\[Z\]\[{b}\]: "):
         treeio.dumps(tf)
     del tf.processes["Z"]
