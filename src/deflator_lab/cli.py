@@ -27,10 +27,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import Optional
 
 from . import __version__
 from .cmd_common import CliError, write_stdout
-from .fileio import TreeFileError
+from .fileio import TreeFileError, collector_paused
 
 # -- argument parsing --------------------------------------------------------------
 
@@ -46,26 +47,20 @@ class _Parser(argparse.ArgumentParser):
             super()._print_message(message, file)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="deflator-lab",
-        description="Exact arbitrage and deflator laboratory on event trees, "
-                    "with seeded Monte Carlo for the continuous-time examples.")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common(p, out_default=None):
+    p.add_argument("--out", default=out_default,
+                   help="write the JSON report here (default: stdout)")
 
-    def common(p, out_default=None):
-        p.add_argument("--out", default=out_default,
-                       help="write the JSON report here (default: stdout)")
 
-    p = sub.add_parser("check", help="decide (NA) and (NA1) for a priced tree")
+def _check(p):
     p.add_argument("--tree", required=True)
     p.add_argument("--price", default="S")
     p.add_argument("--both", action="store_true",
                    help="accepted and ignored: check always decides both")
-    common(p)
+    _common(p)
 
-    p = sub.add_parser("deflate", help="construct the optimal-value density")
+
+def _deflate(p):
     p.add_argument("--tree", required=True)
     p.add_argument("--price", default="S")
     p.add_argument("--out", required=True,
@@ -75,30 +70,31 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rescale so the initial value is 1")
     p.add_argument("--report", default=None)
 
-    p = sub.add_parser("foellmer",
-                       help="build the dominating measure on the death-time "
-                            "extension")
+
+def _foellmer(p):
     p.add_argument("--tree", required=True)
     p.add_argument("--deflator", default="Z")
     p.add_argument("--out", required=True, help="extension measure JSON")
     p.add_argument("--report", default=None)
 
-    p = sub.add_parser("ky-verify", help="verify the decomposition properties")
+
+def _ky_verify(p):
     p.add_argument("--tree", required=True)
     p.add_argument("--deflator", default="Z")
     p.add_argument("--price", default=None,
                    help="accepted and ignored, but must name a process of the "
                         "tree file: the stopped identities are property 3")
-    common(p)
+    _common(p)
 
-    p = sub.add_parser("stopped-check",
-                       help="Q-martingale test of the pre-death price")
+
+def _stopped_check(p):
     p.add_argument("--tree", required=True)
     p.add_argument("--deflator", default="Z")
     p.add_argument("--price", default="S")
-    common(p)
+    _common(p)
 
-    p = sub.add_parser("enlarge", help="label-enlargement analysis")
+
+def _enlarge(p):
     p.add_argument("action", choices=["jacod", "universal-z", "insider",
                                       "logutility"])
     p.add_argument("--tree", required=True)
@@ -106,9 +102,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--price", default="S")
     p.add_argument("--event", default=None,
                    help="comma-separated labels forming the insider event")
-    common(p)
+    _common(p)
 
-    p = sub.add_parser("simulate", help="seeded Monte Carlo scenarios")
+
+def _simulate(p):
     p.add_argument("--scenario", required=True,
                    choices=["diffusion", "levy", "insider"])
     p.add_argument("--params", default=None, help="scenario parameter JSON")
@@ -124,12 +121,48 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write per-path summaries of sampled trajectories")
     p.add_argument("--sample-paths", type=int, default=100,
                    help="how many trajectories --paths-csv summarizes")
-    common(p)
+    _common(p)
 
-    p = sub.add_parser("scenario", help="write a bundled fixture")
+
+def _scenario(p):
     p.add_argument("name")
     p.add_argument("--dir", default=".")
-    common(p)
+    _common(p)
+
+
+# each command's help and the function that adds its arguments, in the order
+# that usage lines and --help list them
+_COMMANDS = {
+    "check": ("decide (NA) and (NA1) for a priced tree", _check),
+    "deflate": ("construct the optimal-value density", _deflate),
+    "foellmer": ("build the dominating measure on the death-time extension",
+                 _foellmer),
+    "ky-verify": ("verify the decomposition properties", _ky_verify),
+    "stopped-check": ("Q-martingale test of the pre-death price",
+                      _stopped_check),
+    "enlarge": ("label-enlargement analysis", _enlarge),
+    "simulate": ("seeded Monte Carlo scenarios", _simulate),
+    "scenario": ("write a bundled fixture", _scenario),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command, or with `command` one that holds that
+    command's subparser only.  Its usage line still lists every command, so
+    each usage line and error message it prints is the full parser's."""
+    parser = _Parser(
+        prog="deflator-lab",
+        description="Exact arbitrage and deflator laboratory on event trees, "
+                    "with seeded Monte Carlo for the continuous-time examples.")
+    parser.add_argument("--version", action="version", version=__version__)
+    # the full parser keeps argparse's own metavar: an explicit one would
+    # also rename the command in its errors ("required: command"), which a
+    # parser holding one command never prints
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -145,10 +178,25 @@ def _handler(command: str):
     return getattr(family, "cmd_" + command.replace("-", "_"))
 
 
+def _parse(argv) -> argparse.Namespace:
+    """Parse with the one subparser that `argv` names first; with an option
+    first (--help, --version) or no known command, with the full parser."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    return build_parser(command).parse_args(argv)
+
+
 def run(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return _handler(args.command)(args)
+        args = _parse(argv)
+        if args.command == "simulate":
+            # pausing the collector across numpy's import leaves its cyclic
+            # garbage in memory: a higher peak
+            return _handler(args.command)(args)
+        # the tree commands build pair tables and reports, which hold no
+        # reference cycle, so a collector pass over them would free nothing
+        with collector_paused():
+            return _handler(args.command)(args)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(exc.code or 0)

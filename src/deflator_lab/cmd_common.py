@@ -117,8 +117,8 @@ def emit_report(report: dict, out: Optional[str]) -> None:
     reader would: a rational too long for `str` raises the tree writer's
     TreeFileError naming its field, and nothing is written."""
     try:
-        text = json.dumps(report, indent=2, sort_keys=True,
-                          default=_jsonable) + "\n"
+        # one line: with no indent, json writes through its C encoder
+        text = json.dumps(report, sort_keys=True, default=_jsonable) + "\n"
     except ValueError as exc:       # an int longer than str() converts
         from .treeio import _too_long
 

@@ -1,7 +1,7 @@
 """The file primitives that the command handlers (`cmd_common` and the
 modules of each command family) and the tree-file reader share: the error
 for a malformed input file, the one reader of JSON input files, the node-key
-rule and the atomic writer.
+rule, the atomic writer and the pause of the cycle collector.
 
 They live apart from `treeio` so that a command which reads no tree file
 (`simulate`, `--version`) loads neither `treeio` nor `filtered_space`.
@@ -9,17 +9,34 @@ They live apart from `treeio` so that a command which reads no tree file
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
 import tempfile
-from typing import Iterable
+from contextlib import contextmanager
+from typing import Iterable, Iterator
 
 _NODE_KEY_RE = re.compile(r"(?:0|[1-9][0-9]*)\Z")
 
 
 class TreeFileError(ValueError):
     """Malformed input file; the message names the offending field."""
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Run the block with the cycle collector off, and leave it on or off as
+    it was.  For code that builds many containers and no reference cycle,
+    such as the tree reader's pair tables: a collector pass over them would
+    free nothing."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def read_text(path: str) -> str:

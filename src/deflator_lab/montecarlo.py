@@ -33,6 +33,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -43,6 +44,12 @@ DEFAULT_CONFIDENCE_SIGMAS = 3.0
 STREAM_VERSION = 2
 PATH_BLOCK = 4096
 CHUNK_FLOATS = 2 ** 14
+# the smallest normal float, and the smallest magnitude of a nonzero real
+# parameter: the product of two numbers at least that large is a normal
+# float, so a parameter times a step or a draw of ordinary size never
+# underflows
+_TINY = sys.float_info.min
+_SMALLEST = math.sqrt(_TINY)
 
 
 def pairwise_sum(values: np.ndarray) -> float:
@@ -168,8 +175,9 @@ def _run_blocks(seed: int, n_paths: int, width: int, chunk
 
 def _check_scenario(sc) -> None:
     """Integers where a field is declared int and finite real numbers
-    elsewhere, booleans being neither; one path or more, a seed >= 0, one
-    step or more and a positive horizon whose step does not round to 0."""
+    elsewhere, booleans being neither, each real 0 or at least `_SMALLEST`
+    in magnitude; one path or more, a seed >= 0, one step or more and a
+    positive horizon whose step does not round to 0."""
     for field in dataclasses.fields(sc):
         value = getattr(sc, field.name)
         integral = field.type == "int"
@@ -178,6 +186,8 @@ def _check_scenario(sc) -> None:
                 or not abs(value) < math.inf:
             kind = "an integer" if integral else "a finite real number"
             raise ValueError(f"{field.name} must be {kind} (got {value!r})")
+        if not integral and 0 < abs(value) < _SMALLEST:
+            raise ValueError(_too_small(field.name, value))
     if sc.paths < 1:
         raise ValueError(f"paths must be at least 1 (got {sc.paths})")
     if sc.seed < 0:
@@ -189,6 +199,11 @@ def _check_scenario(sc) -> None:
                          f"{sc.steps} rounds to 0")
 
 
+def _too_small(name: str, value) -> str:
+    return (f"{name}: a nonzero value below {_SMALLEST:.4g} in magnitude "
+            f"underflows in products with steps and draws (got {value!r})")
+
+
 def _cells(pi, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """The runs of constant holding in pi, a number or one per grid step:
     their lengths in steps, and the holding on each."""
@@ -198,6 +213,9 @@ def _cells(pi, steps: int) -> tuple[np.ndarray, np.ndarray]:
     pi_arr = np.broadcast_to(np.asarray(pi, dtype=np.float64), (steps,))
     if not np.all(np.isfinite(pi_arr)):     # None reads as nan
         raise ValueError("pi: strategy must be bounded")
+    small = (pi_arr != 0) & (np.abs(pi_arr) < _SMALLEST)
+    if small.any():
+        raise ValueError(_too_small("pi", pi_arr[small][0].item()))
     starts = np.flatnonzero(np.r_[True, pi_arr[1:] != pi_arr[:-1]])
     return np.diff(np.r_[starts, steps]), pi_arr[starts]
 
@@ -291,8 +309,7 @@ def _diffusion_blocks(sc: DiffusionScenario, n_paths: int, width: int, chunk
     """`_run_blocks` for a diffusion.  The density's exponent has mean
     -theta**2 T / 2 at the market price of risk theta = mu/sigma, so where
     float underflow in exp raises (as `simulate` makes it) it names mu.  An
-    underflow elsewhere, as of a subnormal mu times a cell's variance, is
-    not the density's and is passed on as it is."""
+    underflow elsewhere is not the density's and is passed on as it is."""
     try:
         return _run_blocks(sc.seed, n_paths, width, chunk)
     except FloatingPointError as exc:
@@ -374,6 +391,14 @@ class LevyScenario:
         _check_scenario(self)
         if not self.a > abs(self.b):
             raise ValueError("need death intensity a > |b|")
+        # the least exponent of the survival gap's deflated drift over
+        # every admissible |pi| <= 1; the deflator e^(-a horizon) is above it
+        if not (self.a + abs(self.b)) * self.horizon <= -math.log(_TINY):
+            raise ValueError(
+                f"a: the deflated drift e^(b int pi - a horizon) underflows "
+                f"for some |pi| <= 1 unless (a + |b|) horizon <= "
+                f"{-math.log(_TINY):.6g} (got a = {self.a!r}, b = "
+                f"{self.b!r}, horizon = {self.horizon!r})")
 
 
 def analytic_frozen_mean(sc: LevyScenario) -> float:

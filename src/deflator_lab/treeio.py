@@ -28,7 +28,6 @@ for `str` is a TreeFileError.
 
 from __future__ import annotations
 
-import gc
 import json
 import math
 import re
@@ -39,8 +38,8 @@ from json.encoder import encode_basestring_ascii as _encode
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .fileio import (TreeFileError, node_key, parse_object, read_text,
-                     write_atomic)
+from .fileio import (TreeFileError, collector_paused, node_key, parse_object,
+                     read_text, write_atomic)
 from .filtered_space import (AdaptedProcess, EventTree, Pair, ProbMeasure,
                              Strategy)
 
@@ -367,15 +366,9 @@ def _member_count(obj: dict) -> int:
 
 
 def loads(text: str) -> TreeFile:
-    # the parse builds no reference cycle, so a pass of the cycle collector
-    # over its many new containers would free nothing: it is paused
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
+    # the parse builds no reference cycle, so the collector is paused
+    with collector_paused():
         return from_obj(parse_object(text, _member_count))
-    finally:
-        if collecting:
-            gc.enable()
 
 
 def load(path: str) -> TreeFile:

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, reports, fixtures, retired flags."""
 
 import contextlib
+import gc
 import io
 import json
 import math
@@ -733,12 +734,12 @@ def console(*argv, stdout=subprocess.PIPE, unbuffered=False, **kwargs):
 
 @pytest.fixture()
 def drifting_tree(tmp_path):
-    """A deflated 255-node binomial tree whose density is a strict
+    """A deflated 511-node binomial tree whose density is a strict
     supermartingale: its stopped-check report to stdout lists a drift at
-    every atom and is longer than the 8 KB stdout buffer."""
+    every atom and, on one line, is longer than the 8 KB stdout buffer."""
     from treegen import binomial_problem
 
-    problem = binomial_problem(steps=7)
+    problem = binomial_problem(steps=8)
     tree, deflated = str(tmp_path / "b.json"), str(tmp_path / "bd.json")
     treeio.save(treeio.TreeFile(problem.tree, problem.P, {"S": problem.S}),
                 tree)
@@ -762,7 +763,7 @@ def test_reports_and_exit_codes_survive_the_hard_exit(fixtures, tmp_path,
     assert report["verdicts"] == expected["verdicts"] == {
         "deflation": True, "martingale": False}
     assert report["values"] == expected["values"]
-    assert len(report["values"]["violations"]) == 127
+    assert len(report["values"]["violations"]) == 255
 
     proc = console("check", "--tree",
                    str(fixtures["insider-binomial"] / "tree.json"))
@@ -780,6 +781,73 @@ def test_reports_and_exit_codes_survive_the_hard_exit(fixtures, tmp_path,
                    stdout=None, preexec_fn=lambda: os.close(1))
     assert (proc.returncode, proc.stderr) == (0, "")
     assert read(out)["verdicts"] == {"na": True, "na1": True}
+
+
+@pytest.mark.parametrize("collecting", [True, False],
+                         ids=["enabled", "disabled"])
+def test_run_leaves_the_collector_as_it_found_it(fixtures, tmp_path, capsys,
+                                                 collecting):
+    """`run` pauses the cycle collector while a tree command runs and leaves
+    it on or off as it was, whatever the exit: a verdict that holds, one
+    that fails, a usage error and an unwritable report."""
+    tree = str(fixtures["insider-binomial"] / "tree.json")
+    missing = str(tmp_path / "missing" / "r.json")
+    cases = [
+        (["check", "--tree", tree], 0),
+        (["stopped-check", "--tree",
+          str(fixtures["exponential-death"] / "tree.json")], 1),
+        (["check"], 2),
+        (["check", "--tree", tree, "--out", missing], 2)]
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        for argv, code in cases:
+            assert run(argv) == code, argv
+            assert gc.isenabled() is collecting, argv
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert capsys.readouterr().err.endswith(
+        f"i/o error: [Errno 2] No such file or directory: {missing!r}\n")
+
+
+def test_only_simulate_runs_with_the_collector(monkeypatch):
+    """Tree commands build no reference cycle, so the collector is paused
+    for them; `simulate` keeps it, since numpy's import leaves cycles."""
+    from deflator_lab import cmd_simulate, cmd_tree
+
+    seen = {}
+
+    def spy(name):
+        def handler(args):
+            seen[name] = gc.isenabled()
+            return 0
+        return handler
+
+    monkeypatch.setattr(cmd_tree, "cmd_check", spy("check"))
+    monkeypatch.setattr(cmd_simulate, "cmd_simulate", spy("simulate"))
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        assert run(["check", "--tree", "t.json"]) == 0
+        assert run(["simulate", "--scenario", "levy"]) == 0
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == {"check": False, "simulate": True}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["check", "--help"], ["check"],
+    ["check", "--tree", "t", "--bogus"], ["nosuch"], ["enlarge", "bogus"],
+    ["simulate", "--scenario", "nope"]],
+    ids=["help", "command-help", "missing-option", "unknown-option",
+         "unknown-command", "bad-choice", "bad-option-choice"])
+def test_usage_text_is_the_full_parsers(argv, capsys):
+    """`run` parses with a parser that holds only the command it is given;
+    its exit code, stdout and stderr are those of the full parser."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    expected = (int(exc.value.code or 0), *capsys.readouterr())
+    assert (run(argv), *capsys.readouterr()) == expected
 
 
 @pytest.mark.parametrize("unbuffered", [False, True],
@@ -1082,10 +1150,24 @@ def test_price_of_the_wrong_dimension_exits_2(fixtures, tmp_path, capsys,
     ("diffusion", {"mu": 40}, "mu:"),
     ("diffusion", {"mu": 1e150}, "mu:"),
     ("diffusion", {"mu": 30, "sigma": 0.5}, "mu:"),
+    # a nonzero real below sqrt of the smallest normal float: its products
+    # with steps and draws underflow
+    ("diffusion", {"mu": 1e-320}, "mu:"),
+    ("diffusion", {"pi": 1e-320}, "pi:"),
+    ("levy", {"b": 1e-320}, "b:"),
+    ("insider", {"horizon": 1e-300}, "horizon:"),
+    # the levy survival gap's deflated drift e^(b int pi - a horizon)
+    # underflows for some |pi| <= 1
+    ("levy", {"a": 1e308}, "a:"),
+    ("levy", {"a": 800}, "a:"),
+    ("levy", {"a": 400, "b": -350}, "a:"),
 ], ids=["null-pi", "overflowing-mu", "overflowing-mu-square",
         "zero-variance", "subnormal-variance", "zero-step",
         "underflowing-density", "underflowing-density-mu",
-        "underflowing-density-huge-mu", "underflowing-density-small-sigma"])
+        "underflowing-density-huge-mu", "underflowing-density-small-sigma",
+        "subnormal-mu", "subnormal-pi", "subnormal-levy-drift",
+        "tiny-insider-horizon", "huge-death-intensity",
+        "underflowing-deflator", "underflowing-deflated-drift"])
 def test_simulate_rejects_degenerate_diffusion_params(tmp_path, capsys,
                                                       scenario, params, named):
     """Draws that carry no randomness give verdicts on nothing, so they
