@@ -1,12 +1,13 @@
 """Command-line front end: parse tree files, run the requested analysis, and
 emit a machine-readable JSON report.
 
-Exit codes: 0 when every checked verdict passes, 1 when a verdict fails, 2 on
-usage, schema or I/O problems, a missing stdout, a lost stdout text and a
-report value too long to write included.  Tree-side subcommands are exact,
-so their exit codes never depend on floating point.  Reports are written
-atomically and echo the fully resolved configuration, a provenance stamp
-and wall-clock timing.
+Exit codes: 0 when every judged verdict (all but `UNJUDGED`) passes, 1 when
+one fails, 2 on usage, schema or I/O problems, a missing stdout, a lost
+stdout text and a report value too long to write included.  Tree-side
+subcommands are exact, so their exit codes never depend on floating point.
+Reports are written atomically, after every other file a command writes,
+and echo the fully resolved configuration, a provenance stamp and the
+wall-clock time from just before the handler.
 
 `run(argv)` is the in-process API: it returns the exit code and leaves the
 interpreter as it was.  `main()`, the console entry point, calls `run()`,
@@ -18,8 +19,10 @@ So `main()` runs no `atexit` handler; embedders call `run()`.
 This module holds the parser, `run` and `main` only.  The handlers live in
 one module per command family (`cmd_tree`, `cmd_enlarge`, `cmd_simulate`,
 with what they share in `cmd_common`), and `run` imports the one it
-dispatches to after parsing.  No module imports this one, so
-`python -m deflator_lab.cli`, which runs it as `__main__`, compiles it once.
+dispatches to after parsing.  A handler returns its findings, not an exit
+code; `run` times it and writes and judges its report.  No module imports
+this one, so `python -m deflator_lab.cli`, which runs it as `__main__`,
+compiles it once.
 """
 
 from __future__ import annotations
@@ -27,10 +30,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from typing import Optional
 
 from . import __version__
-from .cmd_common import CliError, write_stdout
+from .cmd_common import CliError, emit_report, make_report, write_stdout
 from .fileio import TreeFileError, collector_paused
 
 # -- argument parsing --------------------------------------------------------------
@@ -166,18 +170,6 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _handler(command: str):
-    """`cmd_<command>` from its family's module, imported here so that a
-    command compiles its own family's handlers only."""
-    if command == "enlarge":
-        from . import cmd_enlarge as family
-    elif command in ("simulate", "scenario"):
-        from . import cmd_simulate as family
-    else:
-        from . import cmd_tree as family
-    return getattr(family, "cmd_" + command.replace("-", "_"))
-
-
 def _parse(argv) -> argparse.Namespace:
     """Parse with the one subparser that `argv` names first; with an option
     first (--help, --version) or no known command, with the full parser."""
@@ -186,17 +178,43 @@ def _parse(argv) -> argparse.Namespace:
     return build_parser(command).parse_args(argv)
 
 
+# Jacod's converse, and the equivalence it completes, are findings about the
+# label map: a run reports them and never fails on them
+UNJUDGED = frozenset({"reverse", "equivalent"})
+
+
+def _report(args) -> int:
+    """Run the handler, importing only its family's module, and write its
+    report to --report where the command has that flag (its --out is a tree
+    or points file), else to --out or stdout.  Exit 1 if a judged verdict
+    fails."""
+    if args.command == "enlarge":
+        from . import cmd_enlarge as family
+    elif args.command in ("simulate", "scenario"):
+        from . import cmd_simulate as family
+    else:
+        from . import cmd_tree as family
+    handler = getattr(family, "cmd_" + args.command.replace("-", "_"))
+    started = time.perf_counter()
+    operation, verdicts, values, *witnesses = handler(args)
+    report = make_report(args, operation, time.perf_counter() - started,
+                         verdicts, values, *witnesses)
+    emit_report(report, getattr(args, "report", args.out))
+    return int(not all(ok for name, ok in verdicts.items()
+                       if name not in UNJUDGED))
+
+
 def run(argv=None) -> int:
     try:
         args = _parse(argv)
         if args.command == "simulate":
             # pausing the collector across numpy's import leaves its cyclic
             # garbage in memory: a higher peak
-            return _handler(args.command)(args)
+            return _report(args)
         # the tree commands build pair tables and reports, which hold no
         # reference cycle, so a collector pass over them would free nothing
         with collector_paused():
-            return _handler(args.command)(args)
+            return _report(args)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(exc.code or 0)

@@ -1,9 +1,11 @@
 """What every command handler shares: the usage error, reading a tree file
-and the processes it names, and writing the JSON report.
+and the processes it names, and the JSON report that `cli.run` builds from
+a handler's findings and writes.
 
 `cli` parses the command line and imports one handler module after parsing
 (`cmd_tree`, `cmd_enlarge` or `cmd_simulate`), so a command compiles only
-its own family's handlers.  No handler module imports `cli`: under
+its own family's handlers.  A handler returns findings, not an exit code.
+No handler module imports `cli`: under
 `python -m deflator_lab.cli` that module runs as `__main__`, and importing
 it by name would compile it a second time.
 """
@@ -14,7 +16,6 @@ import errno
 import json
 import os
 import sys
-import time
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
@@ -129,7 +130,7 @@ def emit_report(report: dict, out: Optional[str]) -> None:
         write_stdout(text)
 
 
-def make_report(args, operation: str, started: float, verdicts: dict,
+def make_report(args, operation: str, timing_s: float, verdicts: dict,
                 values: dict, witnesses: Optional[dict] = None) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -141,6 +142,6 @@ def make_report(args, operation: str, started: float, verdicts: dict,
         "verdicts": verdicts,
         "values": values,
         "witnesses": witnesses or {},
-        "timing_s": round(time.perf_counter() - started, 6),
+        "timing_s": round(timing_s, 6),
         "version": __version__,
     }

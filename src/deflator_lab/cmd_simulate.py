@@ -1,13 +1,13 @@
-"""The Monte Carlo and fixture commands: `simulate` and `scenario`.
-`cli.run` imports this module only to dispatch to one of them."""
+"""The Monte Carlo and fixture commands: `simulate` and `scenario`.  Each
+writes its files and returns its findings, not an exit code; `cli.run`
+imports this module only to dispatch to one of them."""
 
 from __future__ import annotations
 
 import math
-import time
 from typing import TYPE_CHECKING
 
-from .cmd_common import CliError, emit_report, make_report
+from .cmd_common import CliError
 from .fileio import TreeFileError, parse_object, read_text, write_atomic
 
 if TYPE_CHECKING:
@@ -28,13 +28,12 @@ def load_params(path: str) -> dict:
         raise CliError(f"--params {path}: {exc}") from exc
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple:
     # compiling montecarlo before numpy loads (montecarlo imports it) lets
     # numpy reuse the memory the compiler frees: a lower peak RSS
     from .montecarlo import MIN_PATHS_FOR_VERDICT, SIMULATIONS, STREAM_VERSION
     import numpy as np
 
-    started = time.perf_counter()
     if args.threads < 1:
         raise CliError(f"--threads must be at least 1 (got {args.threads})")
     if not (math.isfinite(args.confidence) and args.confidence > 0):
@@ -68,9 +67,6 @@ def cmd_simulate(args) -> int:
 
     values["stream_version"] = STREAM_VERSION
     values["tests"] = {name: test_json(t) for name, t in tests.items()}
-    report = make_report(args, f"montecarlo.{args.scenario}", started,
-                         verdicts, values)
-    emit_report(report, args.out)
     if args.csv:
         rows = ["name,mean,se,z,n_paths,verdict"]
         rows += [f"{name},{t.mean!r},{t.se!r},{t.z!r},{t.n_paths},{t.verdict}"
@@ -83,19 +79,15 @@ def cmd_simulate(args) -> int:
         lines += [",".join(repr(row[k]) if isinstance(row[k], float)
                            else str(row[k]) for k in header) for row in rows]
         write_atomic(args.paths_csv, "\n".join(lines) + "\n")
-    return 0 if all(verdicts.values()) else 1
+    return f"montecarlo.{args.scenario}", verdicts, values
 
 
-def cmd_scenario(args) -> int:
+def cmd_scenario(args) -> tuple:
     from . import scenarios
 
-    started = time.perf_counter()
     try:
         written = scenarios.write_scenario(args.name, args.dir)
     except KeyError:
         raise CliError(f"unknown scenario {args.name!r}; available: "
                        f"{', '.join(scenarios.available())}")
-    report = make_report(args, "cli.scenario", started, {"written": True},
-                         {"files": written})
-    emit_report(report, args.out)
-    return 0
+    return "cli.scenario", {"written": True}, {"files": written}

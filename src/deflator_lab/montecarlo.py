@@ -598,7 +598,20 @@ def _simulate_diffusion(params: dict, crit: float) -> tuple:
     # W_T and each cell's increment are exact draws: no discretization bias
     pi = params.pop("pi", 1.0)
     sc = DiffusionScenario(**params)
-    tests = _at(crit, vars(diffusion_report(sc, pi)))
+    try:
+        tests = _at(crit, vars(diffusion_report(sc, pi)))
+    except FloatingPointError as exc:
+        if not str(exc).startswith(("overflow", "invalid")):
+            raise
+        # the price or wealth, or a square, left the float range (an invalid
+        # 0 * inf follows an overflow): name its largest term at W_T = sqrt T
+        drift, noise = abs(sc.mu) * sc.horizon, sc.sigma * sc.horizon ** 0.5
+        terms = {"s0": abs(sc.s0), "mu * horizon": drift,
+                 "sigma * sqrt(horizon)": noise,
+                 "pi": float(np.max(np.abs(pi))) * (drift + noise)}
+        term = max(terms, key=terms.get)
+        raise ValueError(f"{term}: the deflated price or wealth overflows at "
+                         f"this scale ({terms[term]:.4g})") from exc
     return (tests, {name: t.consistent for name, t in tests.items()},
             {"scenario": dataclasses.asdict(sc) | {"pi": pi}},
             lambda n: sample_diffusion_paths(sc, n))

@@ -257,6 +257,8 @@ def test_enlarge_jacod_and_universal(fixtures, tmp_path):
                 "--out", str(out)]) == 0
     report = read(out)
     assert report["verdicts"]["jacod"] is True
+    # the converse fails here and still exits 0: it is a finding, not judged
+    assert report["verdicts"]["reverse"] is False
     assert report["values"]["density"]["1,h"] == "1"
     assert run(["enlarge", "universal-z", "--tree", tree, "--label-map", labels,
                 "--out", str(out)]) == 0
@@ -380,6 +382,18 @@ def test_simulate_levy_with_params_and_csv(fixtures, tmp_path):
     path_lines = paths_csv.read_text().strip().splitlines()
     assert len(path_lines) == 8
     assert path_lines[0].startswith("path,seed,")
+
+
+def test_a_failed_csv_write_leaves_no_report(tmp_path, capsys):
+    """`simulate` writes its CSV files before the report, as `deflate` and
+    `foellmer` write theirs: an exit 2 leaves no report."""
+    out = tmp_path / "r.json"
+    csv = tmp_path / "missing" / "c.csv"
+    assert run(["simulate", "--scenario", "levy", "--paths", "200",
+                "--steps", "4", "--csv", str(csv), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", [b"[1, 2]", b'{"a": "\xe9"}',
@@ -820,7 +834,7 @@ def test_only_simulate_runs_with_the_collector(monkeypatch):
     def spy(name):
         def handler(args):
             seen[name] = gc.isenabled()
-            return 0
+            return "spy", {}, {}
         return handler
 
     monkeypatch.setattr(cmd_tree, "cmd_check", spy("check"))
@@ -1161,13 +1175,24 @@ def test_price_of_the_wrong_dimension_exits_2(fixtures, tmp_path, capsys,
     ("levy", {"a": 1e308}, "a:"),
     ("levy", {"a": 800}, "a:"),
     ("levy", {"a": 400, "b": -350}, "a:"),
+    # the deflated price or wealth, or its square, overflows: the message
+    # names the largest term
+    ("diffusion", {"s0": 1e200}, "s0:"),
+    ("diffusion", {"s0": -1e200}, "s0:"),
+    ("diffusion", {"s0": 1e308}, "s0:"),
+    ("diffusion", {"pi": 1e200}, "pi:"),
+    # mu * horizon overflows to inf, and 0 * inf is invalid
+    ("diffusion", {"mu": 30, "horizon": 1e308}, "mu * horizon:"),
 ], ids=["null-pi", "overflowing-mu", "overflowing-mu-square",
         "zero-variance", "subnormal-variance", "zero-step",
         "underflowing-density", "underflowing-density-mu",
         "underflowing-density-huge-mu", "underflowing-density-small-sigma",
         "subnormal-mu", "subnormal-pi", "subnormal-levy-drift",
         "tiny-insider-horizon", "huge-death-intensity",
-        "underflowing-deflator", "underflowing-deflated-drift"])
+        "underflowing-deflator", "underflowing-deflated-drift",
+        "overflowing-price", "overflowing-negative-price",
+        "overflowing-price-sum", "overflowing-wealth",
+        "overflowing-drift"])
 def test_simulate_rejects_degenerate_diffusion_params(tmp_path, capsys,
                                                       scenario, params, named):
     """Draws that carry no randomness give verdicts on nothing, so they
