@@ -51,19 +51,15 @@ def cmd_simulate(args) -> tuple:
     if isinstance(paths, int) and paths < MIN_PATHS_FOR_VERDICT:
         raise CliError(f"--paths must be at least {MIN_PATHS_FOR_VERDICT}, "
                        f"the fewest that give a verdict (got {paths})")
-    # overflow and invalid operations raise FloatingPointError, an
-    # ArithmeticError, so no inf or nan reaches the report; so does
-    # underflow, which leaves draws without randomness (a density that is 0
-    # on every path)
-    saved = np.seterr(over="raise", invalid="raise", divide="raise",
-                      under="raise")
+    # overflow, invalid operations and division by zero raise
+    # FloatingPointError, an ArithmeticError, so no inf or nan reaches the
+    # report; underflow rounds to a subnormal or 0, as IEEE has it
     try:
-        tests, verdicts, values, sample = SIMULATIONS[args.scenario](
-            params, args.confidence)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            tests, verdicts, values, sample = SIMULATIONS[args.scenario](
+                params, args.confidence)
     except (ArithmeticError, TypeError, ValueError) as exc:
         raise CliError(f"invalid simulation parameters: {exc}") from exc
-    finally:
-        np.seterr(**saved)
 
     values["stream_version"] = STREAM_VERSION
     values["tests"] = {name: test_json(t) for name, t in tests.items()}

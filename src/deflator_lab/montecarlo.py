@@ -44,12 +44,8 @@ DEFAULT_CONFIDENCE_SIGMAS = 3.0
 STREAM_VERSION = 2
 PATH_BLOCK = 4096
 CHUNK_FLOATS = 2 ** 14
-# the smallest normal float, and the smallest magnitude of a nonzero real
-# parameter: the product of two numbers at least that large is a normal
-# float, so a parameter times a step or a draw of ordinary size never
-# underflows
-_TINY = sys.float_info.min
-_SMALLEST = math.sqrt(_TINY)
+# exp(x) is below the smallest normal float for x < -_LOG_TINY
+_LOG_TINY = -math.log(sys.float_info.min)
 
 
 def pairwise_sum(values: np.ndarray) -> float:
@@ -175,9 +171,8 @@ def _run_blocks(seed: int, n_paths: int, width: int, chunk
 
 def _check_scenario(sc) -> None:
     """Integers where a field is declared int and finite real numbers
-    elsewhere, booleans being neither, each real 0 or at least `_SMALLEST`
-    in magnitude; one path or more, a seed >= 0, one step or more and a
-    positive horizon whose step does not round to 0."""
+    elsewhere, booleans being neither; one path or more, a seed >= 0, one
+    step or more and a positive horizon whose step does not round to 0."""
     for field in dataclasses.fields(sc):
         value = getattr(sc, field.name)
         integral = field.type == "int"
@@ -186,22 +181,15 @@ def _check_scenario(sc) -> None:
                 or not abs(value) < math.inf:
             kind = "an integer" if integral else "a finite real number"
             raise ValueError(f"{field.name} must be {kind} (got {value!r})")
-        if not integral and 0 < abs(value) < _SMALLEST:
-            raise ValueError(_too_small(field.name, value))
     if sc.paths < 1:
         raise ValueError(f"paths must be at least 1 (got {sc.paths})")
     if sc.seed < 0:
         raise ValueError(f"seed must be non-negative (got {sc.seed})")
-    if sc.steps < 1 or sc.horizon <= 0:
-        raise ValueError("need a positive horizon and at least one step")
-    if sc.horizon / sc.steps == 0:      # every draw would be scaled by 0
-        raise ValueError(f"the step horizon / steps = {sc.horizon!r} / "
-                         f"{sc.steps} rounds to 0")
-
-
-def _too_small(name: str, value) -> str:
-    return (f"{name}: a nonzero value below {_SMALLEST:.4g} in magnitude "
-            f"underflows in products with steps and draws (got {value!r})")
+    if sc.steps < 1:
+        raise ValueError(f"steps must be at least 1 (got {sc.steps})")
+    if not sc.horizon / sc.steps > 0:   # a step that rounds to 0 too
+        raise ValueError(f"horizon: the step horizon / steps = "
+                         f"{sc.horizon!r} / {sc.steps} must be positive")
 
 
 def _cells(pi, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -213,9 +201,6 @@ def _cells(pi, steps: int) -> tuple[np.ndarray, np.ndarray]:
     pi_arr = np.broadcast_to(np.asarray(pi, dtype=np.float64), (steps,))
     if not np.all(np.isfinite(pi_arr)):     # None reads as nan
         raise ValueError("pi: strategy must be bounded")
-    small = (pi_arr != 0) & (np.abs(pi_arr) < _SMALLEST)
-    if small.any():
-        raise ValueError(_too_small("pi", pi_arr[small][0].item()))
     starts = np.flatnonzero(np.r_[True, pi_arr[1:] != pi_arr[:-1]])
     return np.diff(np.r_[starts, steps]), pi_arr[starts]
 
@@ -225,6 +210,20 @@ def _from_zero(increments: np.ndarray) -> np.ndarray:
     out = np.zeros((increments.shape[0], increments.shape[1] + 1))
     np.cumsum(increments, axis=1, out=out[:, 1:])
     return out
+
+
+def _naming_overflow(what: str, terms, run, *args):
+    """run(*args), with a FloatingPointError (an overflow, or the invalid
+    operation, such as 0 * inf, that follows one) turned into a ValueError
+    that names the largest of terms(), the scale terms of `what`.  terms is
+    called only then, so it may read inputs that run checks first."""
+    try:
+        return run(*args)
+    except FloatingPointError as exc:
+        scale = terms()
+        term = max(scale, key=scale.get)
+        raise ValueError(f"{term}: {what} overflows at this scale "
+                         f"({scale[term]:.4g})") from exc
 
 
 def _jump_counts(rng: np.random.Generator, spans: np.ndarray) -> np.ndarray:
@@ -242,7 +241,8 @@ class DiffusionScenario:
 
     The density is the exponential of the market-price-of-risk integral
     against the martingale part M = sigma W: with lam = mu / sigma**2,
-    Z_T = exp(-lam M_T - lam**2 <M>_T / 2)."""
+    Z_T = exp(-lam M_T - lam**2 <M>_T / 2).  Its median exp(-theta**2 T / 2),
+    at the market price of risk theta = mu / sigma, must be a normal float."""
 
     mu: float = 0.2
     sigma: float = 1.0
@@ -262,6 +262,12 @@ class DiffusionScenario:
         if not self.lam * self.lam < math.inf:
             raise ValueError(f"mu: mu / sigma**2 = {self.lam!r} overflows "
                              f"when squared (got {self.mu!r})")
+        if not self.lam * self.mu * self.horizon / 2 <= _LOG_TINY:
+            raise ValueError(
+                f"mu: the density's median exp(-theta**2 T / 2) underflows "
+                f"unless theta**2 T / 2 <= {_LOG_TINY:.6g}, theta = mu/sigma "
+                f"(got mu = {self.mu!r}, sigma = {self.sigma!r}, "
+                f"T = horizon = {self.horizon!r})")
 
     @property
     def lam(self) -> float:
@@ -301,25 +307,7 @@ def _diffusion_columns(sc: DiffusionScenario,
         gains = (hold * (sc.mu * var + sc.sigma * dw)).sum(axis=1)
         return z_t - 1.0, price, z_t * (1.0 + gains) - 1.0
 
-    return _diffusion_blocks(sc, sc.paths, lengths.size, chunk)
-
-
-def _diffusion_blocks(sc: DiffusionScenario, n_paths: int, width: int, chunk
-                      ) -> list[np.ndarray]:
-    """`_run_blocks` for a diffusion.  The density's exponent has mean
-    -theta**2 T / 2 at the market price of risk theta = mu/sigma, so where
-    float underflow in exp raises (as `simulate` makes it) it names mu.  An
-    underflow elsewhere is not the density's and is passed on as it is."""
-    try:
-        return _run_blocks(sc.seed, n_paths, width, chunk)
-    except FloatingPointError as exc:
-        if "underflow encountered in exp" not in str(exc):
-            raise
-        raise ValueError(
-            f"mu: the density exp(-theta W_T - theta**2 T / 2) underflows on "
-            f"some path at the market price of risk theta = mu/sigma = "
-            f"{sc.mu / sc.sigma!r} over the horizon T = {sc.horizon!r} "
-            f"(got mu = {sc.mu!r})") from exc
+    return _run_blocks(sc.seed, sc.paths, lengths.size, chunk)
 
 
 def diffusion_report(sc: DiffusionScenario,
@@ -365,7 +353,7 @@ def sample_diffusion_paths(sc: DiffusionScenario, n: int = 100) -> PathBatch:
         return (w, sc.s0 + sc.mu * times + sc.sigma * w,
                 np.exp(-theta * w - 0.5 * theta ** 2 * times))
 
-    w, s, z = _diffusion_blocks(sc, n, sc.steps + 1, chunk)
+    w, s, z = _run_blocks(sc.seed, n, sc.steps + 1, chunk)
     return PathBatch(times, {"motion": w, "price": s, "density": z},
                      [(sc.seed, i) for i in range(n)])
 
@@ -390,14 +378,15 @@ class LevyScenario:
     def __post_init__(self) -> None:
         _check_scenario(self)
         if not self.a > abs(self.b):
-            raise ValueError("need death intensity a > |b|")
+            raise ValueError(f"a: the death intensity must exceed |b| "
+                             f"(got a = {self.a!r}, b = {self.b!r})")
         # the least exponent of the survival gap's deflated drift over
         # every admissible |pi| <= 1; the deflator e^(-a horizon) is above it
-        if not (self.a + abs(self.b)) * self.horizon <= -math.log(_TINY):
+        if not (self.a + abs(self.b)) * self.horizon <= _LOG_TINY:
             raise ValueError(
                 f"a: the deflated drift e^(b int pi - a horizon) underflows "
                 f"for some |pi| <= 1 unless (a + |b|) horizon <= "
-                f"{-math.log(_TINY):.6g} (got a = {self.a!r}, b = "
+                f"{_LOG_TINY:.6g} (got a = {self.a!r}, b = "
                 f"{self.b!r}, horizon = {self.horizon!r})")
 
 
@@ -598,20 +587,16 @@ def _simulate_diffusion(params: dict, crit: float) -> tuple:
     # W_T and each cell's increment are exact draws: no discretization bias
     pi = params.pop("pi", 1.0)
     sc = DiffusionScenario(**params)
-    try:
-        tests = _at(crit, vars(diffusion_report(sc, pi)))
-    except FloatingPointError as exc:
-        if not str(exc).startswith(("overflow", "invalid")):
-            raise
-        # the price or wealth, or a square, left the float range (an invalid
-        # 0 * inf follows an overflow): name its largest term at W_T = sqrt T
+
+    def terms() -> dict:
+        # the price's and the wealth's terms at W_T = sqrt T
         drift, noise = abs(sc.mu) * sc.horizon, sc.sigma * sc.horizon ** 0.5
-        terms = {"s0": abs(sc.s0), "mu * horizon": drift,
-                 "sigma * sqrt(horizon)": noise,
-                 "pi": float(np.max(np.abs(pi))) * (drift + noise)}
-        term = max(terms, key=terms.get)
-        raise ValueError(f"{term}: the deflated price or wealth overflows at "
-                         f"this scale ({terms[term]:.4g})") from exc
+        return {"s0": abs(sc.s0), "mu * horizon": drift,
+                "sigma * sqrt(horizon)": noise,
+                "pi": float(np.max(np.abs(pi))) * (drift + noise)}
+
+    tests = _at(crit, vars(_naming_overflow(
+        "the deflated price or wealth", terms, diffusion_report, sc, pi)))
     return (tests, {name: t.consistent for name, t in tests.items()},
             {"scenario": dataclasses.asdict(sc) | {"pi": pi}},
             lambda n: sample_diffusion_paths(sc, n))
@@ -621,8 +606,12 @@ def _simulate_levy(params: dict, crit: float) -> tuple:
     pi = params.pop("pi", 1.0)
     sc = LevyScenario(**params)
     frozen, repaired = simulate_levy_counterexample(sc)
+    # some 2 horizon jumps each multiply the survival wealth by 1 +- pi
+    survival = _naming_overflow(
+        "the survival wealth (1 + pi)^up (1 - pi)^down",
+        lambda: {"horizon": sc.horizon}, simulate_survival_measure, sc, pi)
     tests = _at(crit, {"frozen": frozen, "repaired": repaired,
-                       "survival": simulate_survival_measure(sc, pi)})
+                       "survival": survival})
     frozen, repaired, survival = tests.values()
     analytic = analytic_frozen_mean(sc)
     verdicts = {"frozen_rejects": frozen.rejects,

@@ -1156,20 +1156,15 @@ def test_price_of_the_wrong_dimension_exits_2(fixtures, tmp_path, capsys,
     ("diffusion", {"sigma": 1e-200}, "sigma"),
     ("diffusion", {"sigma": 1e-160}, "sigma"),
     # the step horizon / steps rounds to 0, so every draw is 0
-    ("insider", {"horizon": 5e-324}, "horizon"),
-    # Z_T underflows to 0 on every path
-    ("diffusion", {"horizon": 1e308, "steps": 2}, "parameters"),
-    # Z_T underflows on some path: the market price of risk mu/sigma is
-    # too large, and the message names mu
+    ("insider", {"horizon": 5e-324}, "parameters: horizon:"),
+    # Z_T would underflow to 0 on every path: theta**2 T / 2 is far above
+    # the bound, which names mu
+    ("diffusion", {"horizon": 1e308, "steps": 2}, "parameters: mu:"),
+    # the density's median exp(-theta**2 T / 2) underflows: the market
+    # price of risk theta = mu/sigma is too large, and the message names mu
     ("diffusion", {"mu": 40}, "mu:"),
     ("diffusion", {"mu": 1e150}, "mu:"),
     ("diffusion", {"mu": 30, "sigma": 0.5}, "mu:"),
-    # a nonzero real below sqrt of the smallest normal float: its products
-    # with steps and draws underflow
-    ("diffusion", {"mu": 1e-320}, "mu:"),
-    ("diffusion", {"pi": 1e-320}, "pi:"),
-    ("levy", {"b": 1e-320}, "b:"),
-    ("insider", {"horizon": 1e-300}, "horizon:"),
     # the levy survival gap's deflated drift e^(b int pi - a horizon)
     # underflows for some |pi| <= 1
     ("levy", {"a": 1e308}, "a:"),
@@ -1181,18 +1176,21 @@ def test_price_of_the_wrong_dimension_exits_2(fixtures, tmp_path, capsys,
     ("diffusion", {"s0": -1e200}, "s0:"),
     ("diffusion", {"s0": 1e308}, "s0:"),
     ("diffusion", {"pi": 1e200}, "pi:"),
-    # mu * horizon overflows to inf, and 0 * inf is invalid
-    ("diffusion", {"mu": 30, "horizon": 1e308}, "mu * horizon:"),
+    # the levy survival wealth (1 + pi)^up (1 - pi)^down overflows: about
+    # 2000 up jumps double it
+    ("levy", {"a": 1e-4, "b": 0, "horizon": 2000, "steps": 4},
+     "parameters: horizon:"),
+    # theta**2 T / 2 is infinite, so the density's median underflows
+    ("diffusion", {"mu": 30, "horizon": 1e308}, "parameters: mu:"),
 ], ids=["null-pi", "overflowing-mu", "overflowing-mu-square",
         "zero-variance", "subnormal-variance", "zero-step",
         "underflowing-density", "underflowing-density-mu",
         "underflowing-density-huge-mu", "underflowing-density-small-sigma",
-        "subnormal-mu", "subnormal-pi", "subnormal-levy-drift",
-        "tiny-insider-horizon", "huge-death-intensity",
+        "huge-death-intensity",
         "underflowing-deflator", "underflowing-deflated-drift",
         "overflowing-price", "overflowing-negative-price",
         "overflowing-price-sum", "overflowing-wealth",
-        "overflowing-drift"])
+        "overflowing-survival-wealth", "overflowing-drift"])
 def test_simulate_rejects_degenerate_diffusion_params(tmp_path, capsys,
                                                       scenario, params, named):
     """Draws that carry no randomness give verdicts on nothing, so they
@@ -1206,15 +1204,44 @@ def test_simulate_rejects_degenerate_diffusion_params(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_simulate_runs_a_large_market_price_of_risk(tmp_path):
-    """At mu = 30 the density's exponent stays above the float range on
-    every drawn path, so the run gives verdicts instead of exiting 2."""
+@pytest.mark.parametrize("scenario, params, code", [
+    ("diffusion", {"mu": 1e-320}, 0),
+    ("diffusion", {"pi": 1e-320}, 0),
+    ("insider", {"horizon": 1e-300}, 0),
+    # the frozen process has no drift to reject, as at b = 0
+    ("levy", {"b": 1e-320}, 1),
+], ids=["subnormal-mu", "subnormal-pi", "tiny-insider-horizon",
+        "subnormal-levy-drift"])
+def test_simulate_runs_tiny_params(tmp_path, scenario, params, code):
+    """Products of tiny parameters with steps and draws underflow to
+    subnormals or 0, which is no fault: the run gives verdicts."""
     path = tmp_path / "p.json"
-    path.write_text(json.dumps({"mu": 30}))
+    path.write_text(json.dumps(params))
+    out = tmp_path / "r.json"
+    assert run(["simulate", "--scenario", scenario, "--params", str(path),
+                "--paths", "100", "--steps", "4", "--out", str(out)]) == code
+    assert read(out)["values"]["stream_version"]
+
+
+@pytest.mark.parametrize("params, paths", [
+    ({"mu": 30}, 4096),
+    # the density and the price deviations underflow on most paths
+    ({"mu": 30, "s0": 1e-150}, 100),
+], ids=["mu-30", "mu-30-tiny-s0"])
+def test_simulate_runs_a_large_market_price_of_risk(tmp_path, params, paths):
+    """At mu = 30, theta**2 T / 2 = 450 is within the float range, so the
+    run gives verdicts instead of exiting 2, however many paths underflow.
+    Those verdicts fail: the density's mean is carried by rare paths."""
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(params))
     out = tmp_path / "r.json"
     assert run(["simulate", "--scenario", "diffusion", "--params", str(path),
-                "--paths", "4096", "--out", str(out)]) in (0, 1)
-    assert read(out)["values"]["stream_version"]
+                "--paths", str(paths), "--out", str(out)]) == 1
+    report = read(out)
+    assert report["values"]["stream_version"]
+    assert report["verdicts"] == {"density_mean": False,
+                                  "deflated_price": False,
+                                  "deflated_wealth": False}
 
 
 @pytest.mark.parametrize("scenario, params, named", [

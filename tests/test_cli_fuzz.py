@@ -1,9 +1,11 @@
 """Fuzzing the command line in process: a malformed tree, label map or params
 file must end in exit 0, 1 or 2 and never in an escaping exception."""
 
+import dataclasses
 import json
 import math
 import os
+import re
 import tempfile
 
 import pytest
@@ -14,6 +16,8 @@ from deflator_lab import scenarios, treeio
 from deflator_lab.arbitrage import WealthProblem
 from deflator_lab.cli import run
 from deflator_lab.deflator import construct_deflator
+from deflator_lab.montecarlo import (DiffusionScenario, InsiderDriftScenario,
+                                     LevyScenario)
 from treeio_oracle import to_obj
 
 FUZZ = settings(derandomize=True, max_examples=250, deadline=None,
@@ -297,3 +301,52 @@ def test_simulate_never_raises(case):
         if os.path.exists(out):
             with open(out, encoding="utf-8") as fh:
                 json.load(fh, parse_constant=reject_constant)
+
+
+# Every real parameter, one at a time, over magnitudes from the subnormal
+# range to the largest floats, and a few pairs that once exited 2 naming no
+# field.  Deterministic and in process: about half a second.
+LADDER = [1e-320, 1e-308, 1e-300, 1e-160, 1e-150, 1e-100, 1e-10, 1.0, 1e10,
+          1e100, 1e200, 1e308]
+REAL_PARAMS = {"diffusion": ["mu", "sigma", "horizon", "s0", "pi"],
+               "levy": ["a", "b", "horizon", "pi"], "insider": ["horizon"]}
+GRID = [(scenario, {name: sign * x}) for scenario, names in
+        REAL_PARAMS.items() for name in names for x in LADDER
+        for sign in (1, -1)] + [
+    ("diffusion", {"mu": 30, "s0": 1e-150}),
+    ("diffusion", {"mu": 30, "horizon": 1e308}),
+    ("diffusion", {"mu": 1e-320, "sigma": 1e-150}),
+    ("levy", {"a": 1e-4, "b": 0, "horizon": 2000})]
+SCENARIO_NAMES = {
+    scenario: {field.name for field in dataclasses.fields(cls)} | extra
+    for scenario, cls, extra in [("diffusion", DiffusionScenario, {"pi"}),
+                                 ("levy", LevyScenario, {"pi"}),
+                                 ("insider", InsiderDriftScenario, set())]}
+PREFIX = "error: invalid simulation parameters: "
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_simulate_extreme_values_exit_cleanly_or_name_a_parameter(capsys):
+    """Across the grid no exception escapes, every report written is strict
+    JSON, and every exit 2 names one of the scenario's parameters first."""
+    faults = []
+    with tempfile.TemporaryDirectory() as d:
+        path, out = os.path.join(d, "params.json"), os.path.join(d, "r.json")
+        for scenario, params in GRID:
+            write_json(path, params)
+            code = run(["simulate", "--scenario", scenario, "--params", path,
+                        "--paths", "100", "--steps", "4", "--out", out])
+            err = capsys.readouterr().err
+            if code == 2:
+                message = err[len(PREFIX):] if err.startswith(PREFIX) else ""
+                name = re.match(r"\w*", message).group()
+                if name not in SCENARIO_NAMES[scenario]:
+                    faults.append((scenario, params, err))
+                continue
+            if code not in (0, 1) or not os.path.exists(out):
+                faults.append((scenario, params, code))
+                continue
+            with open(out, encoding="utf-8") as fh:
+                json.load(fh, parse_constant=reject_constant)
+            os.remove(out)
+    assert not faults
